@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .datasets import DATASET_NAMES, LabeledSet, generate_dataset
 from .kernels import KernelSpec
@@ -27,6 +26,10 @@ STREAM_GRID = 2
 CONDITION_POLICIES = ("clip", "shift", "none")
 
 
+def _coords(points) -> np.ndarray:
+    return points.points if isinstance(points, LabeledSet) else np.asarray(points, float)
+
+
 def compute_gram(
     points,
     kernel: KernelSpec,
@@ -40,24 +43,20 @@ def compute_gram(
     by its indices; the diagonal is measured too unless ``pin_diagonal`` pins
     it to 1.
     """
-    pts = points.points if isinstance(points, LabeledSet) else np.asarray(points, float)
+    pts = _coords(points)
     m = pts.shape[0]
-    values = np.zeros((m, m))
-    evaluations = 0
-    for i in range(m):
-        for j in range(i + 1, m):
-            kappa = kernel.evaluate(pts[i], pts[j])
-            if noise is not None:
-                kappa, _ = sample_kernel(kappa, noise, key=(STREAM_GRAM, i, j))
-            values[i, j] = values[j, i] = kappa
-            evaluations += 1
+    upper = np.triu(kernel.matrix(pts, pts), 1)
+    evaluations = m * (m - 1) // 2
+    if noise is not None:
+        for i, j in zip(*np.triu_indices(m, 1)):
+            upper[i, j], _ = sample_kernel(upper[i, j], noise, key=(STREAM_GRAM, i, j))
+    values = upper + upper.T
     if noise is None or pin_diagonal:
         np.fill_diagonal(values, 1.0)
     else:
         for i in range(m):
-            est, _ = sample_kernel(1.0, noise, key=(STREAM_GRAM, i, i))
-            values[i, i] = est
-            evaluations += 1
+            values[i, i], _ = sample_kernel(1.0, noise, key=(STREAM_GRAM, i, i))
+        evaluations += m
     return GramMatrix(
         values=values,
         provenance="exact" if noise is None else "sampled",
@@ -74,19 +73,10 @@ def kernel_rows(
     stream: int = STREAM_ROWS,
 ) -> np.ndarray:
     """Kernel values of each query point against every training point."""
-    qpts = points.points if isinstance(points, LabeledSet) else np.asarray(points, float)
-    tpts = (
-        train_points.points
-        if isinstance(train_points, LabeledSet)
-        else np.asarray(train_points, float)
-    )
-    rows = np.zeros((qpts.shape[0], tpts.shape[0]))
-    for i in range(qpts.shape[0]):
-        for j in range(tpts.shape[0]):
-            kappa = kernel.evaluate(qpts[i], tpts[j])
-            if noise is not None:
-                kappa, _ = sample_kernel(kappa, noise, key=(stream, i, j))
-            rows[i, j] = kappa
+    rows = kernel.matrix(_coords(points), _coords(train_points))
+    if noise is not None:
+        for (i, j), kappa in np.ndenumerate(rows):
+            rows[i, j], _ = sample_kernel(kappa, noise, key=(stream, i, j))
     return rows
 
 
@@ -108,6 +98,8 @@ class BoundaryGrid:
 
     def interpolate(self, points) -> np.ndarray:
         """Bilinear interpolation; exact at grid nodes."""
+        from scipy.interpolate import RegularGridInterpolator  # the package's only scipy use
+
         interp = RegularGridInterpolator(
             (self.xs, self.ys), self.scores, method="linear"
         )
@@ -135,19 +127,10 @@ def boundary_grid(
         raise ValueError("grid side must be at least 2")
     lo, hi = DOMAINS[kernel.convention]
     axis = np.linspace(lo, hi, side, endpoint=False)
-    tpts = (
-        train_set.points if isinstance(train_set, LabeledSet) else np.asarray(train_set)
-    )
     nodes = np.array([[x, y] for x in axis for y in axis])
-    scores = np.zeros(len(nodes))
-    for idx, node in enumerate(nodes):
-        row = np.zeros(tpts.shape[0])
-        for j in range(tpts.shape[0]):
-            kappa = kernel.evaluate(node, tpts[j])
-            if noise is not None:
-                kappa, _ = sample_kernel(kappa, noise, key=(STREAM_GRID, idx, j))
-            row[j] = kappa
-        scores[idx] = float(row @ model.coefficients)
+    rows = kernel_rows(nodes, train_set, kernel, noise=noise, stream=STREAM_GRID)
+    # one dot per node: a single matrix-vector product rounds differently
+    scores = np.array([row @ model.coefficients for row in rows])
     return BoundaryGrid(
         xs=axis, ys=axis.copy(), scores=scores.reshape(side, side)
     )

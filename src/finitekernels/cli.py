@@ -278,13 +278,7 @@ def _cmd_sweep(args) -> int:
                 (kernel_text, gamma, report.train_accuracy, report.test_accuracy)
             )
     path = out / "sweep.csv"
-    with open(path, "w", newline="") as fh:
-        fh.write("kernel,gamma,train_accuracy,test_accuracy\n")
-        for kernel_text, gamma, train_acc, test_acc in rows:
-            fh.write(
-                f"{kernel_text},{format(gamma, '.17g')},"
-                f"{format(train_acc, '.17g')},{format(test_acc, '.17g')}\n"
-            )
+    _stage("emit", reports.write_sweep_csv, path, rows)
     for kernel_text, gamma, train_acc, test_acc in rows:
         print(f"{kernel_text} gamma={gamma:g}: train {train_acc:.3f}, test {test_acc:.3f}")
     print(f"wrote {path}")

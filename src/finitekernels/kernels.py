@@ -24,11 +24,13 @@ def kernel_profile(dx, profile: AmplitudeProfile):
 
     Accepts a scalar or an array of separations.
     """
-    dx_arr = np.abs(np.asarray(dx, dtype=float))
+    dx_arr = np.abs(np.atleast_1d(np.asarray(dx, dtype=float)))
     n = np.arange(len(profile))
-    z = np.exp(2.0j * math.pi * np.multiply.outer(dx_arr, n)) @ profile.weights
+    # a stack of 1 x L dots, so a scalar rounds exactly like an array entry
+    phases = np.exp(2.0j * math.pi * np.multiply.outer(dx_arr, n))
+    z = (phases[..., None, :] @ profile.weights)[..., 0]
     val = _clip_unit(np.abs(z) ** 2)
-    return float(val) if np.isscalar(dx) or np.ndim(dx) == 0 else val
+    return float(val[0]) if np.ndim(dx) == 0 else val
 
 
 def _paired_diffs(x, xp) -> np.ndarray:
@@ -97,6 +99,10 @@ def qubit_count(power: int, scheme: str = "compact") -> int:
 
 
 _KINDS = ("profile", "cosine_power", "phase_augmented", "fractional_cosine")
+
+# Cap on the separations (times profile modes) one block of KernelSpec.matrix
+# holds at once: about 1 MB of temporaries per block.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -172,3 +178,34 @@ class KernelSpec:
         if self.kind == "fractional_cosine":
             return kernel_fractional(a, b, self.exponent)
         return kernel_phase_augmented(x, xp, self.power)
+
+    def matrix(self, A, B) -> np.ndarray:
+        """Kernel values ``K[i, j] == evaluate(A[i], B[j])``, bit for bit.
+
+        ``A`` and ``B`` are (n, dimension) coordinate arrays.  The separations
+        |B[j] - A[i]| are broadcast over blocks of rows of ``A`` and passed
+        through the same closed form as :meth:`evaluate`.  ``phase_augmented``
+        needs per-point phases and has no matrix form.
+        """
+        if self.kind == "phase_augmented":
+            raise ValueError("kernel_phase_augmented needs DataPoint arguments")
+        a, b = self._coord_rows(A), self._coord_rows(B)
+        width = len(self.profile) if self.kind == "profile" else 1
+        step = max(1, _BLOCK_ELEMENTS // max(1, b.shape[0] * self.dimension * width))
+        out = np.empty((a.shape[0], b.shape[0]))
+        for start in range(0, a.shape[0], step):
+            d = np.abs(b[None, :, :] - a[start : start + step, None, :])
+            if self.kind == "profile":
+                factors = kernel_profile(d, self.profile)
+            elif self.kind == "cosine_power":
+                factors = np.cos(d) ** (2 * self.power)
+            else:
+                factors = np.abs(np.cos(d)) ** (2.0 * self.exponent)
+            out[start : start + step] = _clip_unit(np.prod(factors, axis=-1))
+        return out
+
+    def _coord_rows(self, points) -> np.ndarray:
+        p = np.asarray(points, dtype=float)
+        if p.ndim != 2 or p.shape[1] != self.dimension:
+            raise ValueError("point dimension does not match this kernel spec")
+        return p

@@ -89,6 +89,15 @@ def write_resolution_csv(path, rows) -> None:
             )
 
 
+def write_sweep_csv(path, rows) -> None:
+    """Columns kernel,gamma,train_accuracy,test_accuracy, one row per sweep run."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["kernel", "gamma", "train_accuracy", "test_accuracy"])
+        for kernel_text, gamma, train_acc, test_acc in rows:
+            writer.writerow([kernel_text, _fmt(gamma), _fmt(train_acc), _fmt(test_acc)])
+
+
 # ---------- JSON ----------
 
 

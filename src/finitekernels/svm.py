@@ -40,6 +40,8 @@ class GramMatrix:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] == 0:
             raise ValueError("Gram values must form a nonempty square matrix")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("Gram values must be finite")
         if np.max(np.abs(v - v.T)) > SYMMETRY_TOL:
             raise ValueError("Gram matrix must be symmetric")
         if self.provenance not in ("exact", "sampled"):
@@ -101,15 +103,8 @@ class TrainedModel:
         )
 
 
-def _as_gram_values(gram) -> np.ndarray:
-    if isinstance(gram, GramMatrix):
-        return np.asarray(gram.values, dtype=float)
-    v = np.asarray(gram, dtype=float)
-    if v.ndim != 2 or v.shape[0] != v.shape[1]:
-        raise ValueError("Gram values must form a square matrix")
-    if np.max(np.abs(v - v.T)) > SYMMETRY_TOL:
-        raise ValueError("Gram matrix must be symmetric")
-    return v
+def _as_gram(gram) -> GramMatrix:
+    return gram if isinstance(gram, GramMatrix) else GramMatrix(gram)
 
 
 def _check_labels(labels, size: int) -> np.ndarray:
@@ -123,7 +118,7 @@ def _check_labels(labels, size: int) -> np.ndarray:
 
 def training_objective(gram, labels, gamma: float, coefficients) -> float:
     """Primal objective sum a^2 + gamma * sum hinge(1 - y f) at given coefficients."""
-    g = _as_gram_values(gram)
+    g = _as_gram(gram).values
     y = _check_labels(labels, g.shape[0])
     a = np.asarray(coefficients, dtype=float)
     scores = g @ a
@@ -133,7 +128,7 @@ def training_objective(gram, labels, gamma: float, coefficients) -> float:
 
 def kkt_residual(gram, labels, gamma: float, coefficients, dual) -> float:
     """Max violation of stationarity, feasibility, and complementary slackness."""
-    g = _as_gram_values(gram)
+    g = _as_gram(gram).values
     y = _check_labels(labels, g.shape[0])
     a = np.asarray(coefficients, dtype=float)
     alpha = np.asarray(dual, dtype=float)
@@ -158,7 +153,7 @@ def train(
 
     Parameters
     ----------
-    gram : GramMatrix or square symmetric array
+    gram : GramMatrix or square symmetric finite array
         Kernel values between all training pairs.  Indefinite matrices are
         accepted; convexity comes from the coefficient regularizer.
     labels : array of +1/-1
@@ -180,7 +175,8 @@ def train(
     coordinate ascent with a cached gradient converges for any symmetric G;
     primal recovery is a = G (y * alpha) / 2.
     """
-    g = _as_gram_values(gram)
+    gram = _as_gram(gram)
+    g = gram.values
     m = g.shape[0]
     y = _check_labels(labels, m)
     if not math.isfinite(gamma) or gamma <= 0.0:
@@ -214,13 +210,13 @@ def train(
                 moved = max(moved, abs(delta))
         sweeps_done = sweep + 1
         if moved == 0.0 or sweep % 8 == 7:
-            residual = kkt_residual(g, y, gamma, recover(), alpha)
+            residual = kkt_residual(gram, y, gamma, recover(), alpha)
             if residual < tol:
                 break
             if moved == 0.0:
                 break
     else:
-        residual = kkt_residual(g, y, gamma, recover(), alpha)
+        residual = kkt_residual(gram, y, gamma, recover(), alpha)
 
     a = recover()
     if residual > 1e-6:

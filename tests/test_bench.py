@@ -17,8 +17,83 @@ from finitekernels import (
     sample_kernel,
 )
 from finitekernels.bench import STREAM_GRAM, STREAM_GRID, STREAM_ROWS
+from finitekernels.states import DOMAINS, msi_profile, tsq_profile
 
 KERNEL_N1 = KernelSpec(kind="cosine_power", dimension=2, power=1)
+
+ORACLE_KERNELS = [
+    KERNEL_N1,
+    KernelSpec(kind="cosine_power", dimension=2, power=3),
+    KernelSpec(kind="fractional_cosine", dimension=2, exponent=0.5),
+    KernelSpec(kind="profile", dimension=2, profile=msi_profile(4)),
+    KernelSpec(kind="profile", dimension=2, profile=tsq_profile(8, 3.0)),
+]
+ORACLE_NOISE = [None, ShotNoiseConfig(events_per_point=300, fidelity=0.98, seed=4)]
+
+
+# Scalar-loop references: one KernelSpec.evaluate (and, with noise, one
+# sample_kernel) call per entry, in the (stream, i, j) key order.
+
+
+def measure(kappa, noise, key):
+    return kappa if noise is None else sample_kernel(kappa, noise, key=key)[0]
+
+
+def reference_gram(pts, kernel, noise=None, pin_diagonal=False):
+    m = len(pts)
+    values = np.zeros((m, m))
+    for i in range(m):
+        for j in range(i + 1, m):
+            kappa = measure(kernel.evaluate(pts[i], pts[j]), noise, (STREAM_GRAM, i, j))
+            values[i, j] = values[j, i] = kappa
+    for i in range(m):
+        sampled = noise is not None and not pin_diagonal
+        values[i, i] = measure(1.0, noise, (STREAM_GRAM, i, i)) if sampled else 1.0
+    return values
+
+
+def reference_rows(qpts, tpts, kernel, noise=None, stream=STREAM_ROWS):
+    return np.array(
+        [
+            [measure(kernel.evaluate(q, t), noise, (stream, i, j)) for j, t in enumerate(tpts)]
+            for i, q in enumerate(qpts)
+        ]
+    )
+
+
+def reference_grid(model, tpts, kernel, side, noise=None):
+    lo, hi = DOMAINS[kernel.convention]
+    axis = np.linspace(lo, hi, side, endpoint=False)
+    nodes = [np.array([x, y]) for x in axis for y in axis]
+    rows = reference_rows(nodes, tpts, kernel, noise, stream=STREAM_GRID)
+    return np.array([float(row @ model.coefficients) for row in rows]).reshape(side, side)
+
+
+@pytest.mark.parametrize("noise", ORACLE_NOISE, ids=["exact", "sampled"])
+@pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=lambda k: k.kernel_id())
+class TestScalarLoopOracle:
+    def data(self, kernel):
+        return generate_dataset(
+            "moons", seed=1, train_size=9, test_size=5, convention=kernel.convention
+        )
+
+    def test_gram(self, kernel, noise):
+        train, _ = self.data(kernel)
+        for pin in (False, True):
+            gram = compute_gram(train, kernel, noise=noise, pin_diagonal=pin)
+            want = reference_gram(train.points, kernel, noise, pin_diagonal=pin)
+            assert np.array_equal(gram.values, want)
+
+    def test_rows(self, kernel, noise):
+        train, test = self.data(kernel)
+        rows = kernel_rows(test, train, kernel, noise=noise)
+        assert np.array_equal(rows, reference_rows(test.points, train.points, kernel, noise))
+
+    def test_grid(self, kernel, noise):
+        train, _ = self.data(kernel)
+        model = TrainedModel(coefficients=np.random.default_rng(2).normal(size=9), gamma=1.0)
+        grid = boundary_grid(model, train, kernel, side=4, noise=noise)
+        assert np.array_equal(grid.scores, reference_grid(model, train.points, kernel, 4, noise))
 
 
 class TestComputeGram:

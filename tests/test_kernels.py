@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from finitekernels import kernels
 from finitekernels import (
     AmplitudeProfile,
     DataPoint,
@@ -59,7 +60,7 @@ class TestProfileKernel:
         vec = kernel_profile(dx, profile)
         assert vec.shape == (3,)
         for i, v in enumerate(dx):
-            assert vec[i] == pytest.approx(kernel_profile(float(v), profile), abs=1e-15)
+            assert vec[i] == kernel_profile(float(v), profile)
 
     def test_bounded_by_one(self):
         rng = np.random.default_rng(4)
@@ -228,6 +229,76 @@ class TestKernelSpec:
         assert "cosine" in spec.kernel_id()
         labeled = KernelSpec(kind="cosine_power", dimension=2, power=1, label="cosine:1")
         assert labeled.kernel_id() == "cosine:1"
+
+
+def matrix_specs(dimension):
+    return [
+        KernelSpec(kind="cosine_power", dimension=dimension, power=1),
+        KernelSpec(kind="cosine_power", dimension=dimension, power=3),
+        KernelSpec(kind="fractional_cosine", dimension=dimension, exponent=0.5),
+        KernelSpec(kind="fractional_cosine", dimension=dimension, exponent=2.7),
+        KernelSpec(kind="profile", dimension=dimension, profile=msi_profile(4)),
+        KernelSpec(kind="profile", dimension=dimension, profile=tsq_profile(9, 3.0)),
+    ]
+
+
+def evaluate_loop(spec, a, b):
+    """The scalar oracle: one ``evaluate`` call per pair."""
+    out = np.empty((len(a), len(b)))
+    for i, x in enumerate(a):
+        for j, xp in enumerate(b):
+            out[i, j] = spec.evaluate(x, xp)
+    return out
+
+
+def random_points(rng, spec, n, spread=1.0):
+    lo, hi = (-math.pi / 2, math.pi / 2) if spec.convention == "cosine" else (-0.5, 0.5)
+    return spread * rng.uniform(lo, hi, size=(n, spec.dimension))
+
+
+class TestKernelMatrix:
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(7, 5), (1, 9), (6, 6)])
+    def test_equals_evaluate_loop_bitwise(self, dimension, shape):
+        rng = np.random.default_rng(dimension * 100 + shape[0])
+        for spec in matrix_specs(dimension):
+            # spread 3 also covers separations outside the input domain
+            for spread in (1.0, 3.0):
+                a = random_points(rng, spec, shape[0], spread)
+                b = random_points(rng, spec, shape[1], spread)
+                assert np.array_equal(spec.matrix(a, b), evaluate_loop(spec, a, b)), (
+                    spec.kernel_id()
+                )
+
+    @pytest.mark.parametrize("cap", [1, 24, 40])
+    def test_multi_block_equals_evaluate_loop(self, monkeypatch, cap):
+        # a small cap splits the rows into many blocks, the last one short
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", cap)
+        rng = np.random.default_rng(cap)
+        for spec in matrix_specs(2):
+            a, b = random_points(rng, spec, 11), random_points(rng, spec, 4)
+            assert np.array_equal(spec.matrix(a, b), evaluate_loop(spec, a, b))
+
+    def test_empty_side(self):
+        spec = KernelSpec(kind="cosine_power", dimension=2, power=1)
+        assert spec.matrix(np.zeros((0, 2)), np.zeros((3, 2))).shape == (0, 3)
+        assert spec.matrix(np.zeros((3, 2)), np.zeros((0, 2))).shape == (3, 0)
+
+    def test_phase_augmented_raises(self):
+        spec = KernelSpec(kind="phase_augmented", dimension=2, power=1)
+        pts = np.zeros((2, 2))
+        with pytest.raises(ValueError):
+            spec.evaluate(pts[0], pts[1])
+        with pytest.raises(ValueError):
+            spec.matrix(pts, pts)
+
+    @pytest.mark.parametrize("bad", [np.zeros((3, 3)), np.zeros(2), np.zeros((1, 2, 2))])
+    def test_dimension_mismatch_rejected(self, bad):
+        spec = KernelSpec(kind="cosine_power", dimension=2, power=1)
+        with pytest.raises(ValueError, match="dimension"):
+            spec.matrix(bad, np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="dimension"):
+            spec.matrix(np.zeros((2, 2)), bad)
 
 
 class TestGramPositivity:

@@ -26,6 +26,7 @@ from finitekernels.reports import (
     write_model_json,
     write_report_json,
     write_resolution_csv,
+    write_sweep_csv,
 )
 from finitekernels.svm import GramMatrix
 
@@ -85,6 +86,16 @@ class TestCsvRoundTrips:
         assert lines[0] == "family,L,variance,resolution"
         assert len(lines) == 3
         assert lines[1].startswith("msi,2,")
+
+    def test_sweep_csv_bytes(self, tmp_path):
+        # plain newlines and 17 significant digits, as the sweep command always wrote
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(path, [("cosine:1", 0.1, 1.0, 2.0 / 3.0), ("msi:4", 10.0, 0.5, 0.25)])
+        assert path.read_bytes() == (
+            b"kernel,gamma,train_accuracy,test_accuracy\n"
+            b"cosine:1,0.10000000000000001,1,0.66666666666666663\n"
+            b"msi:4,10,0.5,0.25\n"
+        )
 
 
 def text_last_field_set(path):

@@ -203,6 +203,24 @@ class TestGramMatrix:
         with pytest.raises(ValueError):
             gram.values[0, 0] = 5.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        # a NaN never compares greater than the symmetry tolerance
+        values = np.array([[1.0, bad], [bad, 1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            GramMatrix(values)
+
+    def test_train_rejects_nan_array(self):
+        # a raw array goes through the same validation as a GramMatrix
+        values = np.array([[1.0, np.nan], [np.nan, 1.0]])
+        labels = np.array([1.0, -1.0])
+        with pytest.raises(ValueError, match="finite"):
+            train(values, labels, gamma=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            training_objective(values, labels, 1.0, np.zeros(2))
+        with pytest.raises(ValueError, match="finite"):
+            kkt_residual(values, labels, 1.0, np.zeros(2), np.zeros(2))
+
 
 class TestConditioning:
     def test_clip_floors_negative_eigenvalues(self):
