@@ -8,6 +8,7 @@ parallelized.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,8 +155,8 @@ class BenchmarkConfig:
     def __post_init__(self) -> None:
         if self.dataset not in DATASET_NAMES:
             raise ValueError(f"unknown dataset {self.dataset!r}")
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
+        if not math.isfinite(self.gamma) or self.gamma <= 0.0:
+            raise ValueError("gamma must be a finite positive real")
         if self.condition_policy not in CONDITION_POLICIES:
             raise ValueError(f"unknown condition policy {self.condition_policy!r}")
         if self.grid_side < 2:

@@ -97,6 +97,16 @@ def _noise_from(events, fidelity, noise_seed) -> ShotNoiseConfig | None:
     )
 
 
+# every section and key a bench config file may hold
+_CONFIG_KEYS = {
+    "dataset": ("name", "seed", "train_size", "test_size"),
+    "kernel": ("spec",),
+    "svm": ("gamma", "condition"),
+    "grid": ("side",),
+    "noise": ("enabled", "events", "fidelity", "seed"),
+}
+
+
 def _load_bench_config(path: str | None, args) -> BenchmarkConfig:
     """INI file values first, then command-line overrides."""
     values: dict = {}
@@ -107,7 +117,11 @@ def _load_bench_config(path: str | None, args) -> BenchmarkConfig:
             raise FileNotFoundError(f"config file {path!r} not found")
         section = {}
         for name in parser.sections():
+            if name not in _CONFIG_KEYS:
+                raise ValueError(f"unknown config section [{name}]")
             for key, val in parser.items(name):
+                if key not in _CONFIG_KEYS[name]:
+                    raise ValueError(f"unknown config key {key!r} in section [{name}]")
                 section[f"{name}.{key}"] = val
         values = section
 
@@ -287,15 +301,25 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_resolve(args) -> int:
     out = _out_dir(args)
-    lo, _, hi = args.lengths.partition(":")
-    lengths = range(int(lo), int(hi) + 1)
     families = [f for f in args.families.split(",") if f]
     rows = _stage(
-        "resolve", resolution_sweep, lengths, families, tsq_squeezing=args.tsq_zeta
+        "resolve", resolution_sweep, args.lengths, families, tsq_squeezing=args.tsq_zeta
     )
     _stage("emit", reports.write_resolution_csv, out / "resolution.csv", rows)
     print(f"wrote {out / 'resolution.csv'} ({len(rows)} rows)")
     return 0
+
+
+def _length_range(text: str) -> range:
+    """Inclusive integer range from ``lo:hi``; an argparse type, so bad text is a usage error."""
+    lo, _, hi = text.partition(":")
+    try:
+        lengths = range(int(lo), int(hi) + 1)
+    except ValueError:
+        lengths = range(0)
+    if not lengths:
+        raise argparse.ArgumentTypeError(f"expected lo:hi with integers lo <= hi, got {text!r}")
+    return lengths
 
 
 def _add_noise_flags(sub) -> None:
@@ -377,7 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(fn=_cmd_sweep)
 
     resolve = subs.add_parser("resolve", help="resolution sweep over profile families")
-    resolve.add_argument("--lengths", default="2:32", help="inclusive range lo:hi")
+    resolve.add_argument(
+        "--lengths", type=_length_range, default="2:32", help="inclusive range lo:hi"
+    )
     resolve.add_argument("--families", default="msi,tsq,optimized")
     resolve.add_argument("--tsq-zeta", type=float, default=3.0)
     resolve.add_argument("--out", required=True)

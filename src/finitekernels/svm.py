@@ -6,8 +6,8 @@
 with no bias term.  The regularizer is the plain squared norm of the
 coefficients, so the program stays convex for any symmetric Gram matrix,
 indefinite sampled ones included.  The solver maximizes the box-constrained
-dual by cyclic coordinate ascent (a projected-gradient-family method) and
-terminates on the KKT residual.
+dual with a primal active-set method, solving each face of the box exactly
+through an eigendecomposition, and terminates on the KKT residual.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ import numpy as np
 
 SYMMETRY_TOL = 1e-12
 KKT_TOL = 1e-8
+# eigenvalues of Q_FF below this fraction of the largest count as its null space
+_RCOND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -126,12 +128,7 @@ def training_objective(gram, labels, gamma: float, coefficients) -> float:
     return float(a @ a + gamma * slack.sum())
 
 
-def kkt_residual(gram, labels, gamma: float, coefficients, dual) -> float:
-    """Max violation of stationarity, feasibility, and complementary slackness."""
-    g = _as_gram(gram).values
-    y = _check_labels(labels, g.shape[0])
-    a = np.asarray(coefficients, dtype=float)
-    alpha = np.asarray(dual, dtype=float)
+def _kkt_residual(g, y, gamma: float, a, alpha) -> float:
     scores = g @ a
     slack = np.maximum(0.0, 1.0 - y * scores)
     stationarity = float(np.max(np.abs(2.0 * a - g @ (y * alpha))))
@@ -139,6 +136,14 @@ def kkt_residual(gram, labels, gamma: float, coefficients, dual) -> float:
     comp_margin = float(np.max(np.abs(alpha * (1.0 - slack - y * scores))))
     comp_slack = float(np.max(np.abs((gamma - alpha) * slack)))
     return max(stationarity, dual_box, comp_margin, comp_slack)
+
+
+def kkt_residual(gram, labels, gamma: float, coefficients, dual) -> float:
+    """Max violation of stationarity, feasibility, and complementary slackness."""
+    g = _as_gram(gram).values
+    y = _check_labels(labels, g.shape[0])
+    a = np.asarray(coefficients, dtype=float)
+    return _kkt_residual(g, y, gamma, a, np.asarray(dual, dtype=float))
 
 
 def train(
@@ -162,18 +167,25 @@ def train(
         price of larger coefficients; as gamma -> 0 the coefficients vanish.
     train_id : str
         Identifier stored with the model (propagated into serialization).
+    max_sweeps : int
+        Budget of active-set iterations.
 
     Returns
     -------
     TrainedModel with diagnostics attached (dual variables, slacks, KKT
-    residual, primal objective, sweep count).
+    residual, primal objective, active-set iteration count).
 
     Notes
     -----
     The dual is  max_{0 <= alpha <= gamma} 1'alpha - alpha' Q alpha  with
-    Q = (1/4) diag(y) G^2 diag(y), always positive semidefinite.  Cyclic
-    coordinate ascent with a cached gradient converges for any symmetric G;
-    primal recovery is a = G (y * alpha) / 2.
+    Q = (1/4) diag(y) G^2 diag(y), always positive semidefinite.  A primal
+    active-set method keeps every coordinate either free or pinned at a
+    bound.  Each iteration solves the free face exactly through the
+    eigendecomposition of Q_FF; where the face gradient has a part in the
+    null space of Q_FF the dual is linear along it, and the step follows
+    that part instead.  A step that reaches a bound pins the coordinate; on
+    a solved face the bound coordinate with the largest KKT violation is
+    freed.  Primal recovery is a = G (y * alpha) / 2.
     """
     gram = _as_gram(gram)
     g = gram.values
@@ -183,46 +195,54 @@ def train(
         raise ValueError("gamma must be a finite positive real")
 
     q = (g @ g) * np.outer(y, y) / 4.0
-    q_diag = np.diag(q).copy()
     alpha = np.zeros(m)
-    grad_cache = np.zeros(m)  # holds Q @ alpha
-
-    def recover():
+    free = np.zeros(m, dtype=bool)
+    face_solved = True
+    for iterations in range(max_sweeps + 1):
         a = 0.5 * (g @ (y * alpha))
-        return a
-
-    residual = math.inf
-    sweeps_done = 0
-    for sweep in range(max_sweeps):
-        moved = 0.0
-        for i in range(m):
-            slope = 1.0 - 2.0 * grad_cache[i]
-            if q_diag[i] > 1e-30:
-                new = alpha[i] + slope / (2.0 * q_diag[i])
-                new = min(gamma, max(0.0, new))
-            else:
-                # dual objective is linear in this coordinate
-                new = gamma if slope > 0.0 else 0.0
-            delta = new - alpha[i]
-            if delta != 0.0:
-                alpha[i] = new
-                grad_cache += delta * q[:, i]
-                moved = max(moved, abs(delta))
-        sweeps_done = sweep + 1
-        if moved == 0.0 or sweep % 8 == 7:
-            residual = kkt_residual(gram, y, gamma, recover(), alpha)
-            if residual < tol:
+        residual = _kkt_residual(g, y, gamma, a, alpha)
+        if residual < tol or iterations == max_sweeps:
+            break
+        grad = 1.0 - 2.0 * (q @ alpha)
+        if face_solved:  # free the bound coordinate that violates the KKT conditions most
+            violation = np.where(free, -np.inf, np.where(alpha > 0.0, -grad, grad))
+            worst = int(np.argmax(violation))
+            if violation[worst] <= 0.0:
                 break
-            if moved == 0.0:
-                break
-    else:
-        residual = kkt_residual(gram, y, gamma, recover(), alpha)
+            free[worst] = True
+        idx = np.flatnonzero(free)
+        q_ff, alpha_f = q[np.ix_(idx, idx)], alpha[idx]
+        w, v = np.linalg.eigh(q_ff)
+        keep = w > _RCOND * w[-1]
+        coef = v[:, keep].T @ grad[idx]
+        null = grad[idx] - v[:, keep] @ coef
+        # a null-space part this small cannot lift the KKT residual to tol
+        newton = gamma * np.max(np.abs(null)) <= 0.1 * tol
+        if newton:
+            step, limit = v[:, keep] @ (coef / (2.0 * w[keep])), 1.0
+        else:
+            # the dual is linear along the null part: follow it to a bound,
+            # or to the line optimum if roundoff left it some curvature
+            step = null
+            curvature = step @ q_ff @ step
+            limit = (step @ step) / (2.0 * curvature) if curvature > 0.0 else math.inf
+        # step length at which each coordinate reaches its bound
+        room = np.where(step > 0.0, gamma - alpha_f, alpha_f)
+        moving = step != 0.0
+        reach = np.full(idx.size, math.inf)
+        reach[moving] = room[moving] / np.abs(step[moving])
+        t = min(limit, float(reach.min()))
+        hit = reach <= t
+        alpha_f = np.clip(alpha_f + t * step, 0.0, gamma)
+        alpha_f[hit] = np.where(step[hit] > 0.0, gamma, 0.0)
+        alpha[idx] = alpha_f
+        free[idx[hit]] = False
+        face_solved = (newton and not hit.any()) or not free.any()
 
-    a = recover()
     if residual > 1e-6:
         raise RuntimeError(
             f"QP solver stalled at KKT residual {residual:.3e} after "
-            f"{sweeps_done} sweeps"
+            f"{iterations} iterations"
         )
     scores = g @ a
     slack = np.maximum(0.0, 1.0 - y * scores)
@@ -231,7 +251,7 @@ def train(
         slack=slack,
         kkt_residual=residual,
         objective=float(a @ a + gamma * slack.sum()),
-        sweeps=sweeps_done,
+        sweeps=iterations,
     )
     return TrainedModel(
         coefficients=a, gamma=float(gamma), train_id=train_id, diagnostics=diagnostics

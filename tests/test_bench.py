@@ -302,6 +302,12 @@ class TestRunBenchmark:
             drops.append(accs[2] <= accs[1])
         assert any(drops)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_non_finite_gamma_rejected(self, gamma):
+        # nan <= 0 is false, so a bare sign check lets NaN through
+        with pytest.raises(ValueError, match="finite"):
+            BenchmarkConfig(dataset="moons", seed=0, kernel=KERNEL_N1, gamma=gamma)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             BenchmarkConfig(dataset="spirals", seed=0, kernel=KERNEL_N1)

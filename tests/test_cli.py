@@ -283,3 +283,24 @@ class TestFailureModes:
         )
         assert code == 1
         assert "error in stage 'gram'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lengths", ["5", "5:", "a:b", "6:5"])
+    def test_bad_resolve_range_is_usage_error(self, lengths, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["resolve", "--lengths", lengths, "--out", str(tmp_path / "r")])
+        assert exc.value.code == 2
+        assert "argument --lengths" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, name",
+        [("[svm]\ngama = 10\n", "gama"), ("[kernal]\nspec = cosine:3\n", "kernal")],
+        ids=["key", "section"],
+    )
+    def test_unknown_config_entries_rejected(self, text, name, tmp_path, capsys):
+        cfg = tmp_path / "typo.ini"
+        cfg.write_text("[dataset]\nname = xor\nseed = 0\n\n" + text)
+        code = main(["bench", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error in stage 'config'" in err
+        assert name in err
