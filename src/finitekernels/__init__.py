@@ -56,6 +56,7 @@ from .optics import (
     kernel_circuit,
     kernel_circuit_phase,
     sample_kernel,
+    sample_kernels,
 )
 from .svm import (
     GramMatrix,
@@ -137,6 +138,7 @@ __all__ = [
     "resolution_sweep",
     "run_benchmark",
     "sample_kernel",
+    "sample_kernels",
     "train",
     "training_objective",
     "tsq_profile",

@@ -1,9 +1,9 @@
 """End-to-end benchmark harness: data, Gram, training, accuracy, decision grid.
 
 Kernel measurements are instrumented (each Gram build counts its kernel
-determinations) and shot-noise streams are keyed per entry, so a sampled
-pipeline is reproducible no matter how its evaluations are ordered or
-parallelized.
+determinations) and shot-noise streams are keyed per entry by
+``(stream, i, j)``, so a sampled pipeline is reproducible no matter how its
+evaluations are ordered, batched or parallelized.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .datasets import DATASET_NAMES, LabeledSet, generate_dataset
 from .kernels import KernelSpec
-from .optics import ShotNoiseConfig, sample_kernel
+from .optics import ShotNoiseConfig, sample_kernels
 from .states import DOMAINS
 from .svm import GramMatrix, TrainedModel, accuracy, condition_gram, train
 
@@ -29,6 +29,13 @@ CONDITION_POLICIES = ("clip", "shift", "none")
 
 def _coords(points) -> np.ndarray:
     return points.points if isinstance(points, LabeledSet) else np.asarray(points, float)
+
+
+def _stream_keys(stream: int, i, j) -> np.ndarray:
+    """``(stream, i, j)`` sampling keys as uint32 rows, ``i`` and ``j`` broadcast together."""
+    keys = np.empty(np.broadcast_shapes(np.shape(i), np.shape(j)) + (3,), dtype=np.uint32)
+    keys[..., 0], keys[..., 1], keys[..., 2] = stream, i, j
+    return keys.reshape(-1, 3)
 
 
 def compute_gram(
@@ -47,17 +54,13 @@ def compute_gram(
     pts = _coords(points)
     m = pts.shape[0]
     upper = np.triu(kernel.matrix(pts, pts), 1)
+    np.fill_diagonal(upper, 1.0)  # pinned, or measured at kappa = 1 below
     evaluations = m * (m - 1) // 2
     if noise is not None:
-        for i, j in zip(*np.triu_indices(m, 1)):
-            upper[i, j], _ = sample_kernel(upper[i, j], noise, key=(STREAM_GRAM, i, j))
-    values = upper + upper.T
-    if noise is None or pin_diagonal:
-        np.fill_diagonal(values, 1.0)
-    else:
-        for i in range(m):
-            values[i, i], _ = sample_kernel(1.0, noise, key=(STREAM_GRAM, i, i))
-        evaluations += m
+        i, j = np.triu_indices(m, 1 if pin_diagonal else 0)
+        upper[i, j] = sample_kernels(upper[i, j], noise, _stream_keys(STREAM_GRAM, i, j))
+        evaluations = i.size
+    values = upper + np.triu(upper, 1).T
     return GramMatrix(
         values=values,
         provenance="exact" if noise is None else "sampled",
@@ -76,8 +79,8 @@ def kernel_rows(
     """Kernel values of each query point against every training point."""
     rows = kernel.matrix(_coords(points), _coords(train_points))
     if noise is not None:
-        for (i, j), kappa in np.ndenumerate(rows):
-            rows[i, j], _ = sample_kernel(kappa, noise, key=(stream, i, j))
+        keys = _stream_keys(stream, np.arange(rows.shape[0])[:, None], np.arange(rows.shape[1]))
+        rows = sample_kernels(rows.ravel(), noise, keys).reshape(rows.shape)
     return rows
 
 

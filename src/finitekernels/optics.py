@@ -10,15 +10,21 @@ binomial feature state
 
 with c = cos(x), s = sin(x).  Every element is an exact rotation, so the
 composed circuit is unitary and the post-selected two-photon amplitude gives
-the kernel cos^6 per input dimension.  Shot noise is modeled by binomial
-coincidence counting with per-call random streams, so sampled Gram matrices
-are reproducible regardless of evaluation order.
+the kernel cos^6 per input dimension.
+
+Shot noise is modeled by binomial coincidence counting.  Every measurement
+draws from its own stream, ``default_rng([seed, *key])``, so sampled Gram
+matrices are reproducible regardless of evaluation order.  ``sample_kernel``
+measures one value; ``sample_kernels`` measures a batch bit for bit equal to
+it, hashing the stream keys together instead of building one generator per
+entry.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -273,6 +279,104 @@ def sample_kernel(
         seed=config.seed,
     )
     return estimate, record
+
+
+# numpy's SeedSequence and PCG64 seeding constants (numpy.random.bit_generator, pcg64.h)
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = np.uint32(16)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+# keys hashed per numpy pass; bounds the Python ints alive at once
+_SAMPLE_BLOCK = 1024
+
+
+def _hashmixer(const: int, mult: int):
+    """SeedSequence's running hash; its multiplier advances on every call."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> _XSHIFT)
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return result ^ (result >> _XSHIFT)
+
+
+def _pcg64_seeds(words: np.ndarray):
+    """Yield the PCG64 (state, inc) that ``default_rng(list(row))`` starts from.
+
+    ``words`` is an (n, L) uint32 array of entropy words.  This is numpy's
+    SeedSequence pool mix, ``generate_state(4, np.uint64)`` and
+    ``pcg64_set_seed`` run on every row at once: the hash constants evolve
+    independently of the data, so each step is one array operation.
+    """
+    n, width = words.shape
+    hashmix = _hashmixer(_INIT_A, _MULT_A)
+    zeros = np.zeros(n, dtype=np.uint32)
+    pool = [hashmix(words[:, i] if i < width else zeros) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, width):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(words[:, src]))
+    output = _hashmixer(_INIT_B, _MULT_B)
+    state = [output(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
+    # little-endian word pairs: seed = (s0 << 64) | s1, increment = (s2 << 64) | s3
+    s0, s1, s2, s3 = ((state[2 * k] | state[2 * k + 1] << np.uint64(32)).tolist() for k in range(4))
+    for seed_hi, seed_lo, inc_hi, inc_lo in zip(s0, s1, s2, s3):
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+        yield ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128, inc
+
+
+def sample_kernels(true_kappas, config: ShotNoiseConfig, keys) -> np.ndarray:
+    """Estimates of many kernel values, each from its own keyed stream.
+
+    Entry k equals ``sample_kernel(true_kappas[k], config, key=keys[k])[0]``
+    bit for bit.  ``keys`` holds one row of stream-key entries per kappa,
+    each in [0, 2**32 - 1].  The per-key seeding hash runs on blocks of keys
+    at once, and one generator is re-seeded per entry, so an entry costs
+    its binomial draw instead of a fresh ``default_rng``.
+    """
+    kappas = np.asarray(true_kappas, dtype=float)
+    keys = np.asarray(keys)
+    if kappas.ndim != 1 or keys.ndim != 2 or keys.shape[0] != kappas.size:
+        raise ValueError("need one row of stream-key entries per kappa")
+    if not np.all((kappas >= 0.0) & (kappas <= 1.0)):
+        raise ValueError("true_kappa must lie in [0, 1]")
+    if keys.size and (keys.dtype.kind not in "iu" or keys.min() < 0 or keys.max() > _MASK32):
+        raise ValueError("stream key entries must be integers in [0, 2**32 - 1]")
+    p = config.fidelity * kappas + (1.0 - config.fidelity) * config.background
+    # numpy's uint32 words of the seed, least significant first (0 is one word)
+    seed = operator.index(config.seed)
+    seed_words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    n_seed = len(seed_words)
+    generator = np.random.Generator(np.random.PCG64(0))
+    stream = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": stream, "has_uint32": 0, "uinteger": 0}
+    bit_generator, binomial, events = generator.bit_generator, generator.binomial, config.events_per_point
+    counts = np.empty(kappas.size, dtype=np.int64)
+    for start in range(0, kappas.size, _SAMPLE_BLOCK):
+        block = keys[start : start + _SAMPLE_BLOCK]
+        words = np.empty((block.shape[0], n_seed + block.shape[1]), dtype=np.uint32)
+        words[:, :n_seed] = seed_words
+        words[:, n_seed:] = block
+        draws = zip(_pcg64_seeds(words), p[start : start + _SAMPLE_BLOCK].tolist())
+        # each entry's (state, inc) lands in the reused state dict
+        for k, ((stream["state"], stream["inc"]), p_k) in enumerate(draws, start):
+            bit_generator.state = state
+            counts[k] = binomial(events, p_k)
+    return counts / events
 
 
 def coincidence_rate_budget(

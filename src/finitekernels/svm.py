@@ -128,10 +128,13 @@ def training_objective(gram, labels, gamma: float, coefficients) -> float:
     return float(a @ a + gamma * slack.sum())
 
 
-def _kkt_residual(g, y, gamma: float, a, alpha) -> float:
-    scores = g @ a
+def _kkt_residual(y, gamma: float, alpha, scores, stationarity: float = 0.0) -> float:
+    """KKT residual from the scores G a; stationarity is checked by the caller.
+
+    ``train`` recovers a = G (y * alpha) / 2, so there its stationarity term
+    2a - G (y * alpha) is 0 by construction and is not recomputed.
+    """
     slack = np.maximum(0.0, 1.0 - y * scores)
-    stationarity = float(np.max(np.abs(2.0 * a - g @ (y * alpha))))
     dual_box = float(max(np.max(-alpha, initial=0.0), np.max(alpha - gamma, initial=0.0)))
     comp_margin = float(np.max(np.abs(alpha * (1.0 - slack - y * scores))))
     comp_slack = float(np.max(np.abs((gamma - alpha) * slack)))
@@ -143,7 +146,9 @@ def kkt_residual(gram, labels, gamma: float, coefficients, dual) -> float:
     g = _as_gram(gram).values
     y = _check_labels(labels, g.shape[0])
     a = np.asarray(coefficients, dtype=float)
-    return _kkt_residual(g, y, gamma, a, np.asarray(dual, dtype=float))
+    alpha = np.asarray(dual, dtype=float)
+    stationarity = float(np.max(np.abs(2.0 * a - g @ (y * alpha))))
+    return _kkt_residual(y, gamma, alpha, g @ a, stationarity)
 
 
 def train(
@@ -200,7 +205,8 @@ def train(
     face_solved = True
     for iterations in range(max_sweeps + 1):
         a = 0.5 * (g @ (y * alpha))
-        residual = _kkt_residual(g, y, gamma, a, alpha)
+        scores = g @ a
+        residual = _kkt_residual(y, gamma, alpha, scores)
         if residual < tol or iterations == max_sweeps:
             break
         grad = 1.0 - 2.0 * (q @ alpha)
@@ -244,7 +250,6 @@ def train(
             f"QP solver stalled at KKT residual {residual:.3e} after "
             f"{iterations} iterations"
         )
-    scores = g @ a
     slack = np.maximum(0.0, 1.0 - y * scores)
     diagnostics = TrainDiagnostics(
         dual=alpha.copy(),

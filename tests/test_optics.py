@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from finitekernels import (
     CoincidenceRecord,
@@ -17,6 +18,7 @@ from finitekernels import (
     kernel_cosine,
     kernel_phase_augmented,
     sample_kernel,
+    sample_kernels,
 )
 from finitekernels.optics import (
     beam_divider,
@@ -222,6 +224,80 @@ class TestShotNoise:
         xs, ys = np.array(rows).T
         slope = np.polyfit(xs, ys, 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.05)
+
+
+BATCH_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+KEY_ENTRY = st.integers(min_value=0, max_value=2**32 - 1)
+KAPPA = st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(min_value=0.0, max_value=1.0))
+
+
+@st.composite
+def sampling_batches(draw):
+    """(config, kappas, keys) with runs of repeated kappas and a fixed key width."""
+    config = ShotNoiseConfig(
+        events_per_point=draw(st.one_of(st.sampled_from([1, 29, 30, 31, 10_000]), st.integers(1, 10_000))),
+        fidelity=draw(st.sampled_from([1.0, 0.98, 0.5])),
+        seed=draw(st.sampled_from([0, 2**32 + 5, 2**70 + 3])),
+    )
+    runs = draw(st.lists(st.tuples(KAPPA, st.integers(1, 4)), min_size=1, max_size=6))
+    kappas = [kappa for kappa, repeat in runs for _ in range(repeat)]
+    width = draw(st.integers(0, 4))
+    rows = st.lists(KEY_ENTRY, min_size=width, max_size=width)
+    keys = draw(st.lists(rows, min_size=len(kappas), max_size=len(kappas)))
+    return config, kappas, keys
+
+
+def scalar_sampling_loop(kappas, config, keys):
+    return np.array([sample_kernel(k, config, key=tuple(row))[0] for k, row in zip(kappas, keys)])
+
+
+class TestSampleKernels:
+    @BATCH_PROPERTY
+    @given(sampling_batches())
+    # n * p < 30 draws by inversion, n * p >= 30 by BTPE; repeats reuse the set-up
+    @example((ShotNoiseConfig(10, 1.0, 0), [0.3, 0.3, 0.3], [[1], [2], [3]]))
+    @example((ShotNoiseConfig(10_000, 0.98, 2**70 + 3), [0.5] * 3 + [0.2] * 2, [[2**32 - 1, 0]] * 5))
+    def test_equals_scalar_loop_bitwise(self, batch):
+        config, kappas, keys = batch
+        keys = np.array(keys, dtype=np.int64)
+        batched = sample_kernels(kappas, config, keys)
+        assert np.array_equal(batched, scalar_sampling_loop(kappas, config, keys))
+
+    def test_many_blocks_equal_scalar_loop(self):
+        config = ShotNoiseConfig(events_per_point=2500, seed=9)
+        rng = np.random.default_rng(0)
+        kappas = rng.uniform(0.0, 1.0, 2500)
+        keys = np.stack([np.full(2500, 2), np.arange(2500) // 50, np.arange(2500) % 50], axis=1)
+        batched = sample_kernels(kappas, config, keys)
+        assert np.array_equal(batched, scalar_sampling_loop(kappas, config, keys))
+
+    def test_golden_stream_pins(self):
+        # signal counts fixed by the (seed, *key) stream contract itself
+        config = ShotNoiseConfig(2500, 0.98, 0)
+        pins = [(0.5, (0, 1, 2), 1215), (1.0, (0, 3, 3), 2478), (0.0, (2, 7, 11), 17)]
+        for kappa, key, signal in pins:
+            assert sample_kernel(kappa, config, key=key)[1].counts["signal"] == signal
+        kappas, keys, signals = zip(*pins)
+        batched = sample_kernels(kappas, config, np.array(keys))
+        assert np.array_equal(batched, np.array(signals) / 2500)
+
+    def test_empty_batch(self):
+        batched = sample_kernels(np.empty(0), ShotNoiseConfig(), np.empty((0, 3), dtype=np.int64))
+        assert batched.shape == (0,)
+
+    @pytest.mark.parametrize("kappa", [math.nan, -0.1, 1.2])
+    def test_kappa_domain_enforced(self, kappa):
+        with pytest.raises(ValueError):
+            sample_kernels([0.5, kappa], ShotNoiseConfig(), [[0, 1], [0, 2]])
+
+    @pytest.mark.parametrize("entry", [-1, 2**32])
+    def test_key_entries_must_fit_uint32(self, entry):
+        with pytest.raises(ValueError):
+            sample_kernels([0.5, 0.5], ShotNoiseConfig(), [[0, 1], [0, entry]])
+
+    def test_one_key_row_per_kappa(self):
+        with pytest.raises(ValueError):
+            sample_kernels([0.5, 0.5], ShotNoiseConfig(), [[0, 1]])
 
 
 class TestCoincidenceRecord:
