@@ -33,14 +33,11 @@ from .kernels import (
     qubit_count,
 )
 from .resolution import (
-    ConvergenceError,
-    OptimizerConfig,
     ResolutionReport,
     SweepPoint,
     build_resolution_matrix,
     msi_variance_closed_form,
     optimize_profile,
-    project_to_simplex,
     rayleigh_quotient,
     resolution_numeric,
     resolution_quadratic,
@@ -91,13 +88,11 @@ __all__ = [
     "BenchmarkConfig",
     "BoundaryGrid",
     "CoincidenceRecord",
-    "ConvergenceError",
     "DataPoint",
     "FeatureState",
     "GramMatrix",
     "KernelSpec",
     "LabeledSet",
-    "OptimizerConfig",
     "ResolutionReport",
     "ShotNoiseConfig",
     "SweepPoint",
@@ -129,7 +124,6 @@ __all__ = [
     "msi_variance_closed_form",
     "optimize_profile",
     "overlap_kernel",
-    "project_to_simplex",
     "qubit_count",
     "rayleigh_quotient",
     "rescale_dataset",

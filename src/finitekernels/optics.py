@@ -255,6 +255,12 @@ class CoincidenceRecord:
         )
 
 
+def _check_stream_keys(keys: np.ndarray) -> None:
+    # numpy splits a larger entry into several uint32 words, so (2**32,) would draw (0, 1)'s stream
+    if keys.size and (keys.dtype.kind not in "iu" or keys.min() < 0 or keys.max() > _MASK32):
+        raise ValueError("stream key entries must be integers in [0, 2**32 - 1]")
+
+
 def sample_kernel(
     true_kappa: float, config: ShotNoiseConfig, key: tuple[int, ...] = ()
 ) -> tuple[float, CoincidenceRecord]:
@@ -262,13 +268,13 @@ def sample_kernel(
 
     ``key`` extends the seed into a per-call stream (e.g. the Gram indices of
     the entry being measured), so batches of measurements are reproducible
-    independent of evaluation order.  The estimate is unbiased at fidelity 1
-    with standard deviation sqrt(kappa (1 - kappa) / events).
+    independent of evaluation order; its entries lie in [0, 2**32 - 1].  The
+    estimate is unbiased at fidelity 1 with standard deviation
+    sqrt(kappa (1 - kappa) / events).
     """
     if not (0.0 <= true_kappa <= 1.0):
         raise ValueError("true_kappa must lie in [0, 1]")
-    if any(int(k) < 0 for k in key):
-        raise ValueError("stream key entries must be nonnegative")
+    _check_stream_keys(np.asarray(key))
     p = config.fidelity * true_kappa + (1.0 - config.fidelity) * config.background
     rng = np.random.default_rng([config.seed, *[int(k) for k in key]])
     signal = int(rng.binomial(config.events_per_point, p))
@@ -354,8 +360,7 @@ def sample_kernels(true_kappas, config: ShotNoiseConfig, keys) -> np.ndarray:
         raise ValueError("need one row of stream-key entries per kappa")
     if not np.all((kappas >= 0.0) & (kappas <= 1.0)):
         raise ValueError("true_kappa must lie in [0, 1]")
-    if keys.size and (keys.dtype.kind not in "iu" or keys.min() < 0 or keys.max() > _MASK32):
-        raise ValueError("stream key entries must be integers in [0, 2**32 - 1]")
+    _check_stream_keys(keys)
     p = config.fidelity * kappas + (1.0 - config.fidelity) * config.background
     # numpy's uint32 words of the seed, least significant first (0 is one word)
     seed = operator.index(config.seed)

@@ -7,7 +7,8 @@ renormalized kernel density on one period,
 
 which reduces to the Rayleigh quotient r^T K r / r^T r of the mode-space
 matrix K with entries 1/12 on the diagonal and (-1)^|n-m| / (2 (n-m)^2 pi^2)
-off it.  Smaller variance means a sharper kernel.
+off it.  Smaller variance means a sharper kernel.  The sharpest profile of
+a given length is the ground eigenvector of K, which is entrywise positive.
 """
 
 from __future__ import annotations
@@ -20,14 +21,6 @@ import numpy as np
 from .states import AmplitudeProfile, msi_profile, tsq_profile
 
 RESOLUTION_DIAGONAL = 1.0 / 12.0
-
-
-class ConvergenceError(RuntimeError):
-    """Optimizer ran out of iterations; carries the best profile found."""
-
-    def __init__(self, message: str, best_profile: AmplitudeProfile):
-        super().__init__(message)
-        self.best_profile = best_profile
 
 
 def build_resolution_matrix(size: int) -> np.ndarray:
@@ -43,12 +36,14 @@ def build_resolution_matrix(size: int) -> np.ndarray:
 
 
 def rayleigh_quotient(weights, matrix: np.ndarray | None = None) -> float:
-    """Raw quotient w K w / w w on any nonzero weight vector.
+    """Raw quotient w K w / w w on any finite nonzero weight vector.
 
     Scale-invariant: rescaling the weights by any positive constant leaves
     the value unchanged, so it can be evaluated before renormalization.
     """
     w = np.asarray(weights, dtype=float)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
     denom = float(w @ w)
     if denom <= 0.0:
         raise ValueError("weights must be a nonzero vector")
@@ -133,93 +128,28 @@ def msi_variance_closed_form(n_terms: int) -> float:
 # ---------- profile optimization ----------
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Stopping rules of the projected-gradient profile optimizer."""
-
-    max_iters: int = 100_000
-    tol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
-        if not (0.0 < self.tol < 1.0):
-            raise ValueError("tol must lie in (0, 1)")
-
-
-def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, v.size + 1)
-    cond = u - css / idx > 0.0
-    rho = int(np.nonzero(cond)[0][-1])
-    theta = css[rho] / (rho + 1)
-    return np.maximum(v - theta, 0.0)
-
-
-def optimize_profile(
-    length: int, config: OptimizerConfig | None = None
-) -> AmplitudeProfile:
+def optimize_profile(length: int) -> AmplitudeProfile:
     """Minimize the variance quotient over nonnegative profiles of a given length.
 
-    Projected gradient descent on the probability simplex with backtracking
-    line search, started from the equal-weight profile.  Terminates when one
-    accepted step decreases the quotient by less than ``config.tol``; raises
-    :class:`ConvergenceError` carrying the best iterate if ``max_iters`` runs
-    out first.  When the symmetrized iterate ties the converged one within
-    tolerance, the symmetric profile is returned (the quadratic form is
-    invariant under index reversal, so ties are resolved toward symmetry).
+    The minimizer of r^T K r / r^T r over all nonzero r is the ground
+    eigenvector of K, as for the minimum-bias tapers of Riedel & Sidorenko
+    (IEEE Trans. Signal Process. 43, 1995).  It is entrywise positive, so the
+    nonnegativity constraint does not bind.  That positivity is what makes it
+    the constrained optimum, so it is checked, not assumed: a failure raises
+    ``RuntimeError`` instead of returning a profile that is not the optimum.
+    K commutes with index reversal, so the mean of the eigenvector and its
+    reverse is a ground eigenvector too, and is returned: exactly palindromic.
     """
     if length < 2:
         raise ValueError("optimization needs at least 2 weights")
-    cfg = config or OptimizerConfig()
-    matrix = build_resolution_matrix(length)
-    r = msi_profile(length).weights.copy()
-
-    def quotient(w: np.ndarray) -> float:
-        return float(w @ matrix @ w) / float(w @ w)
-
-    q = quotient(r)
-    step = 1.0
-    converged = False
-    for _ in range(cfg.max_iters):
-        sq = float(r @ r)
-        grad = 2.0 * (matrix @ r - q * r) / sq
-        accepted = False
-        t = step
-        while t > 1e-18:
-            cand = project_to_simplex(r - t * grad)
-            moved = cand - r
-            dist_sq = float(moved @ moved)
-            if dist_sq == 0.0:
-                break
-            q_cand = quotient(cand)
-            if q_cand <= q - 1e-4 * dist_sq / t:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            converged = True
-            break
-        drop = q - q_cand
-        r, q = cand, q_cand
-        step = min(1.0, t * 2.0)
-        if drop < cfg.tol:
-            converged = True
-            break
-
-    sym = project_to_simplex(0.5 * (r + r[::-1]))
-    if quotient(sym) <= q + cfg.tol:
-        r = sym
-
-    profile = AmplitudeProfile.from_unnormalized(r)
-    if not converged:
-        raise ConvergenceError(
-            f"no convergence within {cfg.max_iters} iterations", profile
+    r = np.linalg.eigh(build_resolution_matrix(length))[1][:, 0]
+    if r.sum() < 0.0:
+        r = -r
+    if not np.all(r > 0.0):
+        raise RuntimeError(
+            f"ground eigenvector of the {length}-mode resolution matrix is not positive"
         )
-    return profile
+    return AmplitudeProfile.from_unnormalized(0.5 * (r + r[::-1]))
 
 
 # ---------- family sweep ----------
@@ -241,7 +171,6 @@ def resolution_sweep(
     lengths,
     families=SWEEP_FAMILIES,
     tsq_squeezing: float = 3.0,
-    config: OptimizerConfig | None = None,
 ) -> list[SweepPoint]:
     """Variance and resolution of each profile family at each length.
 
@@ -268,7 +197,7 @@ def resolution_sweep(
             elif family == "tsq":
                 profile = tsq_profile(length, tsq_squeezing)
             else:
-                profile = optimize_profile(length, config)
+                profile = optimize_profile(length)
             report = resolution_quadratic(profile)
             rows.append(
                 SweepPoint(

@@ -203,6 +203,11 @@ class TestShotNoise:
         with pytest.raises(ValueError):
             sample_kernel(0.5, cfg, key=(-1,))
 
+    def test_key_entries_must_fit_uint32(self):
+        # a wider entry is split into uint32 words: (2**32,) would draw the stream of (0, 1)
+        with pytest.raises(ValueError):
+            sample_kernel(0.5, ShotNoiseConfig(), key=(2**32,))
+
     def test_unbiased_at_full_fidelity(self):
         cfg = ShotNoiseConfig(events_per_point=2000, fidelity=1.0, seed=7)
         ests = np.array([sample_kernel(0.3, cfg, key=(i,))[0] for i in range(3000)])
