@@ -209,7 +209,7 @@ class BenchReport:
         }
 
 
-def run_benchmark(config: BenchmarkConfig, out_dir=None, formats=("csv", "json", "svg")) -> BenchReport:
+def run_benchmark(config: BenchmarkConfig, out_dir=None) -> BenchReport:
     """Generate data, build the Gram, train, score, and map the decision boundary.
 
     When ``out_dir`` is given the full artifact set (dataset/Gram/grid CSV,
@@ -250,5 +250,5 @@ def run_benchmark(config: BenchmarkConfig, out_dir=None, formats=("csv", "json",
     if out_dir is not None:
         from .reports import emit_report
 
-        emit_report(report, out_dir, formats=formats)
+        emit_report(report, out_dir)
     return report

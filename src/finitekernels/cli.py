@@ -2,19 +2,21 @@
 
 Subcommands: gen, gram, train, eval, boundary, bench, sweep, resolve.
 ``bench`` accepts an INI config file (flat key = value lines under sections;
-see the README); command-line flags override file values.  Every failure
-exits nonzero with a stage-tagged message on stderr.
+see the README).  Each setting comes from its command-line flag, else from
+the config file, else from the library's default.  Every failure exits
+nonzero with a stage-tagged message on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .bench import (
+    CONDITION_POLICIES,
     BenchmarkConfig,
     boundary_grid,
     compute_gram,
@@ -29,6 +31,25 @@ from .states import msi_profile, tsq_profile
 from .svm import condition_gram, accuracy as model_accuracy, train as train_model
 from . import reports
 
+# the settings the library has no default for
+_DEFAULTS = {"dataset": "concentric", "seed": 7, "kernel": "cosine:1"}
+
+# every key a bench config file may hold: (section, key) -> (flag it fills, ConfigParser getter)
+_CONFIG_KEYS = {
+    ("dataset", "name"): ("dataset", "get"),
+    ("dataset", "seed"): ("seed", "getint"),
+    ("dataset", "train_size"): ("train_size", "getint"),
+    ("dataset", "test_size"): ("test_size", "getint"),
+    ("kernel", "spec"): ("kernel", "get"),
+    ("svm", "gamma"): ("gamma", "getfloat"),
+    ("svm", "condition"): ("condition", "get"),
+    ("grid", "side"): ("side", "getint"),
+    ("noise", "enabled"): (None, "getboolean"),  # fills no flag: switches the noise keys
+    ("noise", "events"): ("events", "getint"),
+    ("noise", "fidelity"): ("fidelity", "getfloat"),
+    ("noise", "seed"): ("noise_seed", "getint"),
+}
+
 
 class StageError(RuntimeError):
     def __init__(self, stage: str, cause: Exception):
@@ -36,11 +57,11 @@ class StageError(RuntimeError):
         self.stage = stage
 
 
-def _stage(stage: str, fn, *args, **kwargs):
+@contextmanager
+def _stage(stage: str):
+    """Tag failures with ``stage``; ``main`` tags the rest with the subcommand."""
     try:
-        return fn(*args, **kwargs)
-    except StageError:
-        raise
+        yield
     except Exception as exc:
         raise StageError(stage, exc) from exc
 
@@ -87,81 +108,57 @@ def parse_kernel(text: str, dimension: int = 2) -> KernelSpec:
     )
 
 
-def _noise_from(events, fidelity, noise_seed) -> ShotNoiseConfig | None:
-    if events is None:
-        return None
-    return ShotNoiseConfig(
-        events_per_point=events,
-        fidelity=0.98 if fidelity is None else fidelity,
-        seed=0 if noise_seed is None else noise_seed,
-    )
+def _given(**settings) -> dict:
+    """The settings the user gave; the rest are left to the library's defaults."""
+    return {name: value for name, value in settings.items() if value is not None}
 
 
-# every section and key a bench config file may hold
-_CONFIG_KEYS = {
-    "dataset": ("name", "seed", "train_size", "test_size"),
-    "kernel": ("spec",),
-    "svm": ("gamma", "condition"),
-    "grid": ("side",),
-    "noise": ("enabled", "events", "fidelity", "seed"),
-}
+def _noise(args) -> ShotNoiseConfig | None:
+    """Shot noise is on when --events is given; with it off, a qualifier is an error."""
+    if args.events is not None:
+        return ShotNoiseConfig(args.events, **_given(fidelity=args.fidelity, seed=args.noise_seed))
+    for flag, value in (("--fidelity", args.fidelity), ("--noise-seed", args.noise_seed)):
+        if value is not None:
+            raise ValueError(f"{flag} qualifies shot noise, which is off without --events")
+    return None
 
 
-def _load_bench_config(path: str | None, args) -> BenchmarkConfig:
-    """INI file values first, then command-line overrides."""
-    values: dict = {}
-    if path is not None:
-        parser = configparser.ConfigParser()
-        read = parser.read(path)
-        if not read:
-            raise FileNotFoundError(f"config file {path!r} not found")
-        section = {}
-        for name in parser.sections():
-            if name not in _CONFIG_KEYS:
-                raise ValueError(f"unknown config section [{name}]")
-            for key, val in parser.items(name):
-                if key not in _CONFIG_KEYS[name]:
-                    raise ValueError(f"unknown config key {key!r} in section [{name}]")
-                section[f"{name}.{key}"] = val
-        values = section
+def _read_config(path: str, args) -> None:
+    """Fill the flags left unset from a bench config file.
 
-    def pick(flag, key, cast, default=None):
-        if flag is not None:
-            return flag
-        if key in values:
-            return cast(values[key])
-        return default
+    ``[noise] enabled = true`` turns shot noise on.  Without that line the
+    other noise keys are an error; under ``enabled = false`` they are ignored.
+    """
+    parser = configparser.ConfigParser()
+    if not parser.read(path):
+        raise FileNotFoundError(f"config file {path!r} not found")
+    for section in parser.sections():
+        if not any(section == known for known, _ in _CONFIG_KEYS):
+            raise ValueError(f"unknown config section [{section}]")
+        for key in parser[section]:
+            if (section, key) not in _CONFIG_KEYS:
+                raise ValueError(f"unknown config key {key!r} in section [{section}]")
+    enabled = parser.getboolean("noise", "enabled", fallback=None)
+    if enabled is False:
+        parser.remove_section("noise")
+    for (section, key), (flag, getter) in _CONFIG_KEYS.items():
+        if flag is None or not parser.has_option(section, key) or getattr(args, flag) is not None:
+            continue
+        if section == "noise" and not enabled and args.events is None:
+            raise ValueError(f"[noise] {key} is set but noise is off; add enabled = true")
+        setattr(args, flag, getattr(parser, getter)(section, key))
+    if enabled and args.events is None:
+        args.events = ShotNoiseConfig.events_per_point
 
-    dataset = pick(args.dataset, "dataset.name", str, "concentric")
-    seed = pick(args.seed, "dataset.seed", int, 7)
-    train_size = pick(args.train_size, "dataset.train_size", int, 40)
-    test_size = pick(args.test_size, "dataset.test_size", int, 60)
-    kernel_text = pick(args.kernel, "kernel.spec", str, "cosine:1")
-    gamma = pick(args.gamma, "svm.gamma", float, 1.0)
-    policy = pick(args.condition, "svm.condition", str, "clip")
-    side = pick(args.side, "grid.side", int, 35)
 
-    events = args.events
-    fidelity = args.fidelity
-    noise_seed = args.noise_seed
-    if events is None and values.get("noise.enabled", "false").lower() in ("1", "true", "yes"):
-        events = int(values.get("noise.events", 2500))
-    if fidelity is None and "noise.fidelity" in values:
-        fidelity = float(values["noise.fidelity"])
-    if noise_seed is None and "noise.seed" in values:
-        noise_seed = int(values["noise.seed"])
-
-    return BenchmarkConfig(
-        dataset=dataset,
-        seed=seed,
-        kernel=parse_kernel(kernel_text),
-        gamma=gamma,
-        train_size=train_size,
-        test_size=test_size,
-        noise=_noise_from(events, fidelity, noise_seed),
-        grid_side=side,
-        condition_policy=policy,
-    )
+def _fill_unset(args) -> None:
+    """Each setting takes one path: flag, then config file, then default."""
+    if getattr(args, "config", None) is not None:
+        with _stage("config"):
+            _read_config(args.config, args)
+    for name, value in _DEFAULTS.items():
+        if getattr(args, name, value) is None:  # skips subcommands without the flag
+            setattr(args, name, value)
 
 
 def _out_dir(args) -> Path:
@@ -172,55 +169,37 @@ def _out_dir(args) -> Path:
 
 def _cmd_gen(args) -> int:
     out = _out_dir(args)
-    kernel = _stage("gen", parse_kernel, args.kernel)
-    train_set, test_set = _stage(
-        "gen",
-        generate_dataset,
-        args.dataset,
-        args.seed,
-        train_size=args.train_size,
-        test_size=args.test_size,
-        convention=kernel.convention,
-    )
-    _stage("emit", reports.write_dataset_csv, out / "train.csv", train_set)
-    _stage("emit", reports.write_dataset_csv, out / "test.csv", test_set)
+    convention = parse_kernel(args.kernel).convention
+    sizes = _given(train_size=args.train_size, test_size=args.test_size)
+    train_set, test_set = generate_dataset(args.dataset, args.seed, convention=convention, **sizes)
+    with _stage("emit"):
+        reports.write_dataset_csv(out / "train.csv", train_set)
+        reports.write_dataset_csv(out / "test.csv", test_set)
     print(f"wrote {out / 'train.csv'} and {out / 'test.csv'}")
     return 0
 
 
 def _cmd_gram(args) -> int:
     out = _out_dir(args)
-    dataset = _stage("gram", reports.load_dataset_csv, args.train)
-    kernel = _stage("gram", parse_kernel, args.kernel)
-    noise = _noise_from(args.events, args.fidelity, args.noise_seed)
-    gram = _stage("gram", compute_gram, dataset, kernel, noise=noise)
-    _stage("emit", reports.write_gram_csv, out / "gram.csv", gram)
-    meta = {
-        "provenance": gram.provenance,
-        "seed": gram.seed,
-        "n_evaluations": gram.n_evaluations,
-        "kernel": kernel.kernel_id(),
-        "size": gram.size,
-    }
-    (out / "gram.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    dataset = reports.load_dataset_csv(args.train)
+    kernel = parse_kernel(args.kernel)
+    gram = compute_gram(dataset, kernel, noise=_noise(args))
+    meta = {"provenance": gram.provenance, "seed": gram.seed, "size": gram.size,
+            "n_evaluations": gram.n_evaluations, "kernel": kernel.kernel_id()}
+    with _stage("emit"):
+        reports.write_gram_csv(out / "gram.csv", gram)
+        reports.write_json(out / "gram.json", meta)
     print(f"wrote {out / 'gram.csv'} ({gram.n_evaluations} evaluations)")
     return 0
 
 
 def _cmd_train(args) -> int:
     out = _out_dir(args)
-    dataset = _stage("train", reports.load_dataset_csv, args.dataset)
-    gram = _stage("train", reports.load_gram_csv, args.gram)
-    conditioned = _stage("train", condition_gram, gram, args.condition)
-    model = _stage(
-        "train",
-        train_model,
-        conditioned,
-        dataset.labels,
-        args.gamma,
-        train_id=Path(args.dataset).stem,
-    )
-    _stage("emit", reports.write_model_json, out / "model.json", model)
+    dataset = reports.load_dataset_csv(args.dataset)
+    conditioned = condition_gram(reports.load_gram_csv(args.gram), **_given(policy=args.condition))
+    model = train_model(conditioned, dataset.labels, args.gamma, train_id=Path(args.dataset).stem)
+    with _stage("emit"):
+        reports.write_model_json(out / "model.json", model)
     train_acc = model_accuracy(model, conditioned.values, dataset.labels)
     print(f"wrote {out / 'model.json'} (train accuracy {train_acc:.3f})")
     return 0
@@ -228,41 +207,39 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     out = _out_dir(args)
-    model = _stage("eval", reports.load_model_json, args.model)
-    train_set = _stage("eval", reports.load_dataset_csv, args.train)
-    test_set = _stage("eval", reports.load_dataset_csv, args.test)
-    kernel = _stage("eval", parse_kernel, args.kernel)
-    noise = _noise_from(args.events, args.fidelity, args.noise_seed)
-    rows = _stage("eval", kernel_rows, test_set, train_set, kernel, noise=noise)
-    acc = _stage("eval", model_accuracy, model, rows, test_set.labels)
-    (out / "eval.json").write_text(
-        json.dumps({"accuracy": acc, "kernel": kernel.kernel_id()}, sort_keys=True, indent=2)
-        + "\n"
-    )
+    model = reports.load_model_json(args.model)
+    train_set = reports.load_dataset_csv(args.train)
+    test_set = reports.load_dataset_csv(args.test)
+    kernel = parse_kernel(args.kernel)
+    rows = kernel_rows(test_set, train_set, kernel, noise=_noise(args))
+    acc = model_accuracy(model, rows, test_set.labels)
+    with _stage("emit"):
+        reports.write_json(out / "eval.json", {"accuracy": acc, "kernel": kernel.kernel_id()})
     print(f"test accuracy {acc:.4f}")
     return 0
 
 
 def _cmd_boundary(args) -> int:
     out = _out_dir(args)
-    model = _stage("boundary", reports.load_model_json, args.model)
-    train_set = _stage("boundary", reports.load_dataset_csv, args.train)
-    kernel = _stage("boundary", parse_kernel, args.kernel)
-    noise = _noise_from(args.events, args.fidelity, args.noise_seed)
-    grid = _stage(
-        "boundary", boundary_grid, model, train_set, kernel, side=args.side, noise=noise
-    )
-    _stage("emit", reports.write_grid_csv, out / "grid.csv", grid)
-    svg = reports.render_boundary_svg(grid, train_set=train_set)
-    (out / "boundary.svg").write_text(svg)
+    model = reports.load_model_json(args.model)
+    train_set = reports.load_dataset_csv(args.train)
+    kernel = parse_kernel(args.kernel)
+    grid = boundary_grid(model, train_set, kernel, noise=_noise(args), **_given(side=args.side))
+    with _stage("emit"):
+        reports.write_grid_csv(out / "grid.csv", grid)
+        (out / "boundary.svg").write_text(reports.render_boundary_svg(grid, train_set=train_set))
     print(f"wrote {out / 'grid.csv'} and {out / 'boundary.svg'}")
     return 0
 
 
 def _cmd_bench(args) -> int:
     out = _out_dir(args)
-    config = _stage("config", _load_bench_config, args.config, args)
-    report = _stage("bench", run_benchmark, config, out_dir=out)
+    with _stage("config"):
+        settings = _given(gamma=args.gamma, train_size=args.train_size, test_size=args.test_size,
+                          grid_side=args.side, condition_policy=args.condition)
+        kernel = parse_kernel(args.kernel)
+        config = BenchmarkConfig(args.dataset, args.seed, kernel, noise=_noise(args), **settings)
+    report = run_benchmark(config, out_dir=out)
     print(
         f"{config.dataset} seed {config.seed} kernel {config.kernel.kernel_id()}: "
         f"train {report.train_accuracy:.3f}, test {report.test_accuracy:.3f}"
@@ -272,27 +249,22 @@ def _cmd_bench(args) -> int:
 
 def _cmd_sweep(args) -> int:
     out = _out_dir(args)
-    kernels = [k for k in args.kernels.split(",") if k]
     gammas = [float(v) for v in args.gammas.split(",") if v]
-    if not kernels or not gammas:
-        raise StageError("sweep", ValueError("need at least one kernel and one gamma"))
+    if not args.kernels or not gammas:
+        raise ValueError("need at least one kernel and one gamma")
+    noise = _noise(args)
     rows = []
-    for kernel_text in kernels:
+    for kernel_text in args.kernels:
+        kernel = parse_kernel(kernel_text)
         for gamma in gammas:
-            config = BenchmarkConfig(
-                dataset=args.dataset,
-                seed=args.seed,
-                kernel=_stage("sweep", parse_kernel, kernel_text),
-                gamma=gamma,
-                noise=_noise_from(args.events, args.fidelity, args.noise_seed),
-                grid_side=2,  # sweep skips boundary mapping detail
+            # grid side 2: sweep skips boundary mapping detail
+            report = run_benchmark(
+                BenchmarkConfig(args.dataset, args.seed, kernel, gamma, noise=noise, grid_side=2)
             )
-            report = _stage("sweep", run_benchmark, config)
-            rows.append(
-                (kernel_text, gamma, report.train_accuracy, report.test_accuracy)
-            )
+            rows.append((kernel_text, gamma, report.train_accuracy, report.test_accuracy))
     path = out / "sweep.csv"
-    _stage("emit", reports.write_sweep_csv, path, rows)
+    with _stage("emit"):
+        reports.write_sweep_csv(path, rows)
     for kernel_text, gamma, train_acc, test_acc in rows:
         print(f"{kernel_text} gamma={gamma:g}: train {train_acc:.3f}, test {test_acc:.3f}")
     print(f"wrote {path}")
@@ -301,13 +273,17 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_resolve(args) -> int:
     out = _out_dir(args)
-    families = [f for f in args.families.split(",") if f]
-    rows = _stage(
-        "resolve", resolution_sweep, args.lengths, families, tsq_squeezing=args.tsq_zeta
-    )
-    _stage("emit", reports.write_resolution_csv, out / "resolution.csv", rows)
+    settings = _given(families=args.families, tsq_squeezing=args.tsq_zeta)
+    rows = resolution_sweep(args.lengths, **settings)
+    with _stage("emit"):
+        reports.write_resolution_csv(out / "resolution.csv", rows)
     print(f"wrote {out / 'resolution.csv'} ({len(rows)} rows)")
     return 0
+
+
+def _names(text: str) -> list[str]:
+    """Comma-separated names, empty entries dropped."""
+    return [name for name in text.split(",") if name]
 
 
 def _length_range(text: str) -> range:
@@ -323,9 +299,17 @@ def _length_range(text: str) -> range:
 
 
 def _add_noise_flags(sub) -> None:
-    sub.add_argument("--events", type=int, default=None, help="shot-noise events per kernel value")
-    sub.add_argument("--fidelity", type=float, default=None, help="measurement fidelity in (0, 1]")
-    sub.add_argument("--noise-seed", type=int, default=None, help="shot-noise stream seed")
+    sub.add_argument("--events", type=int, help="shot-noise events per kernel value")
+    sub.add_argument("--fidelity", type=float, help="measurement fidelity in (0, 1]")
+    sub.add_argument("--noise-seed", type=int, help="shot-noise stream seed")
+
+
+def _add_subcommand(subs, fn, summary: str) -> argparse.ArgumentParser:
+    """Subcommand ``<name>``, run by ``_cmd_<name>``; every subcommand writes into --out."""
+    sub = subs.add_parser(fn.__name__.removeprefix("_cmd_"), help=summary)
+    sub.add_argument("--out", required=True)
+    sub.set_defaults(fn=fn)
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,93 +319,73 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    gen = subs.add_parser("gen", help="generate a benchmark dataset")
-    gen.add_argument("--dataset", default="concentric")
-    gen.add_argument("--seed", type=int, default=7)
-    gen.add_argument("--train-size", type=int, default=40)
-    gen.add_argument("--test-size", type=int, default=60)
-    gen.add_argument("--kernel", default="cosine:1", help="fixes the input convention")
-    gen.add_argument("--out", required=True)
-    gen.set_defaults(fn=_cmd_gen)
+    gen = _add_subcommand(subs, _cmd_gen, "generate a benchmark dataset")
+    gen.add_argument("--dataset")
+    gen.add_argument("--seed", type=int)
+    gen.add_argument("--train-size", type=int)
+    gen.add_argument("--test-size", type=int)
+    gen.add_argument("--kernel", help="fixes the input convention")
 
-    gram = subs.add_parser("gram", help="compute a Gram matrix from a dataset CSV")
+    gram = _add_subcommand(subs, _cmd_gram, "compute a Gram matrix from a dataset CSV")
     gram.add_argument("--train", required=True, help="dataset CSV")
-    gram.add_argument("--kernel", default="cosine:1")
+    gram.add_argument("--kernel")
     _add_noise_flags(gram)
-    gram.add_argument("--out", required=True)
-    gram.set_defaults(fn=_cmd_gram)
 
-    train_p = subs.add_parser("train", help="train on a Gram CSV plus labels")
+    train_p = _add_subcommand(subs, _cmd_train, "train on a Gram CSV plus labels")
     train_p.add_argument("--gram", required=True)
     train_p.add_argument("--dataset", required=True, help="dataset CSV carrying the labels")
-    train_p.add_argument("--gamma", type=float, default=1.0)
-    train_p.add_argument("--condition", default="clip", choices=("clip", "shift", "none"))
-    train_p.add_argument("--out", required=True)
-    train_p.set_defaults(fn=_cmd_train)
+    train_p.add_argument("--gamma", type=float, default=BenchmarkConfig.gamma)
+    train_p.add_argument("--condition", choices=CONDITION_POLICIES)
 
-    eval_p = subs.add_parser("eval", help="evaluate a model on a test CSV")
+    eval_p = _add_subcommand(subs, _cmd_eval, "evaluate a model on a test CSV")
     eval_p.add_argument("--model", required=True)
     eval_p.add_argument("--train", required=True)
     eval_p.add_argument("--test", required=True)
-    eval_p.add_argument("--kernel", default="cosine:1")
+    eval_p.add_argument("--kernel")
     _add_noise_flags(eval_p)
-    eval_p.add_argument("--out", required=True)
-    eval_p.set_defaults(fn=_cmd_eval)
 
-    boundary = subs.add_parser("boundary", help="decision scores on a grid")
+    boundary = _add_subcommand(subs, _cmd_boundary, "decision scores on a grid")
     boundary.add_argument("--model", required=True)
     boundary.add_argument("--train", required=True)
-    boundary.add_argument("--kernel", default="cosine:1")
-    boundary.add_argument("--side", type=int, default=35)
+    boundary.add_argument("--kernel")
+    boundary.add_argument("--side", type=int)
     _add_noise_flags(boundary)
-    boundary.add_argument("--out", required=True)
-    boundary.set_defaults(fn=_cmd_boundary)
 
-    bench = subs.add_parser("bench", help="full pipeline, optionally from a config file")
-    bench.add_argument("--config", default=None, help="INI config file")
-    bench.add_argument("--dataset", default=None)
-    bench.add_argument("--seed", type=int, default=None)
-    bench.add_argument("--train-size", type=int, default=None)
-    bench.add_argument("--test-size", type=int, default=None)
-    bench.add_argument("--kernel", default=None)
-    bench.add_argument("--gamma", type=float, default=None)
-    bench.add_argument("--condition", default=None, choices=("clip", "shift", "none"))
-    bench.add_argument("--side", type=int, default=None)
+    bench = _add_subcommand(subs, _cmd_bench, "full pipeline, optionally from a config file")
+    bench.add_argument("--config", help="INI config file")
+    bench.add_argument("--dataset")
+    bench.add_argument("--seed", type=int)
+    bench.add_argument("--train-size", type=int)
+    bench.add_argument("--test-size", type=int)
+    bench.add_argument("--kernel")
+    bench.add_argument("--gamma", type=float)
+    bench.add_argument("--condition", choices=CONDITION_POLICIES)
+    bench.add_argument("--side", type=int)
     _add_noise_flags(bench)
-    bench.add_argument("--out", required=True)
-    bench.set_defaults(fn=_cmd_bench)
 
-    sweep = subs.add_parser("sweep", help="kernel x gamma accuracy table")
-    sweep.add_argument("--dataset", default="concentric")
-    sweep.add_argument("--seed", type=int, default=7)
-    sweep.add_argument("--kernels", default="cosine:0.5,cosine:1,cosine:2")
+    sweep = _add_subcommand(subs, _cmd_sweep, "kernel x gamma accuracy table")
+    sweep.add_argument("--dataset")
+    sweep.add_argument("--seed", type=int)
+    sweep.add_argument("--kernels", type=_names, default="cosine:0.5,cosine:1,cosine:2")
     sweep.add_argument("--gammas", default="0.1,1,10")
     _add_noise_flags(sweep)
-    sweep.add_argument("--out", required=True)
-    sweep.set_defaults(fn=_cmd_sweep)
 
-    resolve = subs.add_parser("resolve", help="resolution sweep over profile families")
-    resolve.add_argument(
-        "--lengths", type=_length_range, default="2:32", help="inclusive range lo:hi"
-    )
-    resolve.add_argument("--families", default="msi,tsq,optimized")
-    resolve.add_argument("--tsq-zeta", type=float, default=3.0)
-    resolve.add_argument("--out", required=True)
-    resolve.set_defaults(fn=_cmd_resolve)
+    resolve = _add_subcommand(subs, _cmd_resolve, "resolution sweep over profile families")
+    resolve.add_argument("--lengths", type=_length_range, default="2:32", help="inclusive lo:hi")
+    resolve.add_argument("--families", type=_names)
+    resolve.add_argument("--tsq-zeta", type=float)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        _fill_unset(args)
         return args.fn(args)
-    except StageError as exc:
-        print(f"finitekernels: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # stray failures still get a stage tag
-        print(f"finitekernels: error in stage '{args.command}': {exc}", file=sys.stderr)
+    except Exception as exc:
+        tagged = exc if isinstance(exc, StageError) else StageError(args.command, exc)
+        print(f"finitekernels: {tagged}", file=sys.stderr)
         return 1
 
 

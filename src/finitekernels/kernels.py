@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -138,7 +139,7 @@ class KernelSpec:
             raise ValueError("power must be set exactly for the cosine kinds")
         if needs_exponent != (self.exponent is not None):
             raise ValueError("exponent must be set exactly for kind='fractional_cosine'")
-        if self.power is not None and self.power < 1:
+        if self.power is not None and (not isinstance(self.power, Integral) or self.power < 1):
             raise ValueError("power must be a positive integer")
         if self.exponent is not None and (
             not math.isfinite(self.exponent) or self.exponent <= 0.0

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -209,12 +209,13 @@ class ShotNoiseConfig:
     background: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.events_per_point < 1:
+        if not isinstance(self.events_per_point, Integral) or self.events_per_point < 1:
             raise ValueError("events_per_point must be a positive integer")
         if not (0.0 < self.fidelity <= 1.0):
             raise ValueError("fidelity must lie in (0, 1]")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        # numpy splits a larger seed into uint32 words: (2**32, key 7) would draw (0, key (1, 7))
+        if not isinstance(self.seed, Integral) or not 0 <= self.seed <= _MASK32:
+            raise ValueError("seed must be an integer in [0, 2**32 - 1]")
         if not (0.0 <= self.background <= 1.0):
             raise ValueError("background must lie in [0, 1]")
 
@@ -362,10 +363,6 @@ def sample_kernels(true_kappas, config: ShotNoiseConfig, keys) -> np.ndarray:
         raise ValueError("true_kappa must lie in [0, 1]")
     _check_stream_keys(keys)
     p = config.fidelity * kappas + (1.0 - config.fidelity) * config.background
-    # numpy's uint32 words of the seed, least significant first (0 is one word)
-    seed = operator.index(config.seed)
-    seed_words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    n_seed = len(seed_words)
     generator = np.random.Generator(np.random.PCG64(0))
     stream = {"state": 0, "inc": 0}
     state = {"bit_generator": "PCG64", "state": stream, "has_uint32": 0, "uinteger": 0}
@@ -373,9 +370,9 @@ def sample_kernels(true_kappas, config: ShotNoiseConfig, keys) -> np.ndarray:
     counts = np.empty(kappas.size, dtype=np.int64)
     for start in range(0, kappas.size, _SAMPLE_BLOCK):
         block = keys[start : start + _SAMPLE_BLOCK]
-        words = np.empty((block.shape[0], n_seed + block.shape[1]), dtype=np.uint32)
-        words[:, :n_seed] = seed_words
-        words[:, n_seed:] = block
+        words = np.empty((block.shape[0], 1 + block.shape[1]), dtype=np.uint32)
+        words[:, 0] = config.seed
+        words[:, 1:] = block
         draws = zip(_pcg64_seeds(words), p[start : start + _SAMPLE_BLOCK].tolist())
         # each entry's (state, inc) lands in the reused state dict
         for k, ((stream["state"], stream["inc"]), p_k) in enumerate(draws, start):

@@ -109,8 +109,9 @@ def load_model_json(path) -> TrainedModel:
     return TrainedModel.from_json(Path(path).read_text())
 
 
-def write_report_json(path, report: BenchReport) -> None:
-    Path(path).write_text(json.dumps(report.summary(), sort_keys=True, indent=2) + "\n")
+def write_json(path, payload: dict) -> None:
+    """Keys sorted, two-space indent, trailing newline."""
+    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def load_report_json(path) -> dict:
@@ -248,7 +249,7 @@ def render_boundary_svg(
     return "\n".join(parts) + "\n"
 
 
-def emit_report(report: BenchReport, out_dir, formats=("csv", "json", "svg")) -> list[Path]:
+def emit_report(report: BenchReport, out_dir) -> list[Path]:
     """Write the artifact set of one benchmark run; returns the paths written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -258,21 +259,18 @@ def emit_report(report: BenchReport, out_dir, formats=("csv", "json", "svg")) ->
         written.append(path)
         return path
 
-    if "csv" in formats:
-        write_dataset_csv(note(out / "train.csv"), report.train_set)
-        write_dataset_csv(note(out / "test.csv"), report.test_set)
-        write_gram_csv(note(out / "gram.csv"), report.gram)
-        write_grid_csv(note(out / "grid.csv"), report.grid)
-    if "json" in formats:
-        write_model_json(note(out / "model.json"), report.model)
-        write_report_json(note(out / "report.json"), report)
-    if "svg" in formats:
-        note(out / "boundary.svg").write_text(
-            render_boundary_svg(
-                report.grid,
-                train_set=report.train_set,
-                test_set=report.test_set,
-                test_accuracy=report.test_accuracy,
-            )
+    write_dataset_csv(note(out / "train.csv"), report.train_set)
+    write_dataset_csv(note(out / "test.csv"), report.test_set)
+    write_gram_csv(note(out / "gram.csv"), report.gram)
+    write_grid_csv(note(out / "grid.csv"), report.grid)
+    write_model_json(note(out / "model.json"), report.model)
+    write_json(note(out / "report.json"), report.summary())
+    note(out / "boundary.svg").write_text(
+        render_boundary_svg(
+            report.grid,
+            train_set=report.train_set,
+            test_set=report.test_set,
+            test_accuracy=report.test_accuracy,
         )
+    )
     return written

@@ -1,9 +1,14 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from finitekernels.cli import main, parse_kernel
 from finitekernels.kernels import KernelSpec
+from finitekernels.optics import ShotNoiseConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestParseKernel:
@@ -256,6 +261,97 @@ class TestConfigFile:
             "events_per_point": 150,
             "fidelity": 0.95,
             "seed": 4,
+            "background": 0.5,
+        }
+
+
+    def test_readme_config_block_runs(self, tmp_path):
+        block = re.search(r"```ini\n(.*?)```", README.read_text(), re.DOTALL).group(1)
+        cfg = tmp_path / "readme.ini"
+        cfg.write_text(block)
+        out = tmp_path / "out"
+        assert main(["bench", "--config", str(cfg), "--side", "3", "--out", str(out)]) == 0
+        payload = json.loads((out / "report.json").read_text())
+        assert payload["grid_side"] == 3
+        assert payload["gram_provenance"] == "sampled"
+
+
+class TestNoiseRule:
+    """Noise is on with --events or [noise] enabled = true; off, a qualifier is an error."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("inputs")
+        sizes = ["--train-size", "6", "--test-size", "4"]
+        assert main(["gen", "--dataset", "xor", "--seed", "0", *sizes, "--out", str(d)]) == 0
+        assert main(["gram", "--train", str(d / "train.csv"), "--out", str(d)]) == 0
+        train = ["train", "--gram", str(d / "gram.csv"), "--dataset", str(d / "train.csv")]
+        assert main(train + ["--out", str(d)]) == 0
+        return d
+
+    def config(self, tmp_path, noise_block):
+        cfg = tmp_path / "noise.ini"
+        cfg.write_text("[dataset]\nname = xor\nseed = 0\n\n[grid]\nside = 3\n\n[noise]\n" + noise_block)
+        return str(cfg)
+
+    def run_bench(self, argv, tmp_path):
+        out = tmp_path / "out"
+        code = main(["bench", *argv, "--out", str(out)])
+        return code, json.loads((out / "report.json").read_text()) if code == 0 else None
+
+    @pytest.mark.parametrize(
+        "qualifier", [["--fidelity", "0.5"], ["--noise-seed", "3"]], ids=["fidelity", "noise-seed"]
+    )
+    @pytest.mark.parametrize("command", ["bench", "gram", "eval", "boundary", "sweep"])
+    def test_flag_qualifier_without_events_rejected(self, command, qualifier, inputs, tmp_path, capsys):
+        model, train, test = (str(inputs / name) for name in ("model.json", "train.csv", "test.csv"))
+        argv = {
+            "bench": ["bench"],
+            "gram": ["gram", "--train", train],
+            "eval": ["eval", "--model", model, "--train", train, "--test", test],
+            "boundary": ["boundary", "--model", model, "--train", train],
+            "sweep": ["sweep"],
+        }[command]
+        assert main(argv + qualifier + ["--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"error in stage '{'config' if command == 'bench' else command}'" in err
+        assert qualifier[0] in err
+
+    def test_enabled_is_a_strict_boolean(self, tmp_path, capsys):
+        code, _ = self.run_bench(["--config", self.config(tmp_path, "enabled = ture\n")], tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error in stage 'config'" in err and "ture" in err
+
+    @pytest.mark.parametrize("key", ["events = 150", "fidelity = 0.9", "seed = 4"])
+    def test_noise_key_without_enabled_rejected(self, key, tmp_path, capsys):
+        code, _ = self.run_bench(["--config", self.config(tmp_path, key + "\n")], tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error in stage 'config'" in err and f"[noise] {key.split()[0]}" in err
+
+    def test_enabled_false_ignores_the_file_noise_keys(self, tmp_path):
+        block = "enabled = false\nevents = 150\nfidelity = 0.9\nseed = 4\n"
+        code, payload = self.run_bench(["--config", self.config(tmp_path, block)], tmp_path)
+        assert code == 0
+        assert payload["noise"] is None and payload["gram_provenance"] == "exact"
+
+    def test_enabled_false_never_ignores_a_flag(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, "enabled = false\n")
+        code, _ = self.run_bench(["--config", cfg, "--fidelity", "0.9"], tmp_path)
+        assert code == 1
+        assert "--fidelity" in capsys.readouterr().err
+        code, payload = self.run_bench(["--config", cfg, "--events", "150"], tmp_path)
+        assert code == 0 and payload["noise"]["events_per_point"] == 150
+
+    def test_enabled_true_takes_flag_then_file_then_default(self, tmp_path):
+        cfg = self.config(tmp_path, "enabled = true\nfidelity = 0.9\nseed = 4\n")
+        code, payload = self.run_bench(["--config", cfg, "--noise-seed", "5"], tmp_path)
+        assert code == 0
+        assert payload["noise"] == {
+            "events_per_point": ShotNoiseConfig.events_per_point,
+            "fidelity": 0.9,
+            "seed": 5,
             "background": 0.5,
         }
 

@@ -224,6 +224,12 @@ class TestKernelSpec:
         with pytest.raises(ValueError):
             KernelSpec(kind="gaussian", dimension=1)
 
+    @pytest.mark.parametrize("kind", ["cosine_power", "phase_augmented"])
+    def test_non_integer_power_rejected(self, kind):
+        # power 2.5 would evaluate cos^5 clipped to 0 past pi/2, a kernel with no embedding
+        with pytest.raises(ValueError):
+            KernelSpec(kind=kind, dimension=1, power=2.5)
+
     def test_kernel_id(self):
         spec = KernelSpec(kind="cosine_power", dimension=2, power=1)
         assert "cosine" in spec.kernel_id()

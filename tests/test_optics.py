@@ -174,6 +174,15 @@ class TestShotNoise:
         with pytest.raises(ValueError):
             ShotNoiseConfig(background=1.5)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("events_per_point", 2.5), ("seed", 1.5), ("seed", 2**32), ("seed", 2**70 + 3)],
+    )
+    def test_non_integer_or_aliasing_values_rejected(self, field, value):
+        # a seed of 2**32 or more is split into several uint32 words and aliases other streams
+        with pytest.raises(ValueError):
+            ShotNoiseConfig(**{field: value})
+
     def test_deterministic_per_key(self):
         cfg = ShotNoiseConfig(events_per_point=500, seed=3)
         e1, r1 = sample_kernel(0.4, cfg, key=(2, 5))
@@ -242,7 +251,7 @@ def sampling_batches(draw):
     config = ShotNoiseConfig(
         events_per_point=draw(st.one_of(st.sampled_from([1, 29, 30, 31, 10_000]), st.integers(1, 10_000))),
         fidelity=draw(st.sampled_from([1.0, 0.98, 0.5])),
-        seed=draw(st.sampled_from([0, 2**32 + 5, 2**70 + 3])),
+        seed=draw(st.sampled_from([0, 5, 2**32 - 1])),
     )
     runs = draw(st.lists(st.tuples(KAPPA, st.integers(1, 4)), min_size=1, max_size=6))
     kappas = [kappa for kappa, repeat in runs for _ in range(repeat)]
@@ -261,7 +270,7 @@ class TestSampleKernels:
     @given(sampling_batches())
     # n * p < 30 draws by inversion, n * p >= 30 by BTPE; repeats reuse the set-up
     @example((ShotNoiseConfig(10, 1.0, 0), [0.3, 0.3, 0.3], [[1], [2], [3]]))
-    @example((ShotNoiseConfig(10_000, 0.98, 2**70 + 3), [0.5] * 3 + [0.2] * 2, [[2**32 - 1, 0]] * 5))
+    @example((ShotNoiseConfig(10_000, 0.98, 2**32 - 1), [0.5] * 3 + [0.2] * 2, [[2**32 - 1, 0]] * 5))
     def test_equals_scalar_loop_bitwise(self, batch):
         config, kappas, keys = batch
         keys = np.array(keys, dtype=np.int64)

@@ -24,7 +24,7 @@ from finitekernels.reports import (
     write_grid_csv,
     write_gram_csv,
     write_model_json,
-    write_report_json,
+    write_json,
     write_resolution_csv,
     write_sweep_csv,
 )
@@ -118,7 +118,7 @@ class TestJson:
         )
         report = run_benchmark(config)
         path = tmp_path / "report.json"
-        write_report_json(path, report)
+        write_json(path, report.summary())
         payload = load_report_json(path)
         assert payload["train_accuracy"] == 1.0
         keys = list(json.loads(path.read_text()))
@@ -188,11 +188,6 @@ class TestEmitReport:
         ]
         for p in paths:
             assert p.exists() and p.stat().st_size > 0
-
-    def test_formats_filter(self, tmp_path):
-        paths = emit_report(self.make_report(), tmp_path, formats=("json",))
-        names = sorted(p.name for p in paths)
-        assert names == ["model.json", "report.json"]
 
     def test_deterministic_bytes(self, tmp_path):
         a_dir = tmp_path / "a"
