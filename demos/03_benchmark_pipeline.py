@@ -18,6 +18,7 @@ from finitekernels import (
     generate_dataset,
     run_benchmark,
 )
+from finitekernels.reports import emit_report
 
 OUT = Path(__file__).resolve().parent.parent / "demo_output"
 
@@ -27,7 +28,8 @@ def main() -> None:
 
     print("== exact-kernel benchmark: concentric rings, seed 7 ==")
     config = BenchmarkConfig(dataset="concentric", seed=7, kernel=kernel, gamma=1.0)
-    report = run_benchmark(config, out_dir=OUT / "exact")
+    report = run_benchmark(config)
+    emit_report(report, OUT / "exact")
     print(f"  train accuracy {report.train_accuracy:.3f}")
     print(f"  test accuracy  {report.test_accuracy:.3f}")
 
@@ -44,7 +46,8 @@ def main() -> None:
         gamma=1.0,
         noise=ShotNoiseConfig(events_per_point=2_500, fidelity=0.98, seed=0),
     )
-    noisy_report = run_benchmark(noisy, out_dir=OUT / "noisy")
+    noisy_report = run_benchmark(noisy)
+    emit_report(noisy_report, OUT / "noisy")
     print(f"  train accuracy {noisy_report.train_accuracy:.3f}")
     print(f"  test accuracy  {noisy_report.test_accuracy:.3f}")
     print(f"  gram provenance: {noisy_report.gram.provenance},"

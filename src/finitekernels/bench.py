@@ -9,7 +9,8 @@ evaluations are ordered, batched or parallelized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -17,14 +18,12 @@ from .datasets import DATASET_NAMES, LabeledSet, generate_dataset
 from .kernels import KernelSpec
 from .optics import ShotNoiseConfig, sample_kernels
 from .states import DOMAINS
-from .svm import GramMatrix, TrainedModel, accuracy, condition_gram, train
+from .svm import CONDITION_POLICIES, GramMatrix, TrainedModel, accuracy, condition_gram, train
 
 # stream namespaces: one per measurement context, so index pairs never collide
 STREAM_GRAM = 0
 STREAM_ROWS = 1
 STREAM_GRID = 2
-
-CONDITION_POLICIES = ("clip", "shift", "none")
 
 
 def _coords(points) -> np.ndarray:
@@ -158,8 +157,13 @@ class BenchmarkConfig:
     def __post_init__(self) -> None:
         if self.dataset not in DATASET_NAMES:
             raise ValueError(f"unknown dataset {self.dataset!r}")
+        for name in ("seed", "train_size", "test_size", "grid_side"):
+            if not isinstance(getattr(self, name), Integral):
+                raise ValueError(f"{name} must be an integer")
+            object.__setattr__(self, name, int(getattr(self, name)))
         if not math.isfinite(self.gamma) or self.gamma <= 0.0:
             raise ValueError("gamma must be a finite positive real")
+        object.__setattr__(self, "gamma", float(self.gamma))
         if self.condition_policy not in CONDITION_POLICIES:
             raise ValueError(f"unknown condition policy {self.condition_policy!r}")
         if self.grid_side < 2:
@@ -193,14 +197,7 @@ class BenchReport:
             "gamma": cfg.gamma,
             "grid_side": cfg.grid_side,
             "condition_policy": cfg.condition_policy,
-            "noise": None
-            if noise is None
-            else {
-                "events_per_point": noise.events_per_point,
-                "fidelity": noise.fidelity,
-                "seed": noise.seed,
-                "background": noise.background,
-            },
+            "noise": None if noise is None else asdict(noise),
             "gram_provenance": self.gram.provenance,
             "gram_evaluations": self.gram.n_evaluations,
             "train_accuracy": self.train_accuracy,
@@ -209,12 +206,8 @@ class BenchReport:
         }
 
 
-def run_benchmark(config: BenchmarkConfig, out_dir=None) -> BenchReport:
-    """Generate data, build the Gram, train, score, and map the decision boundary.
-
-    When ``out_dir`` is given the full artifact set (dataset/Gram/grid CSV,
-    model and report JSON, boundary SVG) is written there.
-    """
+def run_benchmark(config: BenchmarkConfig) -> BenchReport:
+    """Generate data, build the Gram, train, score, and map the decision boundary."""
     train_set, test_set = generate_dataset(
         config.dataset,
         config.seed,
@@ -236,7 +229,7 @@ def run_benchmark(config: BenchmarkConfig, out_dir=None) -> BenchReport:
     grid = boundary_grid(
         model, train_set, config.kernel, side=config.grid_side, noise=config.noise
     )
-    report = BenchReport(
+    return BenchReport(
         config=config,
         train_set=train_set,
         test_set=test_set,
@@ -247,8 +240,3 @@ def run_benchmark(config: BenchmarkConfig, out_dir=None) -> BenchReport:
         test_accuracy=test_acc,
         grid=grid,
     )
-    if out_dir is not None:
-        from .reports import emit_report
-
-        emit_report(report, out_dir)
-    return report

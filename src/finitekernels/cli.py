@@ -15,20 +15,14 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .bench import (
-    CONDITION_POLICIES,
-    BenchmarkConfig,
-    boundary_grid,
-    compute_gram,
-    kernel_rows,
-    run_benchmark,
-)
+from .bench import BenchmarkConfig, boundary_grid, compute_gram, kernel_rows, run_benchmark
 from .datasets import generate_dataset
 from .kernels import KernelSpec
 from .optics import ShotNoiseConfig
 from .resolution import resolution_sweep
 from .states import msi_profile, tsq_profile
-from .svm import condition_gram, accuracy as model_accuracy, train as train_model
+from .svm import CONDITION_POLICIES, accuracy as model_accuracy, condition_gram
+from .svm import train as train_model
 from . import reports
 
 # the settings the library has no default for
@@ -123,6 +117,14 @@ def _noise(args) -> ShotNoiseConfig | None:
     return None
 
 
+def _get(parser, getter: str, section: str, key: str):
+    """``parser.<getter>(section, key)``, None if unset; a bad value's message names the key."""
+    try:
+        return getattr(parser, getter)(section, key, fallback=None)
+    except ValueError as exc:
+        raise ValueError(f"[{section}] {key}: {exc}") from exc
+
+
 def _read_config(path: str, args) -> None:
     """Fill the flags left unset from a bench config file.
 
@@ -138,7 +140,7 @@ def _read_config(path: str, args) -> None:
         for key in parser[section]:
             if (section, key) not in _CONFIG_KEYS:
                 raise ValueError(f"unknown config key {key!r} in section [{section}]")
-    enabled = parser.getboolean("noise", "enabled", fallback=None)
+    enabled = _get(parser, "getboolean", "noise", "enabled")
     if enabled is False:
         parser.remove_section("noise")
     for (section, key), (flag, getter) in _CONFIG_KEYS.items():
@@ -146,7 +148,7 @@ def _read_config(path: str, args) -> None:
             continue
         if section == "noise" and not enabled and args.events is None:
             raise ValueError(f"[noise] {key} is set but noise is off; add enabled = true")
-        setattr(args, flag, getattr(parser, getter)(section, key))
+        setattr(args, flag, _get(parser, getter, section, key))
     if enabled and args.events is None:
         args.events = ShotNoiseConfig.events_per_point
 
@@ -239,7 +241,9 @@ def _cmd_bench(args) -> int:
                           grid_side=args.side, condition_policy=args.condition)
         kernel = parse_kernel(args.kernel)
         config = BenchmarkConfig(args.dataset, args.seed, kernel, noise=_noise(args), **settings)
-    report = run_benchmark(config, out_dir=out)
+    report = run_benchmark(config)
+    with _stage("emit"):
+        reports.emit_report(report, out)
     print(
         f"{config.dataset} seed {config.seed} kernel {config.kernel.kernel_id()}: "
         f"train {report.train_accuracy:.3f}, test {report.test_accuracy:.3f}"

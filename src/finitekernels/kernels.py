@@ -99,7 +99,7 @@ def qubit_count(power: int, scheme: str = "compact") -> int:
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-_KINDS = ("profile", "cosine_power", "phase_augmented", "fractional_cosine")
+_KINDS = ("profile", "cosine_power", "fractional_cosine")
 
 # Cap on the separations (times profile modes) one block of KernelSpec.matrix
 # holds at once: about 1 MB of temporaries per block.
@@ -114,7 +114,6 @@ class KernelSpec:
 
     * ``profile``            -- ``profile`` (an :class:`AmplitudeProfile`)
     * ``cosine_power``       -- ``power`` (positive integer)
-    * ``phase_augmented``    -- ``power``
     * ``fractional_cosine``  -- ``exponent`` (positive real)
     """
 
@@ -131,12 +130,12 @@ class KernelSpec:
         if self.dimension < 1:
             raise ValueError("dimension must be a positive integer")
         needs_profile = self.kind == "profile"
-        needs_power = self.kind in ("cosine_power", "phase_augmented")
+        needs_power = self.kind == "cosine_power"
         needs_exponent = self.kind == "fractional_cosine"
         if needs_profile != (self.profile is not None):
             raise ValueError("profile must be set exactly for kind='profile'")
         if needs_power != (self.power is not None):
-            raise ValueError("power must be set exactly for the cosine kinds")
+            raise ValueError("power must be set exactly for kind='cosine_power'")
         if needs_exponent != (self.exponent is not None):
             raise ValueError("exponent must be set exactly for kind='fractional_cosine'")
         if self.power is not None and (not isinstance(self.power, Integral) or self.power < 1):
@@ -158,8 +157,7 @@ class KernelSpec:
             return f"profile:L={len(self.profile)}:D={self.dimension}"
         if self.kind == "fractional_cosine":
             return f"fractional:p={self.exponent:g}:D={self.dimension}"
-        tag = "cosine" if self.kind == "cosine_power" else "phase"
-        return f"{tag}:N={self.power}:D={self.dimension}"
+        return f"cosine:N={self.power}:D={self.dimension}"
 
     def evaluate(self, x, xp) -> float:
         """Kernel value between two points in this kernel spec's convention."""
@@ -176,20 +174,15 @@ class KernelSpec:
             raise ValueError("point dimension does not match this kernel spec")
         if self.kind == "cosine_power":
             return kernel_cosine(a, b, self.power)
-        if self.kind == "fractional_cosine":
-            return kernel_fractional(a, b, self.exponent)
-        return kernel_phase_augmented(x, xp, self.power)
+        return kernel_fractional(a, b, self.exponent)
 
     def matrix(self, A, B) -> np.ndarray:
         """Kernel values ``K[i, j] == evaluate(A[i], B[j])``, bit for bit.
 
         ``A`` and ``B`` are (n, dimension) coordinate arrays.  The separations
         |B[j] - A[i]| are broadcast over blocks of rows of ``A`` and passed
-        through the same closed form as :meth:`evaluate`.  ``phase_augmented``
-        needs per-point phases and has no matrix form.
+        through the same closed form as :meth:`evaluate`.
         """
-        if self.kind == "phase_augmented":
-            raise ValueError("kernel_phase_augmented needs DataPoint arguments")
         a, b = self._coord_rows(A), self._coord_rows(B)
         width = len(self.profile) if self.kind == "profile" else 1
         step = max(1, _BLOCK_ELEMENTS // max(1, b.shape[0] * self.dimension * width))

@@ -22,7 +22,6 @@ entry.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from numbers import Integral
@@ -218,6 +217,9 @@ class ShotNoiseConfig:
             raise ValueError("seed must be an integer in [0, 2**32 - 1]")
         if not (0.0 <= self.background <= 1.0):
             raise ValueError("background must lie in [0, 1]")
+        for name, kind in (("events_per_point", int), ("fidelity", float), ("seed", int),
+                           ("background", float)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -239,21 +241,6 @@ class CoincidenceRecord:
             raise ValueError("counts must be nonnegative")
         if sum(self.counts.values()) != self.total:
             raise ValueError("counts must sum to the total")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"pairs": dict(self.counts), "total": self.total, "seed": self.seed},
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "CoincidenceRecord":
-        data = json.loads(text)
-        return cls(
-            counts={k: int(v) for k, v in data["pairs"].items()},
-            total=int(data["total"]),
-            seed=int(data["seed"]),
-        )
 
 
 def _check_stream_keys(keys: np.ndarray) -> None:

@@ -1,5 +1,8 @@
 """Deterministic artifact emission: CSV tables, JSON reports, SVG boundary plots.
 
+This is the only module that serializes or writes an artifact; the rest of
+the package computes values and leaves their formats to it.
+
 All floats in CSV output carry 17 significant digits (lossless for float64),
 JSON keys are sorted, and the SVG contains no clock or environment data, so a
 repeated run with the same configuration reproduces every byte.
@@ -59,12 +62,12 @@ def write_gram_csv(path, gram: GramMatrix) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def load_gram_csv(path, provenance: str = "exact", seed=None) -> GramMatrix:
+def load_gram_csv(path) -> GramMatrix:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
         values = np.asarray([[float(v) for v in row] for row in reader])
-    return GramMatrix(values=values, provenance=provenance, seed=seed)
+    return GramMatrix(values)
 
 
 def write_grid_csv(path, grid: BoundaryGrid) -> None:
@@ -102,11 +105,16 @@ def write_sweep_csv(path, rows) -> None:
 
 
 def write_model_json(path, model: TrainedModel) -> None:
-    Path(path).write_text(model.to_json() + "\n")
+    """Keys sorted, one line: coefficients ``a``, ``gamma`` and ``train_id``."""
+    payload = {"a": [float(v) for v in model.coefficients], "gamma": model.gamma,
+               "train_id": model.train_id}
+    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def load_model_json(path) -> TrainedModel:
-    return TrainedModel.from_json(Path(path).read_text())
+    data = json.loads(Path(path).read_text())
+    return TrainedModel(np.asarray(data["a"], dtype=float), float(data["gamma"]),
+                        str(data.get("train_id", "")))
 
 
 def write_json(path, payload: dict) -> None:

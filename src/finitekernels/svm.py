@@ -12,7 +12,6 @@ through an eigendecomposition, and terminates on the KKT residual.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -22,6 +21,8 @@ SYMMETRY_TOL = 1e-12
 KKT_TOL = 1e-8
 # eigenvalues of Q_FF below this fraction of the largest count as its null space
 _RCOND = 1e-12
+
+CONDITION_POLICIES = ("clip", "shift", "none")
 
 
 @dataclass(frozen=True)
@@ -84,25 +85,6 @@ class TrainedModel:
         a = a.copy()
         a.flags.writeable = False
         object.__setattr__(self, "coefficients", a)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "a": [float(v) for v in self.coefficients],
-                "gamma": self.gamma,
-                "train_id": self.train_id,
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "TrainedModel":
-        data = json.loads(text)
-        return cls(
-            coefficients=np.asarray(data["a"], dtype=float),
-            gamma=float(data["gamma"]),
-            train_id=str(data.get("train_id", "")),
-        )
 
 
 def _as_gram(gram) -> GramMatrix:
@@ -294,10 +276,10 @@ def condition_gram(gram: GramMatrix, policy: str = "clip") -> GramMatrix:
     ``"none"`` returns the input unchanged.  The result is exactly
     resymmetrized.
     """
+    if policy not in CONDITION_POLICIES:
+        raise ValueError(f"policy must be one of {CONDITION_POLICIES}")
     if policy == "none":
         return gram
-    if policy not in ("clip", "shift"):
-        raise ValueError("policy must be 'clip', 'shift', or 'none'")
     v = np.asarray(gram.values, dtype=float)
     if policy == "clip":
         evals, evecs = np.linalg.eigh(v)

@@ -308,6 +308,23 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match="finite"):
             BenchmarkConfig(dataset="moons", seed=0, kernel=KERNEL_N1, gamma=gamma)
 
+    @pytest.mark.parametrize(
+        "field, value", [("seed", None), ("seed", 1.0), ("train_size", 8.0), ("test_size", "4"),
+                         ("grid_side", 2.5)]
+    )
+    def test_non_integer_counts_and_seed_rejected(self, field, value):
+        # seed=None would draw the dataset from fresh OS entropy
+        with pytest.raises(ValueError, match=field):
+            BenchmarkConfig(**{"dataset": "moons", "seed": 0, "kernel": KERNEL_N1, field: value})
+
+    def test_numbers_stored_as_python_scalars(self):
+        config = BenchmarkConfig("moons", np.int64(1), KERNEL_N1, gamma=np.int32(2),
+                                 train_size=np.int32(8), test_size=np.uint8(4),
+                                 grid_side=np.int16(3))
+        fields = ("seed", "train_size", "test_size", "grid_side", "gamma")
+        assert [type(getattr(config, f)) for f in fields] == [int, int, int, int, float]
+        assert (config.seed, config.gamma) == (1, 2.0)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             BenchmarkConfig(dataset="spirals", seed=0, kernel=KERNEL_N1)

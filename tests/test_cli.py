@@ -265,6 +265,18 @@ class TestConfigFile:
         }
 
 
+    @pytest.mark.parametrize(
+        "section, entry",
+        [("dataset", "seed = abc"), ("svm", "gamma = 1.o"), ("noise", "enabled = ture")],
+    )
+    def test_bad_value_names_its_key(self, section, entry, tmp_path, capsys):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[{section}]\n{entry}\n")
+        assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        key, _, value = entry.partition(" = ")
+        assert f"error in stage 'config': [{section}] {key}: " in err and value in err
+
     def test_readme_config_block_runs(self, tmp_path):
         block = re.search(r"```ini\n(.*?)```", README.read_text(), re.DOTALL).group(1)
         cfg = tmp_path / "readme.ini"
@@ -379,6 +391,11 @@ class TestFailureModes:
         )
         assert code == 1
         assert "error in stage 'gram'" in capsys.readouterr().err
+
+    def test_bench_write_failure_tagged_emit(self, tmp_path, capsys):
+        (tmp_path / "o" / "report.json").mkdir(parents=True)  # a directory where a file goes
+        assert main(["bench", "--side", "2", "--out", str(tmp_path / "o")]) == 1
+        assert "error in stage 'emit'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("lengths", ["5", "5:", "a:b", "6:5"])
     def test_bad_resolve_range_is_usage_error(self, lengths, tmp_path, capsys):

@@ -206,14 +206,6 @@ class TestKernelSpec:
         x, xp = np.array([0.6]), np.array([0.1])
         assert spec.evaluate(x, xp) == pytest.approx(kernel_fractional(x, xp, 0.5), abs=1e-15)
 
-    def test_phase_augmented_spec(self):
-        spec = KernelSpec(kind="phase_augmented", dimension=2, power=3)
-        a = DataPoint(np.array([0.2, 0.1]), phases=np.array([0.0, 0.3]))
-        b = DataPoint(np.array([0.1, 0.4]), phases=np.array([0.0, -0.2]))
-        assert spec.evaluate(a, b) == pytest.approx(
-            kernel_phase_augmented(a, b, power=3), abs=1e-15
-        )
-
     def test_field_combinations_validated(self):
         with pytest.raises(ValueError):
             KernelSpec(kind="cosine_power", dimension=1)  # missing power
@@ -224,7 +216,7 @@ class TestKernelSpec:
         with pytest.raises(ValueError):
             KernelSpec(kind="gaussian", dimension=1)
 
-    @pytest.mark.parametrize("kind", ["cosine_power", "phase_augmented"])
+    @pytest.mark.parametrize("kind", ["cosine_power"])
     def test_non_integer_power_rejected(self, kind):
         # power 2.5 would evaluate cos^5 clipped to 0 past pi/2, a kernel with no embedding
         with pytest.raises(ValueError):
@@ -289,14 +281,6 @@ class TestKernelMatrix:
         spec = KernelSpec(kind="cosine_power", dimension=2, power=1)
         assert spec.matrix(np.zeros((0, 2)), np.zeros((3, 2))).shape == (0, 3)
         assert spec.matrix(np.zeros((3, 2)), np.zeros((0, 2))).shape == (3, 0)
-
-    def test_phase_augmented_raises(self):
-        spec = KernelSpec(kind="phase_augmented", dimension=2, power=1)
-        pts = np.zeros((2, 2))
-        with pytest.raises(ValueError):
-            spec.evaluate(pts[0], pts[1])
-        with pytest.raises(ValueError):
-            spec.matrix(pts, pts)
 
     @pytest.mark.parametrize("bad", [np.zeros((3, 3)), np.zeros(2), np.zeros((1, 2, 2))])
     def test_dimension_mismatch_rejected(self, bad):

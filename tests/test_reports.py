@@ -9,6 +9,7 @@ from finitekernels import (
     BoundaryGrid,
     KernelSpec,
     LabeledSet,
+    ShotNoiseConfig,
     TrainedModel,
     resolution_sweep,
     run_benchmark,
@@ -188,6 +189,14 @@ class TestEmitReport:
         ]
         for p in paths:
             assert p.exists() and p.stat().st_size > 0
+
+    @pytest.mark.parametrize("seed, events", [(0, np.int64(100)), (np.int64(0), 100)])
+    def test_numpy_scalars_in_the_config_emit_every_artifact(self, seed, events, tmp_path):
+        config = BenchmarkConfig("xor", seed, KERNEL_N1, train_size=8, test_size=4, grid_side=2,
+                                 noise=ShotNoiseConfig(events))
+        assert len(emit_report(run_benchmark(config), tmp_path)) == 7
+        payload = load_report_json(tmp_path / "report.json")
+        assert payload["seed"] == 0 and payload["noise"]["events_per_point"] == 100
 
     def test_deterministic_bytes(self, tmp_path):
         a_dir = tmp_path / "a"

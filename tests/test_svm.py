@@ -269,17 +269,6 @@ class TestConditioning:
             condition_gram(GramMatrix(np.eye(2)), "prune")
 
 
-class TestModelSerialization:
-    def test_json_round_trip(self):
-        model = TrainedModel(
-            coefficients=np.array([0.25, -1.0 / 3.0]), gamma=2.5, train_id="toy"
-        )
-        back = TrainedModel.from_json(model.to_json())
-        np.testing.assert_array_equal(back.coefficients, model.coefficients)
-        assert back.gamma == model.gamma
-        assert back.train_id == model.train_id
-
-
 def cyclic_reference(gram, labels, gamma, max_sweeps=200_000, tol=1e-8):
     """Cyclic coordinate ascent on the same dual, with a cached gradient Q alpha.
 
