@@ -161,13 +161,16 @@ class BenchmarkConfig:
             if not isinstance(getattr(self, name), Integral):
                 raise ValueError(f"{name} must be an integer")
             object.__setattr__(self, name, int(getattr(self, name)))
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        for name in ("train_size", "test_size", "grid_side"):
+            if getattr(self, name) < 2:
+                raise ValueError(f"{name} must be at least 2")
         if not math.isfinite(self.gamma) or self.gamma <= 0.0:
             raise ValueError("gamma must be a finite positive real")
         object.__setattr__(self, "gamma", float(self.gamma))
         if self.condition_policy not in CONDITION_POLICIES:
             raise ValueError(f"unknown condition policy {self.condition_policy!r}")
-        if self.grid_side < 2:
-            raise ValueError("grid side must be at least 2")
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,12 @@ composed circuit is unitary and the post-selected two-photon amplitude gives
 the kernel cos^6 per input dimension.
 
 Shot noise is modeled by binomial coincidence counting.  Every measurement
-draws from its own stream, ``default_rng([seed, *key])``, so sampled Gram
-matrices are reproducible regardless of evaluation order.  ``sample_kernel``
-measures one value; ``sample_kernels`` measures a batch bit for bit equal to
-it, hashing the stream keys together instead of building one generator per
-entry.
+draws from its own counter-based Philox4x64 stream (Salmon et al., SC 2011):
+a key of up to 6 entries k0..k5 in [0, 2**32 - 1] selects Philox key
+(seed, len(key)) and counter (0, k0 | k1 << 32, k2 | k3 << 32, k4 | k5 << 32),
+missing entries 0, so sampled Gram matrices do not depend on evaluation
+order.  ``sample_kernel`` measures one value; ``sample_kernels`` a batch bit
+for bit equal to it, moving one generator from counter to counter.
 """
 
 from __future__ import annotations
@@ -146,17 +147,20 @@ def build_feature_unitary(x, power: int = 3) -> np.ndarray:
     return full
 
 
+def _circuit_amplitude(x, xp, power: int) -> complex:
+    """Post-selected two-photon amplitude <in| U(x')^T U(x) |in>."""
+    ua = build_feature_unitary(x, power)
+    ub = build_feature_unitary(xp, power)
+    vin = input_state(np.atleast_1d(np.asarray(x, dtype=float)).size, power)
+    return complex(vin @ (ub.conj().T @ ua @ vin))
+
+
 def kernel_circuit(x, xp, power: int = 3) -> float:
     """Post-selected two-photon kernel |<in| U(x')^T U(x) |in>|^2.
 
     Equals the closed-form cos^(2*power) product over coordinates.
     """
-    ua = build_feature_unitary(x, power)
-    ub = build_feature_unitary(xp, power)
-    coords = np.atleast_1d(np.asarray(x, dtype=float))
-    vin = input_state(coords.size, power)
-    amp = complex(vin @ (ub.conj().T @ ua @ vin))
-    return min(1.0, abs(amp) ** 2)
+    return min(1.0, abs(_circuit_amplitude(x, xp, power)) ** 2)
 
 
 def phase_interference_amplitude(y: float, yp: float) -> complex:
@@ -182,10 +186,7 @@ def kernel_circuit_phase(x, xp, power: int = 3) -> float:
         raise ValueError("kernel_circuit_phase needs phases on both points")
     if x.phases.shape != xp.phases.shape:
         raise ValueError("points must have the same dimension")
-    ua = build_feature_unitary(x.coords, power)
-    ub = build_feature_unitary(xp.coords, power)
-    vin = input_state(x.coords.size, power)
-    base_amp = complex(vin @ (ub.conj().T @ ua @ vin))
+    base_amp = _circuit_amplitude(x.coords, xp.coords, power)
     for y, yp_val in zip(x.phases[1:], xp.phases[1:]):
         base_amp *= phase_interference_amplitude(float(y), float(yp_val))
     return min(1.0, abs(base_amp) ** 2)
@@ -212,7 +213,7 @@ class ShotNoiseConfig:
             raise ValueError("events_per_point must be a positive integer")
         if not (0.0 < self.fidelity <= 1.0):
             raise ValueError("fidelity must lie in (0, 1]")
-        # numpy splits a larger seed into uint32 words: (2**32, key 7) would draw (0, key (1, 7))
+        # Philox would take a 64-bit seed; the 32-bit bound keeps the accepted CLI and INI seeds
         if not isinstance(self.seed, Integral) or not 0 <= self.seed <= _MASK32:
             raise ValueError("seed must be an integer in [0, 2**32 - 1]")
         if not (0.0 <= self.background <= 1.0):
@@ -243,10 +244,28 @@ class CoincidenceRecord:
             raise ValueError("counts must sum to the total")
 
 
+_MASK32 = (1 << 32) - 1
+# three 64-bit Philox counter words, two 32-bit key entries each
+_KEY_WIDTH = 6
+# keys turned into Python counters per pass; bounds the Python ints alive at once
+_SAMPLE_BLOCK = 1024
+
+
 def _check_stream_keys(keys: np.ndarray) -> None:
-    # numpy splits a larger entry into several uint32 words, so (2**32,) would draw (0, 1)'s stream
+    if keys.shape[-1] > _KEY_WIDTH:
+        raise ValueError(f"a stream key holds at most {_KEY_WIDTH} entries")
+    # a wider entry would spill into its neighbour's half of a counter word
     if keys.size and (keys.dtype.kind not in "iu" or keys.min() < 0 or keys.max() > _MASK32):
         raise ValueError("stream key entries must be integers in [0, 2**32 - 1]")
+
+
+def _counters(keys: np.ndarray) -> np.ndarray:
+    """Philox counters of key rows; word 0 is the running block counter."""
+    packed = np.zeros((keys.shape[0], _KEY_WIDTH), dtype=np.uint64)
+    packed[:, : keys.shape[1]] = keys
+    counters = np.zeros((keys.shape[0], 4), dtype=np.uint64)
+    counters[:, 1:] = packed[:, 0::2] | packed[:, 1::2] << np.uint64(32)
+    return counters
 
 
 def sample_kernel(
@@ -254,18 +273,19 @@ def sample_kernel(
 ) -> tuple[float, CoincidenceRecord]:
     """Binomial estimate of one kernel value from coincidence counting.
 
-    ``key`` extends the seed into a per-call stream (e.g. the Gram indices of
-    the entry being measured), so batches of measurements are reproducible
-    independent of evaluation order; its entries lie in [0, 2**32 - 1].  The
-    estimate is unbiased at fidelity 1 with standard deviation
-    sqrt(kappa (1 - kappa) / events).
+    ``key`` (at most 6 entries in [0, 2**32 - 1], e.g. the Gram indices of the
+    entry) selects the stream: Philox4x64 with key ``(seed, len(key))`` and
+    counter ``(0, k0 | k1 << 32, k2 | k3 << 32, k4 | k5 << 32)``, missing
+    entries 0.  The estimate is one ``binomial(events, p)`` draw from it,
+    unbiased at fidelity 1 with standard deviation sqrt(kappa (1 - kappa) / events).
     """
     if not (0.0 <= true_kappa <= 1.0):
         raise ValueError("true_kappa must lie in [0, 1]")
-    _check_stream_keys(np.asarray(key))
+    keys = np.asarray(key)[None]
+    _check_stream_keys(keys)
     p = config.fidelity * true_kappa + (1.0 - config.fidelity) * config.background
-    rng = np.random.default_rng([config.seed, *[int(k) for k in key]])
-    signal = int(rng.binomial(config.events_per_point, p))
+    bit_generator = np.random.Philox(counter=_counters(keys)[0], key=[config.seed, keys.shape[1]])
+    signal = int(np.random.Generator(bit_generator).binomial(config.events_per_point, p))
     estimate = signal / config.events_per_point
     record = CoincidenceRecord(
         counts={"signal": signal, "rest": config.events_per_point - signal},
@@ -275,72 +295,13 @@ def sample_kernel(
     return estimate, record
 
 
-# numpy's SeedSequence and PCG64 seeding constants (numpy.random.bit_generator, pcg64.h)
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = np.uint32(16)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
-# keys hashed per numpy pass; bounds the Python ints alive at once
-_SAMPLE_BLOCK = 1024
-
-
-def _hashmixer(const: int, mult: int):
-    """SeedSequence's running hash; its multiplier advances on every call."""
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _MASK32
-        value = value * np.uint32(const)
-        return value ^ (value >> _XSHIFT)
-
-    return hashmix
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-    return result ^ (result >> _XSHIFT)
-
-
-def _pcg64_seeds(words: np.ndarray):
-    """Yield the PCG64 (state, inc) that ``default_rng(list(row))`` starts from.
-
-    ``words`` is an (n, L) uint32 array of entropy words.  This is numpy's
-    SeedSequence pool mix, ``generate_state(4, np.uint64)`` and
-    ``pcg64_set_seed`` run on every row at once: the hash constants evolve
-    independently of the data, so each step is one array operation.
-    """
-    n, width = words.shape
-    hashmix = _hashmixer(_INIT_A, _MULT_A)
-    zeros = np.zeros(n, dtype=np.uint32)
-    pool = [hashmix(words[:, i] if i < width else zeros) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL_SIZE, width):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(words[:, src]))
-    output = _hashmixer(_INIT_B, _MULT_B)
-    state = [output(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
-    # little-endian word pairs: seed = (s0 << 64) | s1, increment = (s2 << 64) | s3
-    s0, s1, s2, s3 = ((state[2 * k] | state[2 * k + 1] << np.uint64(32)).tolist() for k in range(4))
-    for seed_hi, seed_lo, inc_hi, inc_lo in zip(s0, s1, s2, s3):
-        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-        yield ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128, inc
-
-
 def sample_kernels(true_kappas, config: ShotNoiseConfig, keys) -> np.ndarray:
     """Estimates of many kernel values, each from its own keyed stream.
 
     Entry k equals ``sample_kernel(true_kappas[k], config, key=keys[k])[0]``
-    bit for bit.  ``keys`` holds one row of stream-key entries per kappa,
-    each in [0, 2**32 - 1].  The per-key seeding hash runs on blocks of keys
-    at once, and one generator is re-seeded per entry, so an entry costs
-    its binomial draw instead of a fresh ``default_rng``.
+    bit for bit.  ``keys`` holds one row of at most 6 stream-key entries per
+    kappa, each in [0, 2**32 - 1].  One generator is reused: each entry
+    writes its Philox counter into the generator state, then draws.
     """
     kappas = np.asarray(true_kappas, dtype=float)
     keys = np.asarray(keys)
@@ -350,19 +311,18 @@ def sample_kernels(true_kappas, config: ShotNoiseConfig, keys) -> np.ndarray:
         raise ValueError("true_kappa must lie in [0, 1]")
     _check_stream_keys(keys)
     p = config.fidelity * kappas + (1.0 - config.fidelity) * config.background
-    generator = np.random.Generator(np.random.PCG64(0))
-    stream = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": stream, "has_uint32": 0, "uinteger": 0}
+    key = [config.seed, keys.shape[1]]
+    generator = np.random.Generator(np.random.Philox(key=key))
+    stream = {"counter": [0, 0, 0, 0], "key": key}
+    # an empty buffer makes every draw start from the entry's own counter
+    state = {"bit_generator": "Philox", "state": stream, "buffer": [0, 0, 0, 0],
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     bit_generator, binomial, events = generator.bit_generator, generator.binomial, config.events_per_point
     counts = np.empty(kappas.size, dtype=np.int64)
     for start in range(0, kappas.size, _SAMPLE_BLOCK):
-        block = keys[start : start + _SAMPLE_BLOCK]
-        words = np.empty((block.shape[0], 1 + block.shape[1]), dtype=np.uint32)
-        words[:, 0] = config.seed
-        words[:, 1:] = block
-        draws = zip(_pcg64_seeds(words), p[start : start + _SAMPLE_BLOCK].tolist())
-        # each entry's (state, inc) lands in the reused state dict
-        for k, ((stream["state"], stream["inc"]), p_k) in enumerate(draws, start):
+        block = slice(start, start + _SAMPLE_BLOCK)
+        draws = zip(_counters(keys[block]).tolist(), p[block].tolist())
+        for k, (stream["counter"], p_k) in enumerate(draws, start):
             bit_generator.state = state
             counts[k] = binomial(events, p_k)
     return counts / events

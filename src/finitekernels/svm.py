@@ -139,7 +139,6 @@ def train(
     gamma: float,
     train_id: str = "",
     max_sweeps: int = 200_000,
-    tol: float = KKT_TOL,
 ) -> TrainedModel:
     """Fit the margin program on a precomputed Gram matrix.
 
@@ -189,7 +188,7 @@ def train(
         a = 0.5 * (g @ (y * alpha))
         scores = g @ a
         residual = _kkt_residual(y, gamma, alpha, scores)
-        if residual < tol or iterations == max_sweeps:
+        if residual < KKT_TOL or iterations == max_sweeps:
             break
         grad = 1.0 - 2.0 * (q @ alpha)
         if face_solved:  # free the bound coordinate that violates the KKT conditions most
@@ -204,8 +203,8 @@ def train(
         keep = w > _RCOND * w[-1]
         coef = v[:, keep].T @ grad[idx]
         null = grad[idx] - v[:, keep] @ coef
-        # a null-space part this small cannot lift the KKT residual to tol
-        newton = gamma * np.max(np.abs(null)) <= 0.1 * tol
+        # a null-space part this small cannot lift the KKT residual to KKT_TOL
+        newton = gamma * np.max(np.abs(null)) <= 0.1 * KKT_TOL
         if newton:
             step, limit = v[:, keep] @ (coef / (2.0 * w[keep])), 1.0
         else:

@@ -317,6 +317,15 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match=field):
             BenchmarkConfig(**{"dataset": "moons", "seed": 0, "kernel": KERNEL_N1, field: value})
 
+    @pytest.mark.parametrize(
+        "field, value", [("seed", -1), ("train_size", 1), ("train_size", -5), ("test_size", 0),
+                         ("grid_side", 1)]
+    )
+    def test_out_of_range_counts_and_seed_rejected(self, field, value):
+        # generate_dataset would reject them only once the run had started
+        with pytest.raises(ValueError, match=field):
+            BenchmarkConfig(**{"dataset": "moons", "seed": 0, "kernel": KERNEL_N1, field: value})
+
     def test_numbers_stored_as_python_scalars(self):
         config = BenchmarkConfig("moons", np.int64(1), KERNEL_N1, gamma=np.int32(2),
                                  train_size=np.int32(8), test_size=np.uint8(4),

@@ -375,6 +375,15 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert "error in stage 'config'" in err
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [("--seed", "-1", "seed"), ("--train-size", "1", "train_size"), ("--test-size", "-5", "test_size")],
+    )
+    def test_out_of_range_bench_setting_tagged_config(self, flag, value, field, tmp_path, capsys):
+        assert main(["bench", flag, value, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "error in stage 'config'" in err and field in err
+
     def test_bad_kernel_tagged(self, tmp_path, capsys):
         d = tmp_path / "d"
         assert main(["gen", "--dataset", "moons", "--seed", "1", "--out", str(d)]) == 0

@@ -260,7 +260,7 @@ def sampling_batches(draw):
     )
     runs = draw(st.lists(st.tuples(KAPPA, st.integers(1, 4)), min_size=1, max_size=6))
     kappas = [kappa for kappa, repeat in runs for _ in range(repeat)]
-    width = draw(st.integers(0, 4))
+    width = draw(st.integers(0, 6))
     rows = st.lists(KEY_ENTRY, min_size=width, max_size=width)
     keys = draw(st.lists(rows, min_size=len(kappas), max_size=len(kappas)))
     return config, kappas, keys
@@ -291,11 +291,14 @@ class TestSampleKernels:
         assert np.array_equal(batched, scalar_sampling_loop(kappas, config, keys))
 
     def test_golden_stream_pins(self):
-        # signal counts fixed by the (seed, *key) stream contract itself
+        # signal counts fixed by the Philox stream contract itself
         config = ShotNoiseConfig(2500, 0.98, 0)
-        pins = [(0.5, (0, 1, 2), 1215), (1.0, (0, 3, 3), 2478), (0.0, (2, 7, 11), 17)]
-        for kappa, key, signal in pins:
-            assert sample_kernel(kappa, config, key=key)[1].counts["signal"] == signal
+        pins = [(0.5, (0, 1, 2), 1271), (1.0, (0, 3, 3), 2483), (0.0, (2, 7, 11), 30)]
+        for kappa, (s, i, j), signal in pins:
+            assert sample_kernel(kappa, config, key=(s, i, j))[1].counts["signal"] == signal
+            p = config.fidelity * kappa + (1.0 - config.fidelity) * config.background
+            stream = np.random.Philox(key=[config.seed, 3], counter=[0, s | i << 32, j, 0])
+            assert np.random.Generator(stream).binomial(2500, p) == signal
         kappas, keys, signals = zip(*pins)
         batched = sample_kernels(kappas, config, np.array(keys))
         assert np.array_equal(batched, np.array(signals) / 2500)
@@ -317,6 +320,25 @@ class TestSampleKernels:
     def test_one_key_row_per_kappa(self):
         with pytest.raises(ValueError):
             sample_kernels([0.5, 0.5], ShotNoiseConfig(), [[0, 1]])
+
+    @pytest.mark.parametrize("width", range(8))
+    def test_keys_hold_at_most_six_entries(self, width):
+        key = tuple(range(1, width + 1))
+        if width <= 6:
+            sample_kernel(0.5, ShotNoiseConfig(), key=key)
+            sample_kernels([0.5], ShotNoiseConfig(), [key])
+            return
+        with pytest.raises(ValueError, match="at most 6"):
+            sample_kernel(0.5, ShotNoiseConfig(), key=key)
+        with pytest.raises(ValueError, match="at most 6"):
+            sample_kernels([0.5], ShotNoiseConfig(), [key])
+
+    def test_zero_padded_keys_draw_distinct_streams(self):
+        # the key width is part of the Philox key, so trailing zeros select another stream
+        config = ShotNoiseConfig(events_per_point=100_000, fidelity=1.0, seed=5)
+        keys = [(), (0,), (7,), (7, 0), (7, 0, 0)]
+        estimates = {sample_kernel(0.4, config, key=key)[0] for key in keys}
+        assert len(estimates) == len(keys)
 
 
 class TestCoincidenceRecord:
