@@ -77,6 +77,7 @@ from .bench import (
     BoundaryGrid,
     boundary_grid,
     compute_gram,
+    gamma_sweep,
     kernel_rows,
     run_benchmark,
 )
@@ -111,6 +112,7 @@ __all__ = [
     "embed_interference",
     "embed_phase_augmented",
     "feature_plate_settings",
+    "gamma_sweep",
     "generate_dataset",
     "input_state",
     "kernel_circuit",

@@ -9,8 +9,9 @@ evaluations are ordered, batched or parallelized.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 
@@ -209,8 +210,17 @@ class BenchReport:
         }
 
 
-def run_benchmark(config: BenchmarkConfig) -> BenchReport:
-    """Generate data, build the Gram, train, score, and map the decision boundary."""
+class _Prepared(NamedTuple):
+    """What a run computes before training, in ``BenchReport`` field order, plus the test rows."""
+
+    train_set: LabeledSet
+    test_set: LabeledSet
+    gram: GramMatrix
+    gram_conditioned: GramMatrix
+    test_rows: np.ndarray
+
+
+def _prepare(config: BenchmarkConfig) -> _Prepared:
     train_set, test_set = generate_dataset(
         config.dataset,
         config.seed,
@@ -222,24 +232,35 @@ def run_benchmark(config: BenchmarkConfig) -> BenchReport:
         train_set, config.kernel, noise=config.noise, pin_diagonal=config.pin_noisy_diagonal
     )
     conditioned = condition_gram(gram, config.condition_policy)
+    test_rows = kernel_rows(test_set, train_set, config.kernel, noise=config.noise)
+    return _Prepared(train_set, test_set, gram, conditioned, test_rows)
+
+
+def _fit(
+    config: BenchmarkConfig, prepared: _Prepared, gamma: float
+) -> tuple[TrainedModel, float, float]:
+    """The model trained at ``gamma``, with its train and test accuracies."""
+    train_set, test_set, _, conditioned, test_rows = prepared
     train_id = f"{config.dataset}-seed{config.seed}-m{config.train_size}"
-    model = train(conditioned, train_set.labels, config.gamma, train_id=train_id)
+    model = train(conditioned, train_set.labels, gamma, train_id=train_id)
     train_acc = accuracy(model, conditioned.values, train_set.labels)
-    test_rows = kernel_rows(
-        test_set, train_set, config.kernel, noise=config.noise, stream=STREAM_ROWS
-    )
-    test_acc = accuracy(model, test_rows, test_set.labels)
-    grid = boundary_grid(
-        model, train_set, config.kernel, side=config.grid_side, noise=config.noise
-    )
-    return BenchReport(
-        config=config,
-        train_set=train_set,
-        test_set=test_set,
-        gram=gram,
-        gram_conditioned=conditioned,
-        model=model,
-        train_accuracy=train_acc,
-        test_accuracy=test_acc,
-        grid=grid,
-    )
+    return model, train_acc, accuracy(model, test_rows, test_set.labels)
+
+
+def run_benchmark(config: BenchmarkConfig) -> BenchReport:
+    """Generate data, build the Gram, train, score, and map the decision boundary."""
+    prepared = _prepare(config)
+    model, train_acc, test_acc = _fit(config, prepared, config.gamma)
+    grid = boundary_grid(model, prepared.train_set, config.kernel, config.grid_side, config.noise)
+    return BenchReport(config, *prepared[:4], model, train_acc, test_acc, grid)
+
+
+def gamma_sweep(config: BenchmarkConfig, gammas) -> list[tuple[float, float]]:
+    """The (train, test) accuracies of ``run_benchmark(replace(config, gamma=g))``, each g.
+
+    Only training depends on gamma, so the data, Gram, conditioning and test
+    rows are built once, after every gamma is validated; no grid is mapped.
+    """
+    configs = [replace(config, gamma=gamma) for gamma in gammas]
+    prepared = _prepare(config)
+    return [_fit(config, prepared, each.gamma)[1:] for each in configs]

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .bench import BenchmarkConfig, boundary_grid, compute_gram, kernel_rows, run_benchmark
+from .bench import BenchmarkConfig, boundary_grid, compute_gram, gamma_sweep, kernel_rows
+from .bench import run_benchmark
 from .datasets import generate_dataset
 from .kernels import KernelSpec
 from .optics import ShotNoiseConfig
@@ -259,13 +261,9 @@ def _cmd_sweep(args) -> int:
     noise = _noise(args)
     rows = []
     for kernel_text in args.kernels:
-        kernel = parse_kernel(kernel_text)
-        for gamma in gammas:
-            # grid side 2: sweep skips boundary mapping detail
-            report = run_benchmark(
-                BenchmarkConfig(args.dataset, args.seed, kernel, gamma, noise=noise, grid_side=2)
-            )
-            rows.append((kernel_text, gamma, report.train_accuracy, report.test_accuracy))
+        config = BenchmarkConfig(args.dataset, args.seed, parse_kernel(kernel_text), noise=noise)
+        for gamma, accuracies in zip(gammas, gamma_sweep(config, gammas)):
+            rows.append((kernel_text, gamma, *accuracies))
     path = out / "sweep.csv"
     with _stage("emit"):
         reports.write_sweep_csv(path, rows)
@@ -316,6 +314,7 @@ def _add_subcommand(subs, fn, summary: str) -> argparse.ArgumentParser:
     return sub
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="finitekernels",

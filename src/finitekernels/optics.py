@@ -282,6 +282,8 @@ def sample_kernel(
     if not (0.0 <= true_kappa <= 1.0):
         raise ValueError("true_kappa must lie in [0, 1]")
     keys = np.asarray(key)[None]
+    if keys.ndim != 2:
+        raise ValueError("stream key must be a flat sequence of integers")
     _check_stream_keys(keys)
     p = config.fidelity * true_kappa + (1.0 - config.fidelity) * config.background
     bit_generator = np.random.Philox(counter=_counters(keys)[0], key=[config.seed, keys.shape[1]])

@@ -29,14 +29,28 @@ def _fmt(value: float) -> str:
 # ---------- CSV ----------
 
 
+def _table(header: list[str], rows: np.ndarray) -> str:
+    """CSV text as ``csv.writer`` writes it (CRLF ends), every value ``%.17g``."""
+    line = ",".join(["%.17g"] * len(header)) + "\r\n"
+    return ",".join(header) + "\r\n" + (line * len(rows)) % tuple(rows.ravel().tolist())
+
+
+def _dataset_csv(dataset: LabeledSet) -> str:
+    header = [f"x{i + 1}" for i in range(dataset.points.shape[1])] + ["label"]
+    return _table(header, np.column_stack([dataset.points, dataset.labels]))  # labels: 1, -1
+
+
+def _gram_csv(gram: GramMatrix) -> str:
+    return _table([f"c{i + 1}" for i in range(gram.size)], gram.values)
+
+
+def _grid_csv(grid: BoundaryGrid) -> str:
+    return _table(["x1", "x2", "score"], grid.to_rows())
+
+
 def write_dataset_csv(path, dataset: LabeledSet) -> None:
     """Columns x1..xD,label; one row per point."""
-    dim = dataset.points.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i + 1}" for i in range(dim)] + ["label"])
-        for point, label in zip(dataset.points, dataset.labels):
-            writer.writerow([_fmt(v) for v in point] + [str(int(label))])
+    Path(path).write_text(_dataset_csv(dataset), newline="")
 
 
 def load_dataset_csv(path) -> LabeledSet:
@@ -54,12 +68,7 @@ def load_dataset_csv(path) -> LabeledSet:
 
 def write_gram_csv(path, gram: GramMatrix) -> None:
     """Dense square matrix with a c1..cM header row."""
-    m = gram.size
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"c{i + 1}" for i in range(m)])
-        for row in gram.values:
-            writer.writerow([_fmt(v) for v in row])
+    Path(path).write_text(_gram_csv(gram), newline="")
 
 
 def load_gram_csv(path) -> GramMatrix:
@@ -72,11 +81,7 @@ def load_gram_csv(path) -> GramMatrix:
 
 def write_grid_csv(path, grid: BoundaryGrid) -> None:
     """Columns x1,x2,score; side^2 rows, x-major."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x1", "x2", "score"])
-        for row in grid.to_rows():
-            writer.writerow([_fmt(v) for v in row])
+    Path(path).write_text(_grid_csv(grid), newline="")
 
 
 def write_resolution_csv(path, rows) -> None:
@@ -104,11 +109,19 @@ def write_sweep_csv(path, rows) -> None:
 # ---------- JSON ----------
 
 
-def write_model_json(path, model: TrainedModel) -> None:
-    """Keys sorted, one line: coefficients ``a``, ``gamma`` and ``train_id``."""
+def _model_json(model: TrainedModel) -> str:
     payload = {"a": [float(v) for v in model.coefficients], "gamma": model.gamma,
                "train_id": model.train_id}
-    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
+    return json.dumps(payload, sort_keys=True) + "\n"
+
+
+def _json(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def write_model_json(path, model: TrainedModel) -> None:
+    """Keys sorted, one line: coefficients ``a``, ``gamma`` and ``train_id``."""
+    Path(path).write_text(_model_json(model), newline="")
 
 
 def load_model_json(path) -> TrainedModel:
@@ -119,7 +132,7 @@ def load_model_json(path) -> TrainedModel:
 
 def write_json(path, payload: dict) -> None:
     """Keys sorted, two-space indent, trailing newline."""
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    Path(path).write_text(_json(payload), newline="")
 
 
 def load_report_json(path) -> dict:
@@ -258,27 +271,32 @@ def render_boundary_svg(
 
 
 def emit_report(report: BenchReport, out_dir) -> list[Path]:
-    """Write the artifact set of one benchmark run; returns the paths written."""
+    """Write the artifact set of one benchmark run; returns the paths written.
+
+    All or nothing: every artifact is rendered before the first write, and a
+    failed write removes the files this call had opened.
+    """
     out = Path(out_dir)
+    texts = {
+        "train.csv": _dataset_csv(report.train_set),
+        "test.csv": _dataset_csv(report.test_set),
+        "gram.csv": _gram_csv(report.gram),
+        "grid.csv": _grid_csv(report.grid),
+        "model.json": _model_json(report.model),
+        "report.json": _json(report.summary()),
+        "boundary.svg": render_boundary_svg(
+            report.grid, report.train_set, report.test_set, report.test_accuracy
+        ),
+    }
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-
-    def note(path: Path):
-        written.append(path)
-        return path
-
-    write_dataset_csv(note(out / "train.csv"), report.train_set)
-    write_dataset_csv(note(out / "test.csv"), report.test_set)
-    write_gram_csv(note(out / "gram.csv"), report.gram)
-    write_grid_csv(note(out / "grid.csv"), report.grid)
-    write_model_json(note(out / "model.json"), report.model)
-    write_json(note(out / "report.json"), report.summary())
-    note(out / "boundary.svg").write_text(
-        render_boundary_svg(
-            report.grid,
-            train_set=report.train_set,
-            test_set=report.test_set,
-            test_accuracy=report.test_accuracy,
-        )
-    )
+    try:
+        for name, text in texts.items():
+            with open(out / name, "w", newline="") as fh:
+                written.append(out / name)
+                fh.write(text)
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
     return written

@@ -65,6 +65,12 @@ class AmplitudeProfile:
             raise ValueError("profile weights must have a positive finite sum")
         return cls(w / total)
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, AmplitudeProfile) and np.array_equal(self.weights, other.weights)
+
+    def __hash__(self) -> int:
+        return hash((self.weights + 0.0).tobytes())  # + 0.0: -0.0 equals 0.0, so hashes alike
+
     def __len__(self) -> int:
         return int(self.weights.size)
 

@@ -117,9 +117,10 @@ def _kkt_residual(y, gamma: float, alpha, scores, stationarity: float = 0.0) -> 
     2a - G (y * alpha) is 0 by construction and is not recomputed.
     """
     slack = np.maximum(0.0, 1.0 - y * scores)
-    dual_box = float(max(np.max(-alpha, initial=0.0), np.max(alpha - gamma, initial=0.0)))
-    comp_margin = float(np.max(np.abs(alpha * (1.0 - slack - y * scores))))
-    comp_slack = float(np.max(np.abs((gamma - alpha) * slack)))
+    # ndarray methods, not np.max: this runs once per solver iteration
+    dual_box = float(max(0.0, -alpha.min(), alpha.max() - gamma))
+    comp_margin = float(np.abs(alpha * (1.0 - slack - y * scores)).max())
+    comp_slack = float(np.abs((gamma - alpha) * slack).max())
     return max(stationarity, dual_box, comp_margin, comp_slack)
 
 
@@ -192,35 +193,35 @@ def train(
             break
         grad = 1.0 - 2.0 * (q @ alpha)
         if face_solved:  # free the bound coordinate that violates the KKT conditions most
-            violation = np.where(free, -np.inf, np.where(alpha > 0.0, -grad, grad))
-            worst = int(np.argmax(violation))
+            violation = np.where(alpha > 0.0, -grad, grad)
+            violation[free] = -np.inf
+            worst = int(violation.argmax())
             if violation[worst] <= 0.0:
                 break
             free[worst] = True
-        idx = np.flatnonzero(free)
-        q_ff, alpha_f = q[np.ix_(idx, idx)], alpha[idx]
+        idx = free.nonzero()[0]
+        q_ff, alpha_f, grad_f = q[idx[:, None], idx], alpha[idx], grad[idx]
         w, v = np.linalg.eigh(q_ff)
         keep = w > _RCOND * w[-1]
-        coef = v[:, keep].T @ grad[idx]
-        null = grad[idx] - v[:, keep] @ coef
+        basis = v[:, keep]
+        coef = basis.T @ grad_f
+        null = grad_f - basis @ coef
         # a null-space part this small cannot lift the KKT residual to KKT_TOL
-        newton = gamma * np.max(np.abs(null)) <= 0.1 * KKT_TOL
+        newton = gamma * np.abs(null).max() <= 0.1 * KKT_TOL
         if newton:
-            step, limit = v[:, keep] @ (coef / (2.0 * w[keep])), 1.0
+            step, limit = basis @ (coef / (2.0 * w[keep])), 1.0
         else:
             # the dual is linear along the null part: follow it to a bound,
             # or to the line optimum if roundoff left it some curvature
             step = null
             curvature = step @ q_ff @ step
             limit = (step @ step) / (2.0 * curvature) if curvature > 0.0 else math.inf
-        # step length at which each coordinate reaches its bound
+        # step length at which each coordinate reaches its bound; one that stays never does
         room = np.where(step > 0.0, gamma - alpha_f, alpha_f)
-        moving = step != 0.0
-        reach = np.full(idx.size, math.inf)
-        reach[moving] = room[moving] / np.abs(step[moving])
+        reach = np.divide(room, np.abs(step), out=np.full(idx.size, math.inf), where=step != 0.0)
         t = min(limit, float(reach.min()))
         hit = reach <= t
-        alpha_f = np.clip(alpha_f + t * step, 0.0, gamma)
+        alpha_f = np.minimum(np.maximum(alpha_f + t * step, 0.0), gamma)
         alpha_f[hit] = np.where(step[hit] > 0.0, gamma, 0.0)
         alpha[idx] = alpha_f
         free[idx[hit]] = False

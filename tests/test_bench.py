@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,12 +12,14 @@ from finitekernels import (
     TrainedModel,
     boundary_grid,
     compute_gram,
+    gamma_sweep,
     generate_dataset,
     kernel_rows,
     run_benchmark,
     sample_kernel,
 )
 from finitekernels.bench import STREAM_GRAM, STREAM_GRID, STREAM_ROWS
+from finitekernels.cli import parse_kernel
 from finitekernels.states import DOMAINS, msi_profile, tsq_profile
 
 KERNEL_N1 = KernelSpec(kind="cosine_power", dimension=2, power=1)
@@ -345,3 +348,38 @@ class TestRunBenchmark:
             BenchmarkConfig(
                 dataset="moons", seed=0, kernel=KERNEL_N1, condition_policy="drop"
             )
+
+
+class TestGammaSweep:
+    @pytest.mark.parametrize("noise", [None, ShotNoiseConfig(events_per_point=1000)],
+                             ids=["exact", "sampled"])
+    @pytest.mark.parametrize("kernel", [ORACLE_KERNELS[0], ORACLE_KERNELS[3], ORACLE_KERNELS[2]],
+                             ids=lambda k: k.kernel_id())
+    def test_equals_one_benchmark_per_gamma(self, kernel, noise):
+        config = BenchmarkConfig("moons", 1, kernel, noise=noise, grid_side=2)
+        gammas = [0.01, 0.3, 3, 300]
+        want = []
+        for gamma in gammas:
+            report = run_benchmark(replace(config, gamma=gamma))
+            want.append((report.train_accuracy, report.test_accuracy))
+        assert gamma_sweep(config, gammas) == want
+
+    @pytest.mark.parametrize("gamma", [math.nan, 0.0])
+    def test_bad_gamma_rejected_before_any_gram(self, gamma, monkeypatch):
+        def no_gram(*args, **kwargs):
+            raise AssertionError("compute_gram called")
+
+        monkeypatch.setattr("finitekernels.bench.compute_gram", no_gram)
+        config = BenchmarkConfig("moons", 1, KERNEL_N1)
+        with pytest.raises(ValueError, match="gamma must be a finite positive real"):
+            gamma_sweep(config, [1.0, gamma])
+
+
+@pytest.mark.parametrize("text", ["msi:4", "tsq:8:3"])
+def test_profile_kernels_compare_and_hash_by_weights(text):
+    a, b = parse_kernel(text), parse_kernel(text)
+    assert a.profile.weights is not b.profile.weights
+    assert a == b and hash(a) == hash(b)
+    config_a, config_b = BenchmarkConfig("xor", 0, a), BenchmarkConfig("xor", 0, b)
+    assert config_a == config_b and hash(config_a) == hash(config_b)
+    assert a != parse_kernel("msi:5")

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from finitekernels import bench
 from finitekernels.cli import main, parse_kernel
 from finitekernels.kernels import KernelSpec
 from finitekernels.optics import ShotNoiseConfig
@@ -207,6 +208,41 @@ class TestPipelineSubcommands:
         assert lines[0] == "kernel,gamma,train_accuracy,test_accuracy"
         assert len(lines) == 3
 
+    @staticmethod
+    def count_grams(monkeypatch):
+        calls, original = [], bench.compute_gram
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "compute_gram", counted)
+        return calls
+
+    def test_sweep_builds_one_gram_per_kernel(self, tmp_path, monkeypatch):
+        calls = self.count_grams(monkeypatch)
+        argv = ["sweep", "--dataset", "xor", "--seed", "0", "--kernels", "cosine:1,msi:4",
+                "--gammas", "0.1,1,10", "--out", str(tmp_path / "sw")]
+        assert main(argv) == 0
+        assert len(calls) == 2
+        assert len((tmp_path / "sw" / "sweep.csv").read_text().splitlines()) == 1 + 2 * 3
+
+    def test_sweep_rejects_a_bad_gamma_before_any_gram(self, tmp_path, monkeypatch, capsys):
+        calls = self.count_grams(monkeypatch)
+        assert main(["sweep", "--gammas", "1,nan", "--out", str(tmp_path / "sw")]) == 1
+        err = capsys.readouterr().err
+        assert "error in stage 'sweep'" in err and "gamma must be a finite positive real" in err
+        assert calls == []
+
+    def test_repeat_calls_share_no_state(self, tmp_path):
+        # main reuses one parser; a flag given to one call must not reach the next
+        base = ["bench", "--dataset", "xor", "--seed", "0", "--train-size", "8",
+                "--test-size", "4", "--side", "2"]
+        assert main(base + ["--gamma", "5", "--out", str(tmp_path / "a")]) == 0
+        assert main(base + ["--out", str(tmp_path / "b")]) == 0
+        assert json.loads((tmp_path / "a" / "report.json").read_text())["gamma"] == 5.0
+        assert json.loads((tmp_path / "b" / "report.json").read_text())["gamma"] == 1.0
+
 
 class TestConfigFile:
     def write_config(self, tmp_path):
@@ -405,6 +441,8 @@ class TestFailureModes:
         (tmp_path / "o" / "report.json").mkdir(parents=True)  # a directory where a file goes
         assert main(["bench", "--side", "2", "--out", str(tmp_path / "o")]) == 1
         assert "error in stage 'emit'" in capsys.readouterr().err
+        # all or nothing: the artifacts written before the failure are removed again
+        assert [p.name for p in (tmp_path / "o").iterdir()] == ["report.json"]
 
     @pytest.mark.parametrize("lengths", ["5", "5:", "a:b", "6:5"])
     def test_bad_resolve_range_is_usage_error(self, lengths, tmp_path, capsys):

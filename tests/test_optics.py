@@ -222,6 +222,11 @@ class TestShotNoise:
         with pytest.raises(ValueError):
             sample_kernel(0.5, ShotNoiseConfig(), key=(2**32,))
 
+    @pytest.mark.parametrize("key", [5, ((1, 2),)], ids=["scalar", "nested"])
+    def test_key_must_be_one_flat_row(self, key):
+        with pytest.raises(ValueError, match="stream key must be a flat sequence of integers"):
+            sample_kernel(0.5, ShotNoiseConfig(), key=key)
+
     def test_unbiased_at_full_fidelity(self):
         cfg = ShotNoiseConfig(events_per_point=2000, fidelity=1.0, seed=7)
         ests = np.array([sample_kernel(0.3, cfg, key=(i,))[0] for i in range(3000)])

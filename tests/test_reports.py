@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from finitekernels import (
+    BenchReport,
     BenchmarkConfig,
     BoundaryGrid,
     KernelSpec,
@@ -197,6 +198,13 @@ class TestEmitReport:
         assert len(emit_report(run_benchmark(config), tmp_path)) == 7
         payload = load_report_json(tmp_path / "report.json")
         assert payload["seed"] == 0 and payload["noise"]["events_per_point"] == 100
+
+    def test_serialization_error_writes_nothing(self, tmp_path, monkeypatch):
+        report = self.make_report()
+        monkeypatch.setattr(BenchReport, "summary", lambda self: {"unserializable": object()})
+        with pytest.raises(TypeError):
+            emit_report(report, tmp_path / "o")
+        assert not (tmp_path / "o").exists()
 
     def test_deterministic_bytes(self, tmp_path):
         a_dir = tmp_path / "a"
