@@ -21,7 +21,7 @@ from .bench import run_benchmark
 from .datasets import generate_dataset
 from .kernels import KernelSpec
 from .optics import ShotNoiseConfig
-from .resolution import resolution_sweep
+from .resolution import optimize_profile, resolution_sweep
 from .states import msi_profile, tsq_profile
 from .svm import CONDITION_POLICIES, accuracy as model_accuracy, condition_gram
 from .svm import train as train_model
@@ -63,7 +63,10 @@ def _stage(stage: str):
 
 
 def parse_kernel(text: str, dimension: int = 2) -> KernelSpec:
-    """Kernel strings: cosine:N (fractional N allowed), fractional:p, msi:L, tsq:L:zeta."""
+    """Kernel strings: cosine:N (fractional N allowed), fractional:p, msi:L, opt:L, tsq:L:zeta.
+
+    ``opt:L`` is the variance-optimal profile of length L (``optimize_profile``).
+    """
     parts = text.split(":")
     name = parts[0]
     try:
@@ -83,11 +86,12 @@ def parse_kernel(text: str, dimension: int = 2) -> KernelSpec:
                 exponent=float(parts[1]),
                 label=text,
             )
-        if name == "msi" and len(parts) == 2:
+        if name in ("msi", "opt") and len(parts) == 2:
+            build = msi_profile if name == "msi" else optimize_profile
             return KernelSpec(
                 kind="profile",
                 dimension=dimension,
-                profile=msi_profile(int(parts[1])),
+                profile=build(int(parts[1])),
                 label=text,
             )
         if name == "tsq" and len(parts) == 3:
@@ -100,7 +104,7 @@ def parse_kernel(text: str, dimension: int = 2) -> KernelSpec:
     except ValueError as exc:
         raise ValueError(f"bad kernel string {text!r}: {exc}") from exc
     raise ValueError(
-        f"bad kernel string {text!r}; expected cosine:N, fractional:p, msi:L, or tsq:L:zeta"
+        f"bad kernel string {text!r}; expected cosine:N, fractional:p, msi:L, opt:L, or tsq:L:zeta"
     )
 
 

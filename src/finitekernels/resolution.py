@@ -9,12 +9,17 @@ which reduces to the Rayleigh quotient r^T K r / r^T r of the mode-space
 matrix K with entries 1/12 on the diagonal and (-1)^|n-m| / (2 (n-m)^2 pi^2)
 off it.  Smaller variance means a sharper kernel.  The sharpest profile of
 a given length is the ground eigenvector of K, which is entrywise positive.
+
+K is symmetric Toeplitz, so the matrix of length L is the leading L x L
+block of any larger one.  A family sweep therefore builds K once, at its
+longest length, and evaluates and optimizes every length on that block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -23,11 +28,16 @@ from .states import AmplitudeProfile, msi_profile, tsq_profile
 RESOLUTION_DIAGONAL = 1.0 / 12.0
 
 
+def _as_length(value, minimum: int, what: str) -> int:
+    """``value`` as an int, if it is an integer of at least ``minimum``."""
+    if not isinstance(value, Integral) or value < minimum:
+        raise ValueError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def build_resolution_matrix(size: int) -> np.ndarray:
     """Mode-space matrix of the variance quadratic form."""
-    if size < 1:
-        raise ValueError("matrix size must be a positive integer")
-    n = np.arange(size)
+    n = np.arange(_as_length(size, 1, "matrix size"))
     d = n[:, None] - n[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         matrix = ((-1.0) ** np.abs(d)) / (2.0 * math.pi**2 * d.astype(float) ** 2)
@@ -71,8 +81,13 @@ class ResolutionReport:
 
 def resolution_quadratic(profile: AmplitudeProfile) -> ResolutionReport:
     """Variance via the mode-space quadratic form."""
+    return _quadratic_report(profile, build_resolution_matrix(profile.weights.size))
+
+
+def _quadratic_report(profile: AmplitudeProfile, matrix: np.ndarray) -> ResolutionReport:
+    """``resolution_quadratic`` on a given matrix of the profile's length."""
     w = profile.weights
-    variance = rayleigh_quotient(w)
+    variance = rayleigh_quotient(w, matrix)
     return ResolutionReport(
         variance=variance,
         resolution=math.sqrt(variance),
@@ -140,14 +155,18 @@ def optimize_profile(length: int) -> AmplitudeProfile:
     K commutes with index reversal, so the mean of the eigenvector and its
     reverse is a ground eigenvector too, and is returned: exactly palindromic.
     """
-    if length < 2:
-        raise ValueError("optimization needs at least 2 weights")
-    r = np.linalg.eigh(build_resolution_matrix(length))[1][:, 0]
+    length = _as_length(length, 2, "optimization length")
+    return _ground_profile(build_resolution_matrix(length))
+
+
+def _ground_profile(matrix: np.ndarray) -> AmplitudeProfile:
+    """``optimize_profile`` on a given resolution matrix of the wanted length."""
+    r = np.linalg.eigh(matrix)[1][:, 0]
     if r.sum() < 0.0:
         r = -r
     if not np.all(r > 0.0):
         raise RuntimeError(
-            f"ground eigenvector of the {length}-mode resolution matrix is not positive"
+            f"ground eigenvector of the {r.size}-mode resolution matrix is not positive"
         )
     return AmplitudeProfile.from_unnormalized(0.5 * (r + r[::-1]))
 
@@ -175,13 +194,14 @@ def resolution_sweep(
     """Variance and resolution of each profile family at each length.
 
     Rows are emitted family-major in the given order; ``len(lengths) *
-    len(families)`` rows total.
+    len(families)`` rows total.  The resolution matrix is built once, at the
+    longest length; each row's variance, and the optimized family's ground
+    eigenvector, come from its leading block, which equals the matrix
+    ``resolution_quadratic`` and ``optimize_profile`` build at that length.
     """
-    lens = [int(v) for v in lengths]
+    lens = [_as_length(v, 2, "sweep length") for v in lengths]
     if not lens:
         raise ValueError("lengths must be nonempty")
-    if any(v < 2 for v in lens):
-        raise ValueError("sweep lengths must be >= 2")
     fams = list(families)
     if not fams:
         raise ValueError("families must be nonempty")
@@ -189,16 +209,18 @@ def resolution_sweep(
     if unknown:
         raise ValueError(f"unknown families: {sorted(unknown)}")
 
+    full = build_resolution_matrix(max(lens))
     rows: list[SweepPoint] = []
     for family in fams:
         for length in lens:
+            block = full[:length, :length]
             if family == "msi":
                 profile = msi_profile(length)
             elif family == "tsq":
                 profile = tsq_profile(length, tsq_squeezing)
             else:
-                profile = optimize_profile(length)
-            report = resolution_quadratic(profile)
+                profile = _ground_profile(block)
+            report = _quadratic_report(profile, block)
             rows.append(
                 SweepPoint(
                     family=family,

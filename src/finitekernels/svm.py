@@ -116,10 +116,11 @@ def _kkt_residual(y, gamma: float, alpha, scores, stationarity: float = 0.0) -> 
     ``train`` recovers a = G (y * alpha) / 2, so there its stationarity term
     2a - G (y * alpha) is 0 by construction and is not recomputed.
     """
-    slack = np.maximum(0.0, 1.0 - y * scores)
+    margin = y * scores
+    slack = np.maximum(0.0, 1.0 - margin)
     # ndarray methods, not np.max: this runs once per solver iteration
     dual_box = float(max(0.0, -alpha.min(), alpha.max() - gamma))
-    comp_margin = float(np.abs(alpha * (1.0 - slack - y * scores)).max())
+    comp_margin = float(np.abs(alpha * (1.0 - slack - margin)).max())
     comp_slack = float(np.abs((gamma - alpha) * slack).max())
     return max(stationarity, dual_box, comp_margin, comp_slack)
 

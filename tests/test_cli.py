@@ -8,6 +8,7 @@ from finitekernels import bench
 from finitekernels.cli import main, parse_kernel
 from finitekernels.kernels import KernelSpec
 from finitekernels.optics import ShotNoiseConfig
+from finitekernels.resolution import optimize_profile
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -36,12 +37,20 @@ class TestParseKernel:
         assert tsq.kind == "profile"
         assert len(tsq.profile) == 6
 
+    def test_optimized_profile(self):
+        spec = parse_kernel("opt:4")
+        assert spec.kind == "profile"
+        assert spec.profile == optimize_profile(4)
+        assert spec.kernel_id() == "opt:4"
+
     def test_label_preserved(self):
         assert parse_kernel("cosine:1").kernel_id() == "cosine:1"
 
-    @pytest.mark.parametrize("text", ["bogus:1", "cosine", "cosine:a", "tsq:4", "msi:1:2"])
+    @pytest.mark.parametrize(
+        "text", ["bogus:1", "cosine", "cosine:a", "tsq:4", "msi:1:2", "opt:1", "opt:x", "opt:2.5"]
+    )
     def test_bad_strings_rejected(self, text):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bad kernel string"):
             parse_kernel(text)
 
 
@@ -152,6 +161,13 @@ class TestPipelineSubcommands:
         assert main(args + ["--out", str(r2)]) == 0
         for name in ("train.csv", "test.csv", "gram.csv", "grid.csv", "model.json", "report.json", "boundary.svg"):
             assert (r1 / name).read_bytes() == (r2 / name).read_bytes()
+
+    def test_bench_optimized_kernel_smoke(self, tmp_path):
+        out = tmp_path / "opt"
+        argv = ["bench", "--dataset", "xor", "--seed", "0", "--kernel", "opt:3",
+                "--train-size", "8", "--test-size", "4", "--side", "3", "--out", str(out)]
+        assert main(argv) == 0
+        assert json.loads((out / "report.json").read_text())["kernel"] == "opt:3"
 
     def test_bench_noisy_smoke(self, tmp_path):
         out = tmp_path / "noisy"

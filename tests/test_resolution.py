@@ -1,7 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finitekernels import (
     AmplitudeProfile,
@@ -11,6 +13,7 @@ from finitekernels import (
     msi_variance_closed_form,
     optimize_profile,
     rayleigh_quotient,
+    resolution,
     resolution_numeric,
     resolution_quadratic,
     resolution_sweep,
@@ -51,6 +54,17 @@ class TestResolutionMatrix:
     def test_size_validated(self):
         with pytest.raises(ValueError):
             build_resolution_matrix(0)
+
+    def test_non_integer_size_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("2.5")):
+            build_resolution_matrix(2.5)
+        assert build_resolution_matrix(np.int64(3)).shape == (3, 3)
+
+    def test_smaller_matrix_is_leading_block(self):
+        matrices = [build_resolution_matrix(size) for size in range(1, 129)]
+        for big in matrices:
+            for small in matrices[: len(big)]:
+                assert np.array_equal(small, big[: len(small), : len(small)])
 
 
 class TestRayleighQuotient:
@@ -161,6 +175,11 @@ class TestOptimizer:
         with pytest.raises(ValueError):
             optimize_profile(1)
 
+    def test_non_integer_length_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("2.5")):
+            optimize_profile(2.5)
+        assert optimize_profile(np.int32(3)) == optimize_profile(3)
+
     @pytest.mark.parametrize("length", [32, 64, 96])
     def test_reaches_ground_eigenvalue(self, length):
         variance = resolution_quadratic(optimize_profile(length)).variance
@@ -201,3 +220,50 @@ class TestSweep:
             resolution_sweep([1, 2])
         with pytest.raises(ValueError):
             resolution_sweep([])
+
+    @pytest.mark.parametrize("lengths", [[2.5], ["3"], [4, 3.0]])
+    def test_non_integer_lengths_rejected(self, lengths):
+        with pytest.raises(ValueError, match=re.escape(repr(lengths[-1]))):
+            resolution_sweep(lengths)
+
+    def test_numpy_integer_lengths_accepted(self):
+        rows = resolution_sweep(np.arange(2, 5), families=("msi",))
+        assert [r.length for r in rows] == [2, 3, 4]
+        assert all(type(r.length) is int for r in rows)
+
+    def test_builds_the_matrix_once(self, monkeypatch):
+        sizes = []
+
+        def counting(size):
+            sizes.append(size)
+            return build_resolution_matrix(size)
+
+        monkeypatch.setattr(resolution, "build_resolution_matrix", counting)
+        resolution_sweep([5, 2, 9, 5])
+        assert sizes == [9]
+
+
+SWEEP_ORACLE = {
+    "msi": lambda length, zeta: msi_profile(length),
+    "tsq": lambda length, zeta: tsq_profile(length, zeta),
+    "optimized": lambda length, zeta: optimize_profile(length),
+}
+
+
+class TestSweepProperties:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        lengths=st.lists(st.integers(min_value=2, max_value=128), min_size=1, max_size=6),
+        families=st.permutations(sorted(SWEEP_ORACLE)),
+        count=st.integers(min_value=1, max_value=3),
+        zeta=st.floats(min_value=0.5, max_value=4.0),
+    )
+    def test_rows_equal_per_row_oracle(self, lengths, families, count, zeta):
+        # lengths come unsorted and may repeat; each row must equal its
+        # profile's own resolution_quadratic, bit for bit
+        families = families[:count]
+        rows = resolution_sweep(lengths, families, tsq_squeezing=zeta)
+        assert [(r.family, r.length) for r in rows] == [(f, n) for f in families for n in lengths]
+        for row in rows:
+            report = resolution_quadratic(SWEEP_ORACLE[row.family](row.length, zeta))
+            assert (row.variance, row.resolution) == (report.variance, report.resolution)
