@@ -61,7 +61,6 @@ from .svm import (
     TrainedModel,
     accuracy,
     condition_gram,
-    decide,
     kkt_residual,
     train,
     training_objective,
@@ -107,7 +106,6 @@ __all__ = [
     "coincidence_rate_budget",
     "compute_gram",
     "condition_gram",
-    "decide",
     "embed_cosine",
     "embed_interference",
     "embed_phase_augmented",

@@ -96,19 +96,6 @@ class BoundaryGrid:
         if self.scores.shape != (self.xs.size, self.ys.size):
             raise ValueError("scores shape must match the axes")
 
-    @property
-    def side(self) -> int:
-        return int(self.xs.size)
-
-    def interpolate(self, points) -> np.ndarray:
-        """Bilinear interpolation; exact at grid nodes."""
-        from scipy.interpolate import RegularGridInterpolator  # the package's only scipy use
-
-        interp = RegularGridInterpolator(
-            (self.xs, self.ys), self.scores, method="linear"
-        )
-        return np.asarray(interp(np.atleast_2d(points)))
-
     def to_rows(self) -> np.ndarray:
         """Flat (x1, x2, score) rows, x-major."""
         xg, yg = np.meshgrid(self.xs, self.ys, indexing="ij")

@@ -235,7 +235,7 @@ def _cmd_boundary(args) -> int:
     grid = boundary_grid(model, train_set, kernel, noise=_noise(args), **_given(side=args.side))
     with _stage("emit"):
         reports.write_grid_csv(out / "grid.csv", grid)
-        (out / "boundary.svg").write_text(reports.render_boundary_svg(grid, train_set=train_set))
+        reports.write_boundary_svg(out / "boundary.svg", grid, train_set)
     print(f"wrote {out / 'grid.csv'} and {out / 'boundary.svg'}")
     return 0
 

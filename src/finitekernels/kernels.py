@@ -3,6 +3,14 @@
 Every kernel returns a value in [0, 1], equals 1 at zero separation, and is
 symmetric in its two arguments.  Differences are reduced to their absolute
 value before trigonometric evaluation so symmetry holds bit-exactly.
+
+Only the finite kinds are positive definite.  cos^(2N) d and the profile
+kernels are finite Fourier series with nonnegative coefficients, but
+|cos d|^(2p) with non-integer p is an infinite series whose coefficients
+alternate in sign for k > p + 1; at p = 1/2 the coefficient of cos 2kd is
+(-1)^(k+1) 4 / (pi (4k^2 - 1)).  Exact Gram matrices of the fractional kind
+are therefore indefinite, and ``svm.condition_gram`` repairs them before
+training, as it does sampled ones.
 """
 
 from __future__ import annotations
@@ -115,6 +123,9 @@ class KernelSpec:
     * ``profile``            -- ``profile`` (an :class:`AmplitudeProfile`)
     * ``cosine_power``       -- ``power`` (positive integer)
     * ``fractional_cosine``  -- ``exponent`` (positive real)
+
+    A non-integer ``exponent`` gives an indefinite kernel (see the module
+    docstring), so its exact Gram matrices need ``svm.condition_gram``.
     """
 
     kind: str

@@ -31,7 +31,6 @@ import numpy as np
 
 from .states import DataPoint
 
-MODE_BASIS = ("HT", "HB", "VB", "VT")
 _HT, _HB, _VB, _VT = range(4)
 
 UNITARY_TOL = 1e-12

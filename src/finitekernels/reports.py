@@ -22,6 +22,9 @@ from .resolution import SweepPoint
 from .svm import GramMatrix, TrainedModel
 
 
+SVG_SIZE = 480  # width and height of the boundary figure, in px
+
+
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
@@ -186,7 +189,6 @@ def render_boundary_svg(
     train_set: LabeledSet | None = None,
     test_set: LabeledSet | None = None,
     test_accuracy: float | None = None,
-    size: int = 480,
 ) -> str:
     """Decision-boundary figure: sign heatmap, zero contour, triangle markers.
 
@@ -203,18 +205,18 @@ def render_boundary_svg(
     pitch_y = ys[1] - ys[0]
 
     def to_px(x, y):
-        px = margin + (x - xs[0]) / (span_x + pitch_x) * (size - 2 * margin)
-        py = margin + (ys[-1] + pitch_y - y) / (span_y + pitch_y) * (size - 2 * margin)
+        px = margin + (x - xs[0]) / (span_x + pitch_x) * (SVG_SIZE - 2 * margin)
+        py = margin + (ys[-1] + pitch_y - y) / (span_y + pitch_y) * (SVG_SIZE - 2 * margin)
         return px, py
 
-    cell_w = (size - 2 * margin) / len(xs)
-    cell_h = (size - 2 * margin) / len(ys)
+    cell_w = (SVG_SIZE - 2 * margin) / len(xs)
+    cell_h = (SVG_SIZE - 2 * margin) / len(ys)
     zmax = float(np.abs(z).max()) or 1.0
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" height="{SVG_SIZE}" '
+        f'viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
+        f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>',
     ]
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
@@ -262,12 +264,17 @@ def render_boundary_svg(
             parts.append(triangle(px, py, orientation, fill))
     if test_accuracy is not None:
         parts.append(
-            f'<text x="{size - margin - 4:.0f}" y="{size - margin - 6:.0f}" '
+            f'<text x="{SVG_SIZE - margin - 4:.0f}" y="{SVG_SIZE - margin - 6:.0f}" '
             f'text-anchor="end" font-family="sans-serif" font-size="16">'
             f"test {test_accuracy:.2f}</text>"
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def write_boundary_svg(path, grid: BoundaryGrid, train_set: LabeledSet) -> None:
+    """The decision-boundary figure over the training points alone."""
+    Path(path).write_text(render_boundary_svg(grid, train_set), newline="")
 
 
 def emit_report(report: BenchReport, out_dir) -> list[Path]:

@@ -26,6 +26,9 @@ import numpy as np
 from .states import AmplitudeProfile, msi_profile, tsq_profile
 
 RESOLUTION_DIAGONAL = 1.0 / 12.0
+# Even, as Simpson's rule needs; keeps the quadrature error below 1e-11 even for
+# profiles with ~64 modes, whose integrand oscillates at frequencies up to 2 pi (L-1).
+_SIMPSON_PANELS = 65536
 
 
 def _as_length(value, minimum: int, what: str) -> int:
@@ -96,27 +99,22 @@ def _quadratic_report(profile: AmplitudeProfile, matrix: np.ndarray) -> Resoluti
     )
 
 
-def resolution_numeric(profile: AmplitudeProfile, panels: int = 65536) -> float:
+def resolution_numeric(profile: AmplitudeProfile) -> float:
     """Variance via composite Simpson quadrature of the kernel density.
 
     Independent of the quadratic form: evaluates the kernel pointwise on
-    [-1/2, 1/2] and integrates x^2 k(x) against k(x).  ``panels`` is rounded
-    up to the next even count.  The default keeps the quadrature error below
-    1e-11 even for profiles with ~64 modes, whose integrand oscillates at
-    frequencies up to 2 pi (L-1).
+    [-1/2, 1/2] and integrates x^2 k(x) against k(x) over ``_SIMPSON_PANELS``
+    panels.
     """
-    if panels < 64:
-        raise ValueError("need at least 64 quadrature panels")
-    panels += panels % 2
-    x = np.linspace(-0.5, 0.5, panels + 1)
+    x = np.linspace(-0.5, 0.5, _SIMPSON_PANELS + 1)
     z = np.exp(2.0j * math.pi * x)
     # Horner evaluation of sum_n r_n z^n
     s = np.zeros_like(z)
     for w in profile.weights[::-1]:
         s = s * z + w
     kappa = np.abs(s) ** 2
-    h = 1.0 / panels
-    simpson = np.ones(panels + 1)
+    h = 1.0 / _SIMPSON_PANELS
+    simpson = np.ones(_SIMPSON_PANELS + 1)
     simpson[1:-1:2] = 4.0
     simpson[2:-1:2] = 2.0
     simpson *= h / 3.0

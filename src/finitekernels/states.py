@@ -129,10 +129,6 @@ class DataPoint:
                 raise ValueError("the first phase is the reference and must be 0")
             object.__setattr__(self, "phases", _frozen_array(p, float))
 
-    @property
-    def dimension(self) -> int:
-        return int(self.coords.size)
-
 
 def as_coords(x) -> np.ndarray:
     """Coordinate vector of a DataPoint or any array-like input."""

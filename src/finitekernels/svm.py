@@ -60,7 +60,11 @@ class GramMatrix:
 
 @dataclass(frozen=True)
 class TrainDiagnostics:
-    """Solver byproducts: dual variables, slacks, residual, objective."""
+    """Solver byproducts: dual variables, slacks, residual, objective.
+
+    ``sweeps`` counts the active-set iterations the solve took; ``train``'s
+    ``max_sweeps`` is their budget.
+    """
 
     dual: np.ndarray
     slack: np.ndarray
@@ -244,14 +248,6 @@ def train(
     return TrainedModel(
         coefficients=a, gamma=float(gamma), train_id=train_id, diagnostics=diagnostics
     )
-
-
-def decide(model: TrainedModel, kernel_row) -> float:
-    """Decision score sum_m a_m k(x, x_m) for one evaluation point."""
-    row = np.asarray(kernel_row, dtype=float)
-    if row.shape != model.coefficients.shape:
-        raise ValueError("kernel row length must match the coefficient count")
-    return float(row @ model.coefficients)
 
 
 def accuracy(model: TrainedModel, kernel_rows, labels) -> float:

@@ -178,8 +178,7 @@ class TestBoundaryGrid:
         train, _ = generate_dataset("concentric", seed=7, train_size=6, test_size=4)
         model = TrainedModel(coefficients=np.zeros(6), gamma=1.0)
         grid = boundary_grid(model, train, KERNEL_N1, side=35)
-        assert grid.side == 35
-        assert grid.scores.size == 1225
+        assert grid.scores.shape == (35, 35)
         np.testing.assert_array_equal(grid.scores, np.zeros((35, 35)))
 
     def test_axes_sample_half_open_domain(self):
@@ -203,22 +202,6 @@ class TestBoundaryGrid:
                 assert grid.scores[i, j] == pytest.approx(
                     float(row @ model.coefficients), abs=1e-12
                 )
-
-    def test_interpolation_exact_at_nodes(self):
-        train, _ = generate_dataset("xor", seed=0, train_size=5, test_size=4)
-        rng = np.random.default_rng(1)
-        model = TrainedModel(coefficients=rng.normal(size=5), gamma=1.0)
-        grid = boundary_grid(model, train, KERNEL_N1, side=7)
-        nodes = [(grid.xs[2], grid.ys[5]), (grid.xs[0], grid.ys[0]), (grid.xs[6], grid.ys[3])]
-        vals = grid.interpolate(nodes)
-        for val, (i, j) in zip(vals, [(2, 5), (0, 0), (6, 3)]):
-            assert val == pytest.approx(grid.scores[i, j], abs=1e-12)
-
-    def test_interpolation_interior_point_between_node_values(self):
-        xs = np.array([0.0, 1.0])
-        grid = BoundaryGrid(xs=xs, ys=xs.copy(), scores=np.array([[0.0, 0.0], [1.0, 1.0]]))
-        val = grid.interpolate([(0.5, 0.5)])[0]
-        assert val == pytest.approx(0.5, abs=1e-12)
 
     def test_noisy_grid_streams_keyed_by_flat_index(self):
         train, _ = generate_dataset("moons", seed=1, train_size=3, test_size=4)

@@ -8,9 +8,11 @@ from finitekernels import (
     AmplitudeProfile,
     DataPoint,
     KernelSpec,
+    compute_gram,
     embed_cosine,
     embed_interference,
     embed_phase_augmented,
+    generate_dataset,
     kernel_cosine,
     kernel_fractional,
     kernel_phase_augmented,
@@ -20,6 +22,7 @@ from finitekernels import (
     qubit_count,
     tsq_profile,
 )
+from finitekernels.cli import parse_kernel
 
 
 def random_profile(rng, length):
@@ -308,3 +311,23 @@ class TestGramPositivity:
         gram = np.array([[spec.evaluate(a, b) for b in pts] for a in pts])
         np.testing.assert_allclose(gram, gram.T, atol=1e-15)
         assert np.linalg.eigvalsh(gram).min() >= -1e-10
+
+    # the exact m = 40 Gram on each pinned dataset: only the finite kinds are PSD
+    PINNED = (("concentric", 7), ("moons", 1), ("xor", 0))
+
+    def spectrum(self, text, dataset, seed):
+        spec = parse_kernel(text)
+        train, _ = generate_dataset(dataset, seed, train_size=40, convention=spec.convention)
+        return np.linalg.eigvalsh(compute_gram(train, spec).values)
+
+    @pytest.mark.parametrize("text", ["cosine:0.25", "cosine:0.5", "cosine:1.5", "cosine:2.5"])
+    @pytest.mark.parametrize("dataset, seed", PINNED)
+    def test_fractional_gram_is_indefinite(self, text, dataset, seed):
+        w = self.spectrum(text, dataset, seed)
+        assert w[0] < -1e-6 * w[-1]
+
+    @pytest.mark.parametrize("text", ["cosine:1", "cosine:3", "msi:4", "opt:4", "tsq:8:3"])
+    @pytest.mark.parametrize("dataset, seed", PINNED)
+    def test_finite_kind_gram_is_psd(self, text, dataset, seed):
+        w = self.spectrum(text, dataset, seed)
+        assert w[0] >= -1e-12 * w[-1]

@@ -110,10 +110,6 @@ class TestClosedFormAndQuadrature:
         profile = tsq_profile(7, 2.5)
         assert abs(resolution_numeric(profile) - resolution_quadratic(profile).variance) < 1e-10
 
-    def test_quadrature_panel_floor(self):
-        with pytest.raises(ValueError):
-            resolution_numeric(msi_profile(3), panels=32)
-
     def test_closed_form_needs_two_terms(self):
         with pytest.raises(ValueError):
             msi_variance_closed_form(1)

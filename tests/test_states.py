@@ -134,7 +134,7 @@ class TestDataPoint:
         with pytest.raises(ValueError):
             DataPoint(np.array([0.1, 0.2]), phases=np.array([0.3, 0.0]))
         d = DataPoint(np.array([0.1, 0.2]), phases=np.array([0.0, 0.4]))
-        assert d.dimension == 2
+        assert d.coords.size == 2
 
 
 class TestInterferenceEmbedding:

@@ -13,7 +13,6 @@ from finitekernels import (
     accuracy,
     compute_gram,
     condition_gram,
-    decide,
     generate_dataset,
     kkt_residual,
     train,
@@ -181,11 +180,6 @@ class TestObjectiveAndResidual:
 
 
 class TestDecide:
-    def test_score_is_kernel_weighted_sum(self):
-        model = TrainedModel(coefficients=np.array([1.0, -2.0]), gamma=1.0)
-        assert decide(model, np.array([0.5, 0.25])) == pytest.approx(0.0, abs=1e-15)
-        assert decide(model, np.array([1.0, 0.0])) == pytest.approx(1.0, abs=1e-15)
-
     def test_accuracy_counts_strict_side(self):
         model = TrainedModel(coefficients=np.array([1.0]), gamma=1.0)
         rows = np.array([[1.0], [-1.0], [0.0]])
