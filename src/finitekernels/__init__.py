@@ -63,6 +63,7 @@ from .svm import (
     condition_gram,
     kkt_residual,
     train,
+    train_path,
     training_objective,
 )
 from .datasets import (
@@ -135,6 +136,7 @@ __all__ = [
     "sample_kernel",
     "sample_kernels",
     "train",
+    "train_path",
     "training_objective",
     "tsq_profile",
 ]

@@ -19,7 +19,15 @@ from .datasets import DATASET_NAMES, LabeledSet, generate_dataset
 from .kernels import KernelSpec
 from .optics import ShotNoiseConfig, sample_kernels
 from .states import DOMAINS
-from .svm import CONDITION_POLICIES, GramMatrix, TrainedModel, accuracy, condition_gram, train
+from .svm import (
+    CONDITION_POLICIES,
+    GramMatrix,
+    TrainedModel,
+    accuracy,
+    condition_gram,
+    train,
+    train_path,
+)
 
 # stream namespaces: one per measurement context, so index pairs never collide
 STREAM_GRAM = 0
@@ -223,23 +231,24 @@ def _prepare(config: BenchmarkConfig) -> _Prepared:
     return _Prepared(train_set, test_set, gram, conditioned, test_rows)
 
 
-def _fit(
-    config: BenchmarkConfig, prepared: _Prepared, gamma: float
-) -> tuple[TrainedModel, float, float]:
-    """The model trained at ``gamma``, with its train and test accuracies."""
+def _train_id(config: BenchmarkConfig) -> str:
+    return f"{config.dataset}-seed{config.seed}-m{config.train_size}"
+
+
+def _accuracies(prepared: _Prepared, model: TrainedModel) -> tuple[float, float]:
+    """The train and test accuracies of ``model``."""
     train_set, test_set, _, conditioned, test_rows = prepared
-    train_id = f"{config.dataset}-seed{config.seed}-m{config.train_size}"
-    model = train(conditioned, train_set.labels, gamma, train_id=train_id)
     train_acc = accuracy(model, conditioned.values, train_set.labels)
-    return model, train_acc, accuracy(model, test_rows, test_set.labels)
+    return train_acc, accuracy(model, test_rows, test_set.labels)
 
 
 def run_benchmark(config: BenchmarkConfig) -> BenchReport:
     """Generate data, build the Gram, train, score, and map the decision boundary."""
     prepared = _prepare(config)
-    model, train_acc, test_acc = _fit(config, prepared, config.gamma)
+    labels = prepared.train_set.labels
+    model = train(prepared.gram_conditioned, labels, config.gamma, train_id=_train_id(config))
     grid = boundary_grid(model, prepared.train_set, config.kernel, config.grid_side, config.noise)
-    return BenchReport(config, *prepared[:4], model, train_acc, test_acc, grid)
+    return BenchReport(config, *prepared[:4], model, *_accuracies(prepared, model), grid)
 
 
 def gamma_sweep(config: BenchmarkConfig, gammas) -> list[tuple[float, float]]:
@@ -247,7 +256,13 @@ def gamma_sweep(config: BenchmarkConfig, gammas) -> list[tuple[float, float]]:
 
     Only training depends on gamma, so the data, Gram, conditioning and test
     rows are built once, after every gamma is validated; no grid is mapped.
+    The models come from one ``svm.train_path``, which fits the gammas in
+    descending order, each warm-started from the last.  Its coefficients
+    equal ``train``'s up to roundoff, so the accuracies equal
+    ``run_benchmark``'s unless a score lies within roundoff of 0.
     """
-    configs = [replace(config, gamma=gamma) for gamma in gammas]
+    gammas = [replace(config, gamma=gamma).gamma for gamma in gammas]
     prepared = _prepare(config)
-    return [_fit(config, prepared, each.gamma)[1:] for each in configs]
+    labels = prepared.train_set.labels
+    models = train_path(prepared.gram_conditioned, labels, gammas, train_id=_train_id(config))
+    return [_accuracies(prepared, model) for model in models]

@@ -114,6 +114,11 @@ _KINDS = ("profile", "cosine_power", "fractional_cosine")
 _BLOCK_ELEMENTS = 1 << 16
 
 
+def _is_int(value) -> bool:
+    """An integer that is not a bool: ``True`` would read as 1."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """A kernel family pinned to concrete parameters and an input dimension.
@@ -138,8 +143,9 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.dimension < 1:
+        if not _is_int(self.dimension) or self.dimension < 1:
             raise ValueError("dimension must be a positive integer")
+        object.__setattr__(self, "dimension", int(self.dimension))
         needs_profile = self.kind == "profile"
         needs_power = self.kind == "cosine_power"
         needs_exponent = self.kind == "fractional_cosine"
@@ -149,8 +155,10 @@ class KernelSpec:
             raise ValueError("power must be set exactly for kind='cosine_power'")
         if needs_exponent != (self.exponent is not None):
             raise ValueError("exponent must be set exactly for kind='fractional_cosine'")
-        if self.power is not None and (not isinstance(self.power, Integral) or self.power < 1):
-            raise ValueError("power must be a positive integer")
+        if self.power is not None:
+            if not _is_int(self.power) or self.power < 1:
+                raise ValueError("power must be a positive integer")
+            object.__setattr__(self, "power", int(self.power))
         if self.exponent is not None and (
             not math.isfinite(self.exponent) or self.exponent <= 0.0
         ):

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +23,8 @@ SYMMETRY_TOL = 1e-12
 KKT_TOL = 1e-8
 # eigenvalues of Q_FF below this fraction of the largest count as its null space
 _RCOND = 1e-12
+# train's default budget of active-set iterations, and a cold refit's in train_path
+_MAX_ITERATIONS = 200_000
 
 CONDITION_POLICIES = ("clip", "shift", "none")
 
@@ -62,8 +66,9 @@ class GramMatrix:
 class TrainDiagnostics:
     """Solver byproducts: dual variables, slacks, residual, objective.
 
-    ``sweeps`` counts the active-set iterations the solve took; ``train``'s
-    ``max_sweeps`` is their budget.
+    ``sweeps`` counts the active-set iterations the solve took (from its warm
+    start, for a warm fit of ``train_path``); ``train``'s ``max_sweeps`` is
+    their budget.
     """
 
     dual: np.ndarray
@@ -139,62 +144,40 @@ def kkt_residual(gram, labels, gamma: float, coefficients, dual) -> float:
     return _kkt_residual(y, gamma, alpha, g @ a, stationarity)
 
 
-def train(
-    gram,
-    labels,
-    gamma: float,
-    train_id: str = "",
-    max_sweeps: int = 200_000,
-) -> TrainedModel:
-    """Fit the margin program on a precomputed Gram matrix.
-
-    Parameters
-    ----------
-    gram : GramMatrix or square symmetric finite array
-        Kernel values between all training pairs.  Indefinite matrices are
-        accepted; convexity comes from the coefficient regularizer.
-    labels : array of +1/-1
-    gamma : float
-        Positive slack penalty.  Larger values buy training accuracy at the
-        price of larger coefficients; as gamma -> 0 the coefficients vanish.
-    train_id : str
-        Identifier stored with the model (propagated into serialization).
-    max_sweeps : int
-        Budget of active-set iterations.
-
-    Returns
-    -------
-    TrainedModel with diagnostics attached (dual variables, slacks, KKT
-    residual, primal objective, active-set iteration count).
-
-    Notes
-    -----
-    The dual is  max_{0 <= alpha <= gamma} 1'alpha - alpha' Q alpha  with
-    Q = (1/4) diag(y) G^2 diag(y), always positive semidefinite.  A primal
-    active-set method keeps every coordinate either free or pinned at a
-    bound.  Each iteration solves the free face exactly through the
-    eigendecomposition of Q_FF; where the face gradient has a part in the
-    null space of Q_FF the dual is linear along it, and the step follows
-    that part instead.  A step that reaches a bound pins the coordinate; on
-    a solved face the bound coordinate with the largest KKT violation is
-    freed.  Primal recovery is a = G (y * alpha) / 2.
-    """
-    gram = _as_gram(gram)
-    g = gram.values
-    m = g.shape[0]
-    y = _check_labels(labels, m)
+def _check_gamma(gamma: float) -> float:
     if not math.isfinite(gamma) or gamma <= 0.0:
         raise ValueError("gamma must be a finite positive real")
+    return gamma
 
-    q = (g @ g) * np.outer(y, y) / 4.0
-    alpha = np.zeros(m)
-    free = np.zeros(m, dtype=bool)
-    face_solved = True
-    for iterations in range(max_sweeps + 1):
+
+def _dual_quadratic(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Q = (1/4) diag(y) G^2 diag(y), the dual's quadratic form."""
+    return (g @ g) * np.outer(y, y) / 4.0
+
+
+class _Solution(NamedTuple):
+    alpha: np.ndarray
+    coefficients: np.ndarray
+    scores: np.ndarray
+    residual: float
+    iterations: int
+
+
+def _solve(g, q, y, gamma: float, alpha: np.ndarray, budget: int) -> _Solution:
+    """Active-set iterations from a start ``alpha`` in the box [0, gamma].
+
+    Coordinates strictly inside the box start free, the rest pinned at
+    their bound; from alpha = 0 nothing is free, which is the cold start.
+    ``alpha`` is updated in place.  Stops on the KKT tolerance, on a solved
+    face with no violating bound coordinate, or after ``budget`` iterations.
+    """
+    free = (alpha > 0.0) & (alpha < gamma)
+    face_solved = not free.any()
+    for iterations in range(budget + 1):
         a = 0.5 * (g @ (y * alpha))
         scores = g @ a
         residual = _kkt_residual(y, gamma, alpha, scores)
-        if residual < KKT_TOL or iterations == max_sweeps:
+        if residual < KKT_TOL or iterations == budget:
             break
         grad = 1.0 - 2.0 * (q @ alpha)
         if face_solved:  # free the bound coordinate that violates the KKT conditions most
@@ -211,8 +194,10 @@ def train(
         basis = v[:, keep]
         coef = basis.T @ grad_f
         null = grad_f - basis @ coef
-        # a null-space part this small cannot lift the KKT residual to KKT_TOL
-        newton = gamma * np.abs(null).max() <= 0.1 * KKT_TOL
+        # on a full-rank face the null part is roundoff, which at large gamma
+        # can exceed any absolute bar; otherwise a null part this small cannot
+        # lift the KKT residual to KKT_TOL
+        newton = keep.all() or gamma * np.abs(null).max() <= 0.1 * KKT_TOL
         if newton:
             step, limit = basis @ (coef / (2.0 * w[keep])), 1.0
         else:
@@ -231,12 +216,22 @@ def train(
         alpha[idx] = alpha_f
         free[idx[hit]] = False
         face_solved = (newton and not hit.any()) or not free.any()
+    return _Solution(alpha, a, scores, residual, iterations)
 
-    if residual > 1e-6:
+
+def _cold_model(g, q, y, gamma: float, train_id: str, budget: int) -> TrainedModel:
+    """The fit from alpha = 0, or ``RuntimeError`` if it stalls."""
+    solution = _solve(g, q, y, gamma, np.zeros(y.size), budget)
+    if solution.residual > 1e-6:
         raise RuntimeError(
-            f"QP solver stalled at KKT residual {residual:.3e} after "
-            f"{iterations} iterations"
+            f"QP solver stalled at KKT residual {solution.residual:.3e} after "
+            f"{solution.iterations} iterations"
         )
+    return _model(y, gamma, train_id, solution)
+
+
+def _model(y, gamma: float, train_id: str, solution: _Solution) -> TrainedModel:
+    alpha, a, scores, residual, iterations = solution
     slack = np.maximum(0.0, 1.0 - y * scores)
     diagnostics = TrainDiagnostics(
         dual=alpha.copy(),
@@ -248,6 +243,85 @@ def train(
     return TrainedModel(
         coefficients=a, gamma=float(gamma), train_id=train_id, diagnostics=diagnostics
     )
+
+
+def train(
+    gram,
+    labels,
+    gamma: float,
+    train_id: str = "",
+    max_sweeps: int = _MAX_ITERATIONS,
+) -> TrainedModel:
+    """Fit the margin program on a precomputed Gram matrix.
+
+    Parameters
+    ----------
+    gram : GramMatrix or square symmetric finite array
+        Kernel values between all training pairs.  Indefinite matrices are
+        accepted; convexity comes from the coefficient regularizer.
+    labels : array of +1/-1
+    gamma : float
+        Positive slack penalty.  Larger values buy training accuracy at the
+        price of larger coefficients; as gamma -> 0 the coefficients vanish.
+    train_id : str
+        Identifier stored with the model (propagated into serialization).
+    max_sweeps : int
+        Budget of active-set iterations, a non-negative integer.
+
+    Returns
+    -------
+    TrainedModel with diagnostics attached (dual variables, slacks, KKT
+    residual, primal objective, active-set iteration count).
+
+    Notes
+    -----
+    The dual is  max_{0 <= alpha <= gamma} 1'alpha - alpha' Q alpha  with
+    Q = (1/4) diag(y) G^2 diag(y), always positive semidefinite.  A primal
+    active-set method keeps every coordinate either free or pinned at a
+    bound.  Each iteration solves the free face exactly through the
+    eigendecomposition of Q_FF; where the face gradient has a part in the
+    null space of Q_FF the dual is linear along it, and the step follows
+    that part instead.  A step that reaches a bound pins the coordinate; on
+    a solved face the bound coordinate with the largest KKT violation is
+    freed.  Primal recovery is a = G (y * alpha) / 2.
+    """
+    g = _as_gram(gram).values
+    y = _check_labels(labels, g.shape[0])
+    _check_gamma(gamma)
+    if isinstance(max_sweeps, bool) or not isinstance(max_sweeps, Integral) or max_sweeps < 0:
+        raise ValueError("max_sweeps must be a non-negative integer")
+    return _cold_model(g, _dual_quadratic(g, y), y, gamma, train_id, int(max_sweeps))
+
+
+def train_path(gram, labels, gammas, train_id: str = "") -> list[TrainedModel]:
+    """One model per gamma, in input order, each ``train`` at that gamma up to roundoff.
+
+    The gammas are fitted in descending order along the regularization path
+    (Hastie, Rosset, Tibshirani & Zhu, JMLR 5, 2004).  The largest is fitted
+    cold, as ``train`` fits it; each smaller one starts from the previous
+    dual clipped into its box, so coordinates at or above the new gamma
+    start pinned there, interior ones start free and zeros stay pinned.  A
+    warm start gets as many active-set iterations as there are training
+    points and is kept only below ``KKT_TOL``; otherwise that gamma is
+    refitted cold.  A start can cost time but cannot change the optimum:
+    the coefficients are unique, so warm and cold fits agree to roundoff.
+    """
+    g = _as_gram(gram).values
+    y = _check_labels(labels, g.shape[0])
+    gammas = [_check_gamma(gamma) for gamma in gammas]
+    q = _dual_quadratic(g, y)
+    models: list[TrainedModel | None] = [None] * len(gammas)
+    previous = None
+    for k in sorted(range(len(gammas)), key=lambda k: -gammas[k]):
+        gamma = gammas[k]
+        if previous is not None:
+            warm = _solve(g, q, y, gamma, np.clip(previous, 0.0, gamma), y.size)
+            if warm.residual < KKT_TOL:
+                models[k] = _model(y, gamma, train_id, warm)
+        if models[k] is None:
+            models[k] = _cold_model(g, q, y, gamma, train_id, _MAX_ITERATIONS)
+        previous = models[k].diagnostics.dual
+    return models
 
 
 def accuracy(model: TrainedModel, kernel_rows, labels) -> float:

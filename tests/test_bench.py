@@ -340,12 +340,12 @@ class TestGammaSweep:
                              ids=lambda k: k.kernel_id())
     def test_equals_one_benchmark_per_gamma(self, kernel, noise):
         config = BenchmarkConfig("moons", 1, kernel, noise=noise, grid_side=2)
-        gammas = [0.01, 0.3, 3, 300]
-        want = []
-        for gamma in gammas:
-            report = run_benchmark(replace(config, gamma=gamma))
-            want.append((report.train_accuracy, report.test_accuracy))
-        assert gamma_sweep(config, gammas) == want
+        for gammas in ([0.01, 0.3, 3, 300], [3, 0.01, 300, 3, 0.3]):
+            want = []
+            for gamma in gammas:
+                report = run_benchmark(replace(config, gamma=gamma))
+                want.append((report.train_accuracy, report.test_accuracy))
+            assert gamma_sweep(config, gammas) == want
 
     @pytest.mark.parametrize("gamma", [math.nan, 0.0])
     def test_bad_gamma_rejected_before_any_gram(self, gamma, monkeypatch):

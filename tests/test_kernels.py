@@ -218,6 +218,15 @@ class TestKernelSpec:
             KernelSpec(kind="profile", dimension=1)  # missing profile
         with pytest.raises(ValueError):
             KernelSpec(kind="gaussian", dimension=1)
+        # non-integers and bools would leak into kernel_id(): "D=1.5", "N=True"
+        for field, value in (("dimension", 1.5), ("dimension", 2.0), ("dimension", True),
+                             ("power", True), ("power", 2.0)):
+            fields = {"kind": "cosine_power", "dimension": 1, "power": 1, field: value}
+            with pytest.raises(ValueError, match=f"{field} must be a positive integer"):
+                KernelSpec(**fields)
+        spec = KernelSpec(kind="cosine_power", dimension=np.int64(2), power=np.int64(3))
+        assert type(spec.dimension) is int and type(spec.power) is int
+        assert spec.kernel_id() == "cosine:N=3:D=2"
 
     @pytest.mark.parametrize("kind", ["cosine_power"])
     def test_non_integer_power_rejected(self, kind):

@@ -16,8 +16,11 @@ from finitekernels import (
     generate_dataset,
     kkt_residual,
     train,
+    train_path,
     training_objective,
 )
+from finitekernels import svm
+from finitekernels.bench import BenchmarkConfig, _prepare
 from finitekernels.cli import parse_kernel
 
 
@@ -151,6 +154,11 @@ class TestTrainBasics:
         labels = np.array([1.0] * 10 + [-1.0] * 10)
         with pytest.raises(RuntimeError):
             train(GramMatrix(gram), labels, gamma=50.0, max_sweeps=1)
+
+    @pytest.mark.parametrize("budget", [-1, 2.5, True])
+    def test_sweep_budget_validated(self, budget):
+        with pytest.raises(ValueError, match="max_sweeps must be a non-negative integer"):
+            train(np.eye(2), np.array([1.0, -1.0]), 1.0, max_sweeps=budget)
 
     def test_accepts_plain_symmetric_array(self):
         model = train(np.eye(2), np.array([1.0, -1.0]), gamma=10.0)
@@ -428,3 +436,90 @@ class TestActiveSetProperties:
         ref = training_objective(gram, labels, gamma, ref_a)
         new = training_objective(gram, labels, gamma, train(gram, labels, gamma).coefficients)
         assert new <= ref + 1e-10 * max(1.0, abs(new))
+
+
+@functools.lru_cache(maxsize=None)
+def path_problem(dataset, seed, kernel_text, m, noisy):
+    """Conditioned Gram, test rows and labels of one sweep fit, as ``bench`` prepares them."""
+    config = BenchmarkConfig(
+        dataset, seed, parse_kernel(kernel_text), train_size=m, test_size=30,
+        noise=NOISE if noisy else None,
+    )
+    return _prepare(config)
+
+
+@st.composite
+def gamma_lists(draw):
+    """Unsorted gammas in [1e-2, 1e3], at least one of them repeated."""
+    values = draw(st.lists(st.floats(-2.0, 3.0).map(lambda e: 10.0**e), min_size=1, max_size=4))
+    repeats = draw(st.lists(st.sampled_from(values), min_size=1, max_size=2))
+    return draw(st.permutations(values + repeats))
+
+
+path_problems = st.tuples(
+    st.sampled_from(PINNED),
+    st.sampled_from(["cosine:0.5", "cosine:1", "msi:4"]),
+    st.integers(min_value=4, max_value=40),
+    st.booleans(),
+    gamma_lists(),
+)
+
+
+class TestTrainPath:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(path_problems)
+    def test_equals_one_train_per_gamma(self, problem):
+        (dataset, seed), kernel_text, m, noisy, gammas = problem
+        train_set, test_set, _, gram, test_rows = path_problem(dataset, seed, kernel_text, m, noisy)
+        path = train_path(gram, train_set.labels, gammas)
+        for gamma, model in zip(gammas, path):
+            cold = train(gram, train_set.labels, gamma)
+            assert model.gamma == gamma
+            scale = np.abs(cold.coefficients).max()
+            assert np.abs(model.coefficients - cold.coefficients).max() <= 1e-9 * scale
+            for rows, labels in ((gram.values, train_set.labels), (test_rows, test_set.labels)):
+                assert accuracy(model, rows, labels) == accuracy(cold, rows, labels)
+            if gamma == max(gammas):  # fitted cold, exactly as train fits it
+                assert np.array_equal(model.coefficients, cold.coefficients)
+
+    def test_warm_miss_falls_back_to_cold(self, monkeypatch):
+        train_set, _, _, gram, _ = path_problem("moons", 1, "cosine:1", 40, False)
+        solve, warm_residuals = svm._solve, []
+
+        def starved(g, q, y, gamma, alpha, budget):
+            if not alpha.any():
+                return solve(g, q, y, gamma, alpha, budget)
+            solution = solve(g, q, y, gamma, alpha, 0)  # a warm start with no iterations
+            warm_residuals.append(solution.residual)
+            return solution
+
+        monkeypatch.setattr(svm, "_solve", starved)
+        gammas = [1.0, 100.0, 0.1]
+        path = train_path(gram, train_set.labels, gammas)
+        assert len(warm_residuals) == 2 and min(warm_residuals) >= svm.KKT_TOL
+        for gamma, model in zip(gammas, path):
+            cold = train(gram, train_set.labels, gamma)
+            assert np.array_equal(model.coefficients, cold.coefficients)
+            assert np.array_equal(model.diagnostics.dual, cold.diagnostics.dual)
+
+    def test_gammas_validated_and_empty_list_allowed(self):
+        with pytest.raises(ValueError, match="gamma must be a finite positive real"):
+            train_path(np.eye(2), np.array([1.0, -1.0]), [1.0, float("nan")])
+        assert train_path(np.eye(2), np.array([1.0, -1.0]), []) == []
+
+    def test_full_rank_face_takes_newton_steps_at_large_gamma(self):
+        # The gamma = 1e3 fit from the gamma = 1e4 dual.  An absolute bar on
+        # the null part of a full-rank face (pure roundoff) once sent this into
+        # null steps of about 1e-12, the residual stuck at 1.838e6 for 2,000
+        # iterations; cold, the fit takes 31.
+        kernel = parse_kernel("cosine:1")
+        train_set, _ = generate_dataset("moons", 1, train_size=40, test_size=60,
+                                        convention=kernel.convention)
+        gram = condition_gram(compute_gram(train_set, kernel, noise=ShotNoiseConfig(500)), "clip")
+        g, y = gram.values, train_set.labels
+        start = train(gram, y, 1e4).diagnostics.dual
+        q = svm._dual_quadratic(g, y)
+        solution = svm._solve(g, q, y, 1e3, np.clip(start, 0.0, 1e3), y.size)
+        assert solution.residual < svm.KKT_TOL
+        cold = train(gram, y, 1e3).coefficients
+        assert np.abs(solution.coefficients - cold).max() <= 1e-9 * np.abs(cold).max()
