@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 from .datasets import DATASET_NAMES, LabeledSet, generate_dataset
 from .kernels import KernelSpec
 from .optics import ShotNoiseConfig, sample_kernels
-from .states import DOMAINS
+from .states import DOMAINS, _is_int
 from .svm import (
     CONDITION_POLICIES,
     GramMatrix,
@@ -119,20 +118,32 @@ def boundary_grid(
 ) -> BoundaryGrid:
     """Decision scores on a side x side grid over the full convention domain.
 
-    Grid nodes sample the half-open domain uniformly (endpoint excluded);
-    every node's kernel row is evaluated directly, side^2 rows total.
+    Grid nodes sample the half-open domain uniformly (endpoint excluded).
+    An exact grid of a finite kind is scored in its feature space: with
+    F the kernel's ``coordinate_features`` and a the coefficients,
+    W = (F(t_1) * a)^T F(t_2) over the training coordinates t_1, t_2 and
+    scores = F(axis) W F(axis)^T, equal to the closed-form rows up to
+    roundoff.  A noisy or fractional grid needs every kernel value, so
+    each node's kernel row is evaluated directly, side^2 rows total.
     """
     if side < 2:
         raise ValueError("grid side must be at least 2")
     lo, hi = DOMAINS[kernel.convention]
     axis = np.linspace(lo, hi, side, endpoint=False)
-    nodes = np.array([[x, y] for x in axis for y in axis])
-    rows = kernel_rows(nodes, train_set, kernel, noise=noise, stream=STREAM_GRID)
-    # one dot per node: a single matrix-vector product rounds differently
-    scores = np.array([row @ model.coefficients for row in rows])
-    return BoundaryGrid(
-        xs=axis, ys=axis.copy(), scores=scores.reshape(side, side)
-    )
+    features = None if noise is not None else kernel.coordinate_features(axis)
+    if features is None:
+        nodes = np.array([[x, y] for x in axis for y in axis])
+        rows = kernel_rows(nodes, train_set, kernel, noise=noise, stream=STREAM_GRID)
+        # one dot per node: a single matrix-vector product rounds differently
+        scores = np.array([row @ model.coefficients for row in rows]).reshape(side, side)
+    else:
+        pts = _coords(train_set)
+        if kernel.dimension != 2 or pts.ndim != 2 or pts.shape[1] != 2:
+            raise ValueError("point dimension does not match this kernel spec")
+        first, second = (kernel.coordinate_features(pts[:, d]) for d in (0, 1))
+        weights = (first * model.coefficients[:, None]).T @ second
+        scores = features @ weights @ features.T
+    return BoundaryGrid(xs=axis, ys=axis.copy(), scores=scores)
 
 
 @dataclass(frozen=True)
@@ -154,7 +165,7 @@ class BenchmarkConfig:
         if self.dataset not in DATASET_NAMES:
             raise ValueError(f"unknown dataset {self.dataset!r}")
         for name in ("seed", "train_size", "test_size", "grid_side"):
-            if not isinstance(getattr(self, name), Integral):
+            if not _is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer")
             object.__setattr__(self, name, int(getattr(self, name)))
         if self.seed < 0:

@@ -4,8 +4,15 @@ Every kernel returns a value in [0, 1], equals 1 at zero separation, and is
 symmetric in its two arguments.  Differences are reduced to their absolute
 value before trigonometric evaluation so symmetry holds bit-exactly.
 
-Only the finite kinds are positive definite.  cos^(2N) d and the profile
-kernels are finite Fourier series with nonnegative coefficients, but
+Only the finite kinds are positive definite.  Per coordinate they are finite
+Fourier series with nonnegative coefficients:
+
+    cos^(2N) d = 4^-N [C(2N, N) + 2 sum_{k=1..N} C(2N, N-k) cos 2kd],
+    profile:  k(d) = c_0 + 2 sum_{k=1..L-1} c_k cos 2 pi k d,
+              c_k = sum_n r_n r_{n+k} >= 0,
+
+so each has an exact real feature map of width w = 2N + 1 or 2L - 1 per
+coordinate (``KernelSpec.coordinate_features``), and w^D in D coordinates.
 |cos d|^(2p) with non-integer p is an infinite series whose coefficients
 alternate in sign for k > p + 1; at p = 1/2 the coefficient of cos 2kd is
 (-1)^(k+1) 4 / (pi (4k^2 - 1)).  Exact Gram matrices of the fractional kind
@@ -17,11 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .states import AmplitudeProfile, DataPoint, FeatureState, as_coords
+from .states import AmplitudeProfile, DataPoint, FeatureState, _is_int, as_coords
 
 
 def _clip_unit(value):
@@ -31,14 +37,15 @@ def _clip_unit(value):
 def kernel_profile(dx, profile: AmplitudeProfile):
     """|sum_n r_n e^{2 pi i n dx}|^2 -- 1-periodic in the separation dx.
 
-    Accepts a scalar or an array of separations.
+    Accepts a scalar or an array of separations.  Zero separation gives
+    exactly 1, which (sum_n r_n)^2 only meets within roundoff.
     """
     dx_arr = np.abs(np.atleast_1d(np.asarray(dx, dtype=float)))
     n = np.arange(len(profile))
     # a stack of 1 x L dots, so a scalar rounds exactly like an array entry
     phases = np.exp(2.0j * math.pi * np.multiply.outer(dx_arr, n))
     z = (phases[..., None, :] @ profile.weights)[..., 0]
-    val = _clip_unit(np.abs(z) ** 2)
+    val = np.where(dx_arr == 0.0, 1.0, _clip_unit(np.abs(z) ** 2))
     return float(val[0]) if np.ndim(dx) == 0 else val
 
 
@@ -112,11 +119,6 @@ _KINDS = ("profile", "cosine_power", "fractional_cosine")
 # Cap on the separations (times profile modes) one block of KernelSpec.matrix
 # holds at once: about 1 MB of temporaries per block.
 _BLOCK_ELEMENTS = 1 << 16
-
-
-def _is_int(value) -> bool:
-    """An integer that is not a bool: ``True`` would read as 1."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -216,6 +218,35 @@ class KernelSpec:
                 factors = np.abs(np.cos(d)) ** (2.0 * self.exponent)
             out[start : start + step] = _clip_unit(np.prod(factors, axis=-1))
         return out
+
+    def coordinate_features(self, x) -> np.ndarray | None:
+        """Real features of n values of one coordinate, an (n, w) array.
+
+        The per-coordinate kernel is their inner product, so ``matrix(A, B)``
+        equals the product over d of ``F(A[:, d]) @ F(B[:, d]).T`` up to
+        roundoff, with F this map: sqrt(c_0), then sqrt(2 c_k) cos(f k x)
+        and sqrt(2 c_k) sin(f k x) for k = 1..w//2, from the Fourier series
+        in the module docstring (f = 2 for cosine powers, 2 pi for
+        profiles).  ``None`` for ``fractional_cosine``, which is no finite
+        series.
+        """
+        if self.kind == "fractional_cosine":
+            return None
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 1:
+            raise ValueError("coordinate_features takes a 1-D array of coordinate values")
+        if self.kind == "cosine_power":
+            n = self.power
+            coeffs = np.array([math.comb(2 * n, n - k) / 4**n for k in range(n + 1)])
+            frequency = 2.0
+        else:
+            r = self.profile.weights
+            coeffs = np.array([r[: r.size - k] @ r[k:] for k in range(r.size)])
+            frequency = 2.0 * math.pi
+        scale = np.sqrt(2.0 * coeffs[1:])
+        phase = np.multiply.outer(x, frequency * np.arange(1, coeffs.size))
+        constant = np.full((x.size, 1), math.sqrt(coeffs[0]))
+        return np.hstack([constant, scale * np.cos(phase), scale * np.sin(phase)])
 
     def _coord_rows(self, points) -> np.ndarray:
         p = np.asarray(points, dtype=float)

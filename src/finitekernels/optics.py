@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .states import DataPoint
+from .states import DataPoint, _is_int
 
 _HT, _HB, _VB, _VT = range(4)
 
@@ -208,12 +207,12 @@ class ShotNoiseConfig:
     background: float = 0.5
 
     def __post_init__(self) -> None:
-        if not isinstance(self.events_per_point, Integral) or self.events_per_point < 1:
+        if not _is_int(self.events_per_point) or self.events_per_point < 1:
             raise ValueError("events_per_point must be a positive integer")
         if not (0.0 < self.fidelity <= 1.0):
             raise ValueError("fidelity must lie in (0, 1]")
         # Philox would take a 64-bit seed; the 32-bit bound keeps the accepted CLI and INI seeds
-        if not isinstance(self.seed, Integral) or not 0 <= self.seed <= _MASK32:
+        if not _is_int(self.seed) or not 0 <= self.seed <= _MASK32:
             raise ValueError("seed must be an integer in [0, 2**32 - 1]")
         if not (0.0 <= self.background <= 1.0):
             raise ValueError("background must lie in [0, 1]")

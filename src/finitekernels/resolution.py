@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .states import AmplitudeProfile, msi_profile, tsq_profile
+from .states import AmplitudeProfile, _is_int, msi_profile, tsq_profile
 
 RESOLUTION_DIAGONAL = 1.0 / 12.0
 # Even, as Simpson's rule needs; keeps the quadrature error below 1e-11 even for
@@ -33,7 +32,7 @@ _SIMPSON_PANELS = 65536
 
 def _as_length(value, minimum: int, what: str) -> int:
     """``value`` as an int, if it is an integer of at least ``minimum``."""
-    if not isinstance(value, Integral) or value < minimum:
+    if not _is_int(value) or value < minimum:
         raise ValueError(f"{what} must be an integer >= {minimum}, got {value!r}")
     return int(value)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -26,6 +27,11 @@ DOMAINS = {
     "interference": INTERFERENCE_DOMAIN,
     "cosine": COSINE_DOMAIN,
 }
+
+
+def _is_int(value) -> bool:
+    """An integer that is not a bool: ``True`` would read as 1."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def _frozen_array(values, dtype) -> np.ndarray:

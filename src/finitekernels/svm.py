@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
+
+from .states import _is_int
 
 SYMMETRY_TOL = 1e-12
 KKT_TOL = 1e-8
@@ -68,7 +69,8 @@ class TrainDiagnostics:
 
     ``sweeps`` counts the active-set iterations the solve took (from its warm
     start, for a warm fit of ``train_path``); ``train``'s ``max_sweeps`` is
-    their budget.
+    their budget.  ``kkt_residual`` is measured as ``svm.kkt_residual``
+    measures it: complementary slackness relative to gamma for gamma > 1.
     """
 
     dual: np.ndarray
@@ -123,19 +125,28 @@ def _kkt_residual(y, gamma: float, alpha, scores, stationarity: float = 0.0) -> 
     """KKT residual from the scores G a; stationarity is checked by the caller.
 
     ``train`` recovers a = G (y * alpha) / 2, so there its stationarity term
-    2a - G (y * alpha) is 0 by construction and is not recomputed.
+    2a - G (y * alpha) is 0 by construction and is not recomputed.  The
+    complementary-slackness terms carry a factor of alpha or gamma - alpha,
+    up to gamma, so they are divided by max(1, gamma): at large gamma the
+    absolute products of roundoff slacks would otherwise sit above any bar.
     """
     margin = y * scores
     slack = np.maximum(0.0, 1.0 - margin)
     # ndarray methods, not np.max: this runs once per solver iteration
     dual_box = float(max(0.0, -alpha.min(), alpha.max() - gamma))
-    comp_margin = float(np.abs(alpha * (1.0 - slack - margin)).max())
-    comp_slack = float(np.abs((gamma - alpha) * slack).max())
+    scale = max(1.0, gamma)
+    comp_margin = float(np.abs(alpha * (1.0 - slack - margin)).max()) / scale
+    comp_slack = float(np.abs((gamma - alpha) * slack).max()) / scale
     return max(stationarity, dual_box, comp_margin, comp_slack)
 
 
 def kkt_residual(gram, labels, gamma: float, coefficients, dual) -> float:
-    """Max violation of stationarity, feasibility, and complementary slackness."""
+    """Max violation of stationarity, feasibility, and complementary slackness.
+
+    For gamma > 1 the complementary-slackness terms are relative: divided
+    by gamma, the largest value alpha and gamma - alpha can take.  The
+    stationarity term 2a - G (y * alpha) stays absolute.
+    """
     g = _as_gram(gram).values
     y = _check_labels(labels, g.shape[0])
     a = np.asarray(coefficients, dtype=float)
@@ -288,7 +299,7 @@ def train(
     g = _as_gram(gram).values
     y = _check_labels(labels, g.shape[0])
     _check_gamma(gamma)
-    if isinstance(max_sweeps, bool) or not isinstance(max_sweeps, Integral) or max_sweeps < 0:
+    if not _is_int(max_sweeps) or max_sweeps < 0:
         raise ValueError("max_sweeps must be a non-negative integer")
     return _cold_model(g, _dual_quadratic(g, y), y, gamma, train_id, int(max_sweeps))
 

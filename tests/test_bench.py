@@ -96,7 +96,12 @@ class TestScalarLoopOracle:
         train, _ = self.data(kernel)
         model = TrainedModel(coefficients=np.random.default_rng(2).normal(size=9), gamma=1.0)
         grid = boundary_grid(model, train, kernel, side=4, noise=noise)
-        assert np.array_equal(grid.scores, reference_grid(model, train.points, kernel, 4, noise))
+        want = reference_grid(model, train.points, kernel, 4, noise)
+        if noise is None and kernel.kind != "fractional_cosine":
+            # scored in the finite feature space: equal up to roundoff
+            assert np.all(np.abs(grid.scores - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+        else:
+            assert np.array_equal(grid.scores, want)
 
 
 class TestComputeGram:
@@ -214,6 +219,31 @@ class TestBoundaryGrid:
         direct, _ = sample_kernel(kappa, noise, key=(STREAM_GRID, 5, 0))
         assert grid.scores[1, 2] == pytest.approx(direct, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "text, m, side",
+        [(text, 100, 18) for text in ("cosine:1", "cosine:2", "cosine:3", "msi:4", "opt:6",
+                                      "tsq:8:3", "msi:32")]
+        + [("cosine:1", 1000, 35), ("msi:4", 1000, 35)],
+    )
+    def test_feature_scores_match_closed_form_rows(self, text, m, side):
+        kernel = parse_kernel(text)
+        train, _ = generate_dataset(
+            "moons", seed=1, train_size=m, test_size=10, convention=kernel.convention
+        )
+        model = TrainedModel(coefficients=np.random.default_rng(m).normal(size=m), gamma=1.0)
+        grid = boundary_grid(model, train, kernel, side=side)
+        nodes = np.array([[x, y] for x in grid.xs for y in grid.ys])
+        want = (kernel.matrix(nodes, train.points) @ model.coefficients).reshape(side, side)
+        assert np.all(np.abs(grid.scores - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("dimension", [1, 3])
+    def test_feature_path_needs_two_dimensions(self, dimension):
+        train, _ = generate_dataset("moons", seed=1, train_size=4, test_size=4)
+        kernel = KernelSpec(kind="cosine_power", dimension=dimension, power=1)
+        model = TrainedModel(coefficients=np.ones(4), gamma=1.0)
+        with pytest.raises(ValueError, match="dimension"):
+            boundary_grid(model, train, kernel, side=3)
+
     def test_side_floor(self):
         train, _ = generate_dataset("moons", seed=1, train_size=3, test_size=4)
         model = TrainedModel(coefficients=np.zeros(3), gamma=1.0)
@@ -296,10 +326,11 @@ class TestRunBenchmark:
 
     @pytest.mark.parametrize(
         "field, value", [("seed", None), ("seed", 1.0), ("train_size", 8.0), ("test_size", "4"),
-                         ("grid_side", 2.5)]
+                         ("grid_side", 2.5), ("seed", True), ("seed", False),
+                         ("train_size", True), ("test_size", True), ("grid_side", True)]
     )
     def test_non_integer_counts_and_seed_rejected(self, field, value):
-        # seed=None would draw the dataset from fresh OS entropy
+        # seed=None would draw the dataset from fresh OS entropy; seed=True would run as seed 1
         with pytest.raises(ValueError, match=field):
             BenchmarkConfig(**{"dataset": "moons", "seed": 0, "kernel": KERNEL_N1, field: value})
 

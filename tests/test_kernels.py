@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finitekernels import kernels
 from finitekernels import (
@@ -23,6 +24,7 @@ from finitekernels import (
     tsq_profile,
 )
 from finitekernels.cli import parse_kernel
+from finitekernels.states import DOMAINS
 
 
 def random_profile(rng, length):
@@ -33,6 +35,13 @@ class TestProfileKernel:
     def test_zero_shift_is_one(self):
         for profile in (msi_profile(2), msi_profile(7), tsq_profile(5, 1.5)):
             assert kernel_profile(0.0, profile) == pytest.approx(1.0, abs=1e-14)
+
+    def test_zero_shift_is_exactly_one(self):
+        # (sum of weights)^2 reads 0.9999999999999996 for msi_profile(6)
+        for profile in (msi_profile(6), msi_profile(7), tsq_profile(5, 1.5)):
+            assert kernel_profile(0.0, profile) == 1.0
+            assert kernel_profile(-0.0, profile) == 1.0
+            np.testing.assert_array_equal(kernel_profile(np.zeros(3), profile), np.ones(3))
 
     def test_unit_periodicity(self):
         profile = tsq_profile(6, 2.0)
@@ -340,3 +349,71 @@ class TestGramPositivity:
     def test_finite_kind_gram_is_psd(self, text, dataset, seed):
         w = self.spectrum(text, dataset, seed)
         assert w[0] >= -1e-12 * w[-1]
+
+
+# every finite kind the kernel strings name, for the feature-map identity
+FINITE_KERNELS = (
+    [f"cosine:{n}" for n in range(1, 5)]
+    + [f"msi:{length}" for length in range(2, 9)]
+    + [f"opt:{length}" for length in range(2, 9)]
+    + ["tsq:1:1", "tsq:5:0.5", "tsq:8:3"]
+)
+
+
+class TestCoordinateFeatures:
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    @pytest.mark.parametrize("text", FINITE_KERNELS)
+    def test_product_of_coordinate_maps_equals_matrix(self, text, dimension):
+        spec = parse_kernel(text, dimension)
+        rng = np.random.default_rng(dimension)
+        a, b = random_points(rng, spec, 13), random_points(rng, spec, 9)
+        product = np.ones((13, 9))
+        for d in range(dimension):
+            product *= spec.coordinate_features(a[:, d]) @ spec.coordinate_features(b[:, d]).T
+        np.testing.assert_allclose(product, spec.matrix(a, b), rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "text, width",
+        [("cosine:1", 3), ("cosine:4", 9), ("tsq:1:1", 1), ("msi:2", 3), ("opt:8", 15),
+         ("msi:96", 191)],
+    )
+    def test_width(self, text, width):
+        assert parse_kernel(text).coordinate_features(np.zeros(5)).shape == (5, width)
+
+    @pytest.mark.parametrize("text", ["cosine:0.5", "cosine:2.5", "fractional:2"])
+    def test_fractional_kinds_have_no_map(self, text):
+        assert parse_kernel(text).coordinate_features(np.zeros(3)) is None
+
+    def test_takes_the_values_of_one_coordinate(self):
+        with pytest.raises(ValueError, match="1-D"):
+            parse_kernel("cosine:1").coordinate_features(np.zeros((3, 2)))
+
+
+KERNEL_TEXTS = st.one_of(
+    st.integers(1, 6).map(lambda n: f"cosine:{n}"),
+    st.floats(0.05, 4.0).map(lambda p: f"fractional:{p!r}"),
+    st.integers(2, 16).map(lambda n: f"msi:{n}"),
+    st.tuples(st.integers(1, 16), st.floats(0.05, 3.0)).map(lambda t: f"tsq:{t[0]}:{t[1]!r}"),
+    st.integers(2, 16).map(lambda n: f"opt:{n}"),
+)
+
+
+@st.composite
+def kernel_point_sets(draw):
+    """A kernel of any kind in D = 1 or 2, and up to 8 points of its domain."""
+    spec = parse_kernel(draw(KERNEL_TEXTS), draw(st.integers(1, 2)))
+    size = draw(st.integers(1, 8)) * spec.dimension
+    units = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=size, max_size=size))
+    lo, hi = DOMAINS[spec.convention]
+    return spec, lo + (hi - lo) * np.array(units).reshape(-1, spec.dimension)
+
+
+class TestKernelMatrixProperties:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(kernel_point_sets())
+    def test_symmetric_in_unit_interval_with_unit_diagonal(self, case):
+        spec, pts = case
+        k = spec.matrix(pts, pts)
+        assert np.array_equal(k, k.T)
+        assert np.all((k >= 0.0) & (k <= 1.0))
+        assert np.all(np.diag(k) == 1.0)

@@ -175,7 +175,9 @@ class TestShotNoise:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("events_per_point", 2.5), ("seed", 1.5), ("seed", 2**32), ("seed", 2**70 + 3)],
+        [("events_per_point", 2.5), ("seed", 1.5), ("seed", 2**32), ("seed", 2**70 + 3),
+         ("events_per_point", True), ("events_per_point", False), ("seed", True),
+         ("seed", False)],
     )
     def test_non_integer_or_aliasing_values_rejected(self, field, value):
         # a seed of 2**32 or more is split into several uint32 words and aliases other streams

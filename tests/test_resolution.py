@@ -58,6 +58,9 @@ class TestResolutionMatrix:
     def test_non_integer_size_rejected(self):
         with pytest.raises(ValueError, match=re.escape("2.5")):
             build_resolution_matrix(2.5)
+        for flag in (True, False):
+            with pytest.raises(ValueError, match=repr(flag)):
+                build_resolution_matrix(flag)
         assert build_resolution_matrix(np.int64(3)).shape == (3, 3)
 
     def test_smaller_matrix_is_leading_block(self):
@@ -174,6 +177,9 @@ class TestOptimizer:
     def test_non_integer_length_rejected(self):
         with pytest.raises(ValueError, match=re.escape("2.5")):
             optimize_profile(2.5)
+        for flag in (True, False):
+            with pytest.raises(ValueError, match=repr(flag)):
+                optimize_profile(flag)
         assert optimize_profile(np.int32(3)) == optimize_profile(3)
 
     @pytest.mark.parametrize("length", [32, 64, 96])
@@ -217,7 +223,7 @@ class TestSweep:
         with pytest.raises(ValueError):
             resolution_sweep([])
 
-    @pytest.mark.parametrize("lengths", [[2.5], ["3"], [4, 3.0]])
+    @pytest.mark.parametrize("lengths", [[2.5], ["3"], [4, 3.0], [3, True]])
     def test_non_integer_lengths_rejected(self, lengths):
         with pytest.raises(ValueError, match=re.escape(repr(lengths[-1]))):
             resolution_sweep(lengths)
