@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DOMAINS, rescale_dataset
+from .states import DOMAINS, _is_int, rescale_dataset
 
 DATASET_NAMES = ("concentric", "moons", "xor")
 
@@ -100,8 +100,11 @@ def generate_dataset(
         raise ValueError(f"unknown dataset {name!r}; choose from {DATASET_NAMES}")
     if convention not in DOMAINS:
         raise ValueError(f"unknown convention {convention!r}")
-    if train_size < 2 or test_size < 2:
-        raise ValueError("each split needs at least 2 points")
+    if not _is_int(seed) or seed < 0:
+        raise ValueError("seed must be a non-negative integer")
+    for what, size in (("train_size", train_size), ("test_size", test_size)):
+        if not _is_int(size) or size < 2:
+            raise ValueError(f"{what} must be an integer >= 2")
     rng = np.random.default_rng(seed)
     n_train_pos = train_size // 2
     n_test_pos = test_size // 2
@@ -137,8 +140,10 @@ def best_random_linear_accuracy(
     """
     pts = np.asarray(points, dtype=float)
     y = np.asarray(labels, dtype=float)
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    if not _is_int(trials) or trials < 1:
+        raise ValueError("trials must be a positive integer")
+    if not _is_int(seed) or seed < 0:
+        raise ValueError("seed must be a non-negative integer")
     rng = np.random.default_rng(seed)
     normals = rng.normal(size=(trials, pts.shape[1]))
     span = np.abs(pts).max()

@@ -58,7 +58,7 @@ def _paired_diffs(x, xp) -> np.ndarray:
 
 def kernel_cosine(x, xp, power: int = 1) -> float:
     """Product over coordinates of cos^(2N) of the separation."""
-    if power < 1:
+    if not _is_int(power) or power < 1:
         raise ValueError("power must be a positive integer")
     d = _paired_diffs(x, xp)
     return float(_clip_unit(np.prod(np.cos(d) ** (2 * power))))
@@ -105,7 +105,7 @@ def qubit_count(power: int, scheme: str = "compact") -> int:
     ``"compact"`` packs the N+1 levels into ceil(log2(N+1)) qubits;
     ``"product"`` uses the N-qubit symmetric product form.
     """
-    if power < 1:
+    if not _is_int(power) or power < 1:
         raise ValueError("power must be a positive integer")
     if scheme == "compact":
         return max(1, (power).bit_length())

@@ -118,6 +118,10 @@ def _single_photon_unitary(coord: float, power: int) -> np.ndarray:
 
 def input_state(dimension: int, power: int = 3) -> np.ndarray:
     """Canonical circuit input: each photon H-polarized in the bottom rail."""
+    if not _is_int(dimension) or dimension < 1:
+        raise ValueError("dimension must be a positive integer")
+    if not _is_int(power) or power not in (1, 3):
+        raise ValueError("the optical circuit realizes powers 1 and 3 only")
     single = np.zeros(2 if power == 1 else 4)
     single[0 if power == 1 else _HB] = 1.0
     state = np.ones(1)
@@ -134,7 +138,7 @@ def build_feature_unitary(x, power: int = 3) -> np.ndarray:
     power-1 reduction).  Applied to :func:`input_state` it produces the
     binomial feature state of each photon exactly.
     """
-    if power not in (1, 3):
+    if not _is_int(power) or power not in (1, 3):
         raise ValueError("the optical circuit realizes powers 1 and 3 only")
     coords = np.atleast_1d(np.asarray(x, dtype=float))
     if coords.ndim != 1 or not 1 <= coords.size <= 2:
@@ -332,10 +336,10 @@ def coincidence_rate_budget(
     pairs: int, rate_cps: float, events_needed: int
 ) -> float:
     """Seconds of wall time to collect the requested events for every pair."""
-    if pairs < 0:
-        raise ValueError("pairs must be nonnegative")
+    if not _is_int(pairs) or pairs < 0:
+        raise ValueError("pairs must be a non-negative integer")
     if not math.isfinite(rate_cps) or rate_cps <= 0.0:
         raise ValueError("rate_cps must be a finite positive rate")
-    if events_needed < 0:
-        raise ValueError("events_needed must be nonnegative")
+    if not _is_int(events_needed) or events_needed < 0:
+        raise ValueError("events_needed must be a non-negative integer")
     return pairs * events_needed / rate_cps

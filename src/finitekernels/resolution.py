@@ -128,8 +128,7 @@ def msi_variance_closed_form(n_terms: int) -> float:
     Equals (1/12) (1 - S1) with
     S1 = -(12 / pi^2) sum_{j=1}^{L-1} (-1)^j (L - j) / (L j^2).
     """
-    if n_terms < 2:
-        raise ValueError("closed form needs at least 2 terms")
+    n_terms = _as_length(n_terms, 2, "n_terms")
     j = np.arange(1, n_terms)
     s1 = -(12.0 / math.pi**2) * float(
         np.sum(((-1.0) ** j) * (n_terms - j) / (n_terms * j.astype(float) ** 2))

@@ -156,8 +156,8 @@ def _check_domain(values: np.ndarray, convention: str) -> None:
 
 def msi_profile(n_terms: int) -> AmplitudeProfile:
     """Equal weights 1/L over L consecutive modes (multi-slit interference)."""
-    if n_terms < 2:
-        raise ValueError("msi_profile needs at least 2 terms")
+    if not _is_int(n_terms) or n_terms < 2:
+        raise ValueError("n_terms must be an integer >= 2")
     return AmplitudeProfile(np.full(n_terms, 1.0 / n_terms))
 
 
@@ -169,8 +169,8 @@ def tsq_profile(n_terms: int, squeezing: float) -> AmplitudeProfile:
     consecutive weights is ((2n+1)/(2n+2)) tanh^2(z) < 1, so the weights
     decrease strictly for any positive squeezing.
     """
-    if n_terms < 1:
-        raise ValueError("tsq_profile needs at least 1 term")
+    if not _is_int(n_terms) or n_terms < 1:
+        raise ValueError("n_terms must be a positive integer")
     if not math.isfinite(squeezing) or squeezing <= 0.0:
         raise ValueError("squeezing must be a finite positive real")
     n = np.arange(n_terms, dtype=float)
@@ -213,7 +213,7 @@ def embed_cosine(x, power: int = 1) -> FeatureState:
     Each coordinate contributes an (N+1)-dimensional factor with amplitudes
     sqrt(C(N,k)) sin^k cos^(N-k); the full state is their tensor product.
     """
-    if power < 1:
+    if not _is_int(power) or power < 1:
         raise ValueError("power must be a positive integer")
     coords = as_coords(x)
     _check_domain(coords, "cosine")

@@ -7,7 +7,11 @@ with no bias term.  The regularizer is the plain squared norm of the
 coefficients, so the program stays convex for any symmetric Gram matrix,
 indefinite sampled ones included.  The solver maximizes the box-constrained
 dual with a primal active-set method, solving each face of the box exactly
-through an eigendecomposition, and terminates on the KKT residual.
+through an eigendecomposition, and terminates on the KKT residual.  The
+dual's m x m quadratic form Q = (1/4) diag(y) G^2 diag(y) is never formed:
+its gradient 1 - 2 Q alpha is 1 - y * scores, and a face block Q_FF comes
+from the free columns of G.  The solver reads G through two products G v
+and one column slice per iteration.
 """
 
 from __future__ import annotations
@@ -18,13 +22,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import _is_int
-
 SYMMETRY_TOL = 1e-12
 KKT_TOL = 1e-8
 # eigenvalues of Q_FF below this fraction of the largest count as its null space
 _RCOND = 1e-12
-# train's default budget of active-set iterations, and a cold refit's in train_path
+# budget of active-set iterations of a cold fit
 _MAX_ITERATIONS = 200_000
 
 CONDITION_POLICIES = ("clip", "shift", "none")
@@ -68,9 +70,9 @@ class TrainDiagnostics:
     """Solver byproducts: dual variables, slacks, residual, objective.
 
     ``sweeps`` counts the active-set iterations the solve took (from its warm
-    start, for a warm fit of ``train_path``); ``train``'s ``max_sweeps`` is
-    their budget.  ``kkt_residual`` is measured as ``svm.kkt_residual``
-    measures it: complementary slackness relative to gamma for gamma > 1.
+    start, for a warm fit of ``train_path``).  ``kkt_residual`` is measured
+    as ``svm.kkt_residual`` measures it: complementary slackness relative to
+    gamma for gamma > 1.
     """
 
     dual: np.ndarray
@@ -115,6 +117,7 @@ def training_objective(gram, labels, gamma: float, coefficients) -> float:
     """Primal objective sum a^2 + gamma * sum hinge(1 - y f) at given coefficients."""
     g = _as_gram(gram).values
     y = _check_labels(labels, g.shape[0])
+    _check_gamma(gamma)
     a = np.asarray(coefficients, dtype=float)
     scores = g @ a
     slack = np.maximum(0.0, 1.0 - y * scores)
@@ -149,6 +152,7 @@ def kkt_residual(gram, labels, gamma: float, coefficients, dual) -> float:
     """
     g = _as_gram(gram).values
     y = _check_labels(labels, g.shape[0])
+    _check_gamma(gamma)
     a = np.asarray(coefficients, dtype=float)
     alpha = np.asarray(dual, dtype=float)
     stationarity = float(np.max(np.abs(2.0 * a - g @ (y * alpha))))
@@ -161,11 +165,6 @@ def _check_gamma(gamma: float) -> float:
     return gamma
 
 
-def _dual_quadratic(g: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Q = (1/4) diag(y) G^2 diag(y), the dual's quadratic form."""
-    return (g @ g) * np.outer(y, y) / 4.0
-
-
 class _Solution(NamedTuple):
     alpha: np.ndarray
     coefficients: np.ndarray
@@ -174,7 +173,7 @@ class _Solution(NamedTuple):
     iterations: int
 
 
-def _solve(g, q, y, gamma: float, alpha: np.ndarray, budget: int) -> _Solution:
+def _solve(g, y, gamma: float, alpha: np.ndarray, budget: int) -> _Solution:
     """Active-set iterations from a start ``alpha`` in the box [0, gamma].
 
     Coordinates strictly inside the box start free, the rest pinned at
@@ -184,13 +183,14 @@ def _solve(g, q, y, gamma: float, alpha: np.ndarray, budget: int) -> _Solution:
     """
     free = (alpha > 0.0) & (alpha < gamma)
     face_solved = not free.any()
+    half_y = 0.5 * y
     for iterations in range(budget + 1):
         a = 0.5 * (g @ (y * alpha))
         scores = g @ a
         residual = _kkt_residual(y, gamma, alpha, scores)
         if residual < KKT_TOL or iterations == budget:
             break
-        grad = 1.0 - 2.0 * (q @ alpha)
+        grad = 1.0 - y * scores  # 1 - 2 Q alpha
         if face_solved:  # free the bound coordinate that violates the KKT conditions most
             violation = np.where(alpha > 0.0, -grad, grad)
             violation[free] = -np.inf
@@ -199,7 +199,10 @@ def _solve(g, q, y, gamma: float, alpha: np.ndarray, budget: int) -> _Solution:
                 break
             free[worst] = True
         idx = free.nonzero()[0]
-        q_ff, alpha_f, grad_f = q[idx[:, None], idx], alpha[idx], grad[idx]
+        # Q_FF = C'C for the free columns C = G[:, F] diag(y_F) / 2
+        columns = g[:, idx] * half_y[idx]
+        q_ff = columns.T @ columns
+        alpha_f, grad_f = alpha[idx], grad[idx]
         w, v = np.linalg.eigh(q_ff)
         keep = w > _RCOND * w[-1]
         basis = v[:, keep]
@@ -230,17 +233,6 @@ def _solve(g, q, y, gamma: float, alpha: np.ndarray, budget: int) -> _Solution:
     return _Solution(alpha, a, scores, residual, iterations)
 
 
-def _cold_model(g, q, y, gamma: float, train_id: str, budget: int) -> TrainedModel:
-    """The fit from alpha = 0, or ``RuntimeError`` if it stalls."""
-    solution = _solve(g, q, y, gamma, np.zeros(y.size), budget)
-    if solution.residual > 1e-6:
-        raise RuntimeError(
-            f"QP solver stalled at KKT residual {solution.residual:.3e} after "
-            f"{solution.iterations} iterations"
-        )
-    return _model(y, gamma, train_id, solution)
-
-
 def _model(y, gamma: float, train_id: str, solution: _Solution) -> TrainedModel:
     alpha, a, scores, residual, iterations = solution
     slack = np.maximum(0.0, 1.0 - y * scores)
@@ -256,13 +248,7 @@ def _model(y, gamma: float, train_id: str, solution: _Solution) -> TrainedModel:
     )
 
 
-def train(
-    gram,
-    labels,
-    gamma: float,
-    train_id: str = "",
-    max_sweeps: int = _MAX_ITERATIONS,
-) -> TrainedModel:
+def train(gram, labels, gamma: float, train_id: str = "") -> TrainedModel:
     """Fit the margin program on a precomputed Gram matrix.
 
     Parameters
@@ -276,8 +262,6 @@ def train(
         price of larger coefficients; as gamma -> 0 the coefficients vanish.
     train_id : str
         Identifier stored with the model (propagated into serialization).
-    max_sweeps : int
-        Budget of active-set iterations, a non-negative integer.
 
     Returns
     -------
@@ -294,14 +278,12 @@ def train(
     null space of Q_FF the dual is linear along it, and the step follows
     that part instead.  A step that reaches a bound pins the coordinate; on
     a solved face the bound coordinate with the largest KKT violation is
-    freed.  Primal recovery is a = G (y * alpha) / 2.
+    freed.  Primal recovery is a = G (y * alpha) / 2.  Q itself is never
+    formed: the gradient 1 - 2 Q alpha is 1 - y * (G a), and Q_FF is
+    C'C for the free columns C = G[:, F] diag(y_F) / 2.  A fit that ends
+    above a KKT residual of 1e-6 raises ``RuntimeError``.
     """
-    g = _as_gram(gram).values
-    y = _check_labels(labels, g.shape[0])
-    _check_gamma(gamma)
-    if not _is_int(max_sweeps) or max_sweeps < 0:
-        raise ValueError("max_sweeps must be a non-negative integer")
-    return _cold_model(g, _dual_quadratic(g, y), y, gamma, train_id, int(max_sweeps))
+    return train_path(gram, labels, [gamma], train_id)[0]
 
 
 def train_path(gram, labels, gammas, train_id: str = "") -> list[TrainedModel]:
@@ -320,18 +302,20 @@ def train_path(gram, labels, gammas, train_id: str = "") -> list[TrainedModel]:
     g = _as_gram(gram).values
     y = _check_labels(labels, g.shape[0])
     gammas = [_check_gamma(gamma) for gamma in gammas]
-    q = _dual_quadratic(g, y)
     models: list[TrainedModel | None] = [None] * len(gammas)
-    previous = None
+    solution = None
     for k in sorted(range(len(gammas)), key=lambda k: -gammas[k]):
         gamma = gammas[k]
-        if previous is not None:
-            warm = _solve(g, q, y, gamma, np.clip(previous, 0.0, gamma), y.size)
-            if warm.residual < KKT_TOL:
-                models[k] = _model(y, gamma, train_id, warm)
-        if models[k] is None:
-            models[k] = _cold_model(g, q, y, gamma, train_id, _MAX_ITERATIONS)
-        previous = models[k].diagnostics.dual
+        if solution is not None:
+            solution = _solve(g, y, gamma, np.clip(solution.alpha, 0.0, gamma), y.size)
+        if solution is None or solution.residual >= KKT_TOL:
+            solution = _solve(g, y, gamma, np.zeros(y.size), _MAX_ITERATIONS)
+            if solution.residual > 1e-6:
+                raise RuntimeError(
+                    f"QP solver stalled at KKT residual {solution.residual:.3e} after "
+                    f"{solution.iterations} iterations"
+                )
+        models[k] = _model(y, gamma, train_id, solution)
     return models
 
 
@@ -343,6 +327,8 @@ def accuracy(model: TrainedModel, kernel_rows, labels) -> float:
     rows = np.asarray(kernel_rows, dtype=float)
     if rows.ndim != 2 or rows.shape[0] == 0:
         raise ValueError("kernel_rows must be a nonempty matrix")
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("kernel_rows must be finite")
     if rows.shape[1] != model.coefficients.size:
         raise ValueError("kernel row length must match the coefficient count")
     y = _check_labels(labels, rows.shape[0])
@@ -350,19 +336,21 @@ def accuracy(model: TrainedModel, kernel_rows, labels) -> float:
     return float(np.mean(y * scores > 0.0))
 
 
-def condition_gram(gram: GramMatrix, policy: str = "clip") -> GramMatrix:
+def condition_gram(gram, policy: str = "clip") -> GramMatrix:
     """Repair an indefinite sampled Gram matrix ahead of training.
 
+    ``gram`` is a ``GramMatrix`` or a square symmetric finite array.
     ``"clip"`` floors negative eigenvalues at zero, ``"shift"`` adds
     |lambda_min| to the diagonal when the smallest eigenvalue is negative,
-    ``"none"`` returns the input unchanged.  The result is exactly
-    resymmetrized.
+    ``"none"`` returns the input unchanged as a ``GramMatrix``.  The result
+    is exactly resymmetrized.
     """
     if policy not in CONDITION_POLICIES:
         raise ValueError(f"policy must be one of {CONDITION_POLICIES}")
+    gram = _as_gram(gram)
     if policy == "none":
         return gram
-    v = np.asarray(gram.values, dtype=float)
+    v = gram.values
     if policy == "clip":
         evals, evecs = np.linalg.eigh(v)
         repaired = (evecs * np.maximum(evals, 0.0)) @ evecs.T

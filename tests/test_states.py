@@ -7,10 +7,18 @@ from finitekernels import (
     AmplitudeProfile,
     DataPoint,
     FeatureState,
+    best_random_linear_accuracy,
+    build_feature_unitary,
+    coincidence_rate_budget,
     embed_cosine,
     embed_interference,
     embed_phase_augmented,
+    generate_dataset,
+    input_state,
+    kernel_cosine,
     msi_profile,
+    msi_variance_closed_form,
+    qubit_count,
     rescale_dataset,
     tsq_profile,
 )
@@ -233,3 +241,46 @@ class TestRescaleDataset:
         # affine: midpoints stay proportional
         frac = (out[1, 0] - out[0, 0]) / (out[2, 0] - out[0, 0])
         assert frac == pytest.approx(0.25, abs=1e-12)
+
+
+_X, _XP = np.array([0.1, 0.2]), np.array([0.3, -0.4])
+_PTS, _LABELS = np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([1.0, -1.0])
+# (call, the argument name the error must give): each passes a bool or a
+# non-integer where the library takes a count, seed, length or power
+INTEGER_ARGUMENTS = {
+    "msi_profile-bool": (lambda: msi_profile(True), "n_terms"),
+    "msi_profile-float": (lambda: msi_profile(4.0), "n_terms"),
+    "tsq_profile-bool": (lambda: tsq_profile(True, 1.0), "n_terms"),
+    "tsq_profile-float": (lambda: tsq_profile(2.5, 1.0), "n_terms"),
+    "msi_variance_closed_form-float": (lambda: msi_variance_closed_form(4.0), "n_terms"),
+    "qubit_count-bool": (lambda: qubit_count(True), "power"),
+    "qubit_count-float": (lambda: qubit_count(2.5), "power"),
+    "kernel_cosine-bool": (lambda: kernel_cosine(_X, _XP, power=True), "power"),
+    "kernel_cosine-float": (lambda: kernel_cosine(_X, _XP, power=2.5), "power"),
+    "embed_cosine-bool": (lambda: embed_cosine(_X, power=True), "power"),
+    "embed_cosine-float": (lambda: embed_cosine(_X, power=2.0), "power"),
+    "build_feature_unitary-bool": (lambda: build_feature_unitary(_X, power=True), "powers"),
+    "input_state-dimension": (lambda: input_state(True), "dimension"),
+    "input_state-power": (lambda: input_state(1, power=True), "powers"),
+    "generate_dataset-seed-bool": (lambda: generate_dataset("moons", True), "seed"),
+    "generate_dataset-seed-float": (lambda: generate_dataset("moons", 1.0), "seed"),
+    "generate_dataset-train_size": (lambda: generate_dataset("moons", 1, train_size=10.0), "train_size"),
+    "generate_dataset-test_size": (lambda: generate_dataset("moons", 1, test_size=10.0), "test_size"),
+    "coincidence_rate_budget-pairs": (lambda: coincidence_rate_budget(True, 1.0, 10), "pairs"),
+    "coincidence_rate_budget-events": (
+        lambda: coincidence_rate_budget(10, 1.0, 2.5), "events_needed"
+    ),
+    "best_random_linear_accuracy-trials": (
+        lambda: best_random_linear_accuracy(_PTS, _LABELS, trials=True), "trials"
+    ),
+    "best_random_linear_accuracy-seed": (
+        lambda: best_random_linear_accuracy(_PTS, _LABELS, seed=True), "seed"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTEGER_ARGUMENTS))
+def test_bool_or_non_integer_rejected(case):
+    call, name = INTEGER_ARGUMENTS[case]
+    with pytest.raises(ValueError, match=name):
+        call()

@@ -147,18 +147,14 @@ class TestTrainBasics:
         with pytest.raises(ValueError):
             train(GramMatrix(np.eye(2)), np.array([1.0, -1.0]), 0.0)
 
-    def test_sweep_budget_exhaustion_raises(self):
+    def test_sweep_budget_exhaustion_raises(self, monkeypatch):
         rng = np.random.default_rng(3)
         pts = rng.normal(size=(20, 2))
         gram = np.exp(-((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1) / 4.0)
         labels = np.array([1.0] * 10 + [-1.0] * 10)
-        with pytest.raises(RuntimeError):
-            train(GramMatrix(gram), labels, gamma=50.0, max_sweeps=1)
-
-    @pytest.mark.parametrize("budget", [-1, 2.5, True])
-    def test_sweep_budget_validated(self, budget):
-        with pytest.raises(ValueError, match="max_sweeps must be a non-negative integer"):
-            train(np.eye(2), np.array([1.0, -1.0]), 1.0, max_sweeps=budget)
+        monkeypatch.setattr(svm, "_MAX_ITERATIONS", 1)
+        with pytest.raises(RuntimeError, match="stalled"):
+            train(GramMatrix(gram), labels, gamma=50.0)
 
     def test_accepts_plain_symmetric_array(self):
         model = train(np.eye(2), np.array([1.0, -1.0]), gamma=10.0)
@@ -185,6 +181,14 @@ class TestObjectiveAndResidual:
         assert good < 1e-8
         bad = kkt_residual(gram, labels, 100.0, np.array([5.0, 5.0]), np.array([0.0, 0.0]))
         assert bad > 1.0
+
+    @pytest.mark.parametrize("gamma", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_gamma_validated(self, gamma):
+        gram, labels = np.eye(2), np.array([1.0, -1.0])
+        with pytest.raises(ValueError, match="gamma must be a finite positive real"):
+            training_objective(gram, labels, gamma, np.zeros(2))
+        with pytest.raises(ValueError, match="gamma must be a finite positive real"):
+            kkt_residual(gram, labels, gamma, np.zeros(2), np.zeros(2))
 
 
 class TestDecide:
@@ -229,6 +233,11 @@ class TestGramMatrix:
             training_objective(values, labels, 1.0, np.zeros(2))
         with pytest.raises(ValueError, match="finite"):
             kkt_residual(values, labels, 1.0, np.zeros(2), np.zeros(2))
+        # a score from a NaN row is no silent misclassification
+        model = TrainedModel(coefficients=np.ones(2), gamma=1.0)
+        for row in ([np.nan, 0.0], [np.inf, 0.0]):
+            with pytest.raises(ValueError, match="kernel_rows must be finite"):
+                accuracy(model, [row], [1.0])
 
 
 class TestConditioning:
@@ -265,6 +274,14 @@ class TestConditioning:
         assert fixed.provenance == "sampled"
         assert fixed.seed == 4
         assert fixed.n_evaluations == 3
+
+    @pytest.mark.parametrize("policy", svm.CONDITION_POLICIES)
+    def test_plain_array_accepted_and_gram_returned(self, policy):
+        fixed = condition_gram(np.eye(3), policy)
+        assert isinstance(fixed, GramMatrix)
+        np.testing.assert_allclose(fixed.values, np.eye(3), atol=1e-12)
+        with pytest.raises(ValueError, match="finite"):
+            condition_gram(np.array([[1.0, np.nan], [np.nan, 1.0]]), policy)
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
@@ -394,7 +411,8 @@ class TestActiveSetRegressions:
     def test_low_rank_gram_converges_within_small_budget(self):
         # cyclic coordinate ascent is still at a KKT residual near 10 after 2,000 sweeps
         gram, labels = benchmark_problem("moons", 9, "cosine:0.5", 40, False)
-        model = train(gram, labels, 100.0, max_sweeps=2000)
+        model = train(gram, labels, 100.0)
+        assert model.diagnostics.sweeps <= 2000
         assert model.diagnostics.kkt_residual < 1e-8
 
     def test_large_gamma_on_rank_nine_gram_does_not_stall(self):
@@ -511,10 +529,10 @@ class TestTrainPath:
         train_set, _, _, gram, _ = path_problem("moons", 1, "cosine:1", 40, False)
         solve, warm_residuals = svm._solve, []
 
-        def starved(g, q, y, gamma, alpha, budget):
+        def starved(g, y, gamma, alpha, budget):
             if not alpha.any():
-                return solve(g, q, y, gamma, alpha, budget)
-            solution = solve(g, q, y, gamma, alpha, 0)  # a warm start with no iterations
+                return solve(g, y, gamma, alpha, budget)
+            solution = solve(g, y, gamma, alpha, 0)  # a warm start with no iterations
             warm_residuals.append(solution.residual)
             return solution
 
@@ -543,8 +561,7 @@ class TestTrainPath:
         gram = condition_gram(compute_gram(train_set, kernel, noise=ShotNoiseConfig(500)), "clip")
         g, y = gram.values, train_set.labels
         start = train(gram, y, 1e4).diagnostics.dual
-        q = svm._dual_quadratic(g, y)
-        solution = svm._solve(g, q, y, 1e3, np.clip(start, 0.0, 1e3), y.size)
+        solution = svm._solve(g, y, 1e3, np.clip(start, 0.0, 1e3), y.size)
         assert solution.residual < svm.KKT_TOL
         cold = train(gram, y, 1e3).coefficients
         assert np.abs(solution.coefficients - cold).max() <= 1e-9 * np.abs(cold).max()
