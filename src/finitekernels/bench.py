@@ -93,15 +93,30 @@ def kernel_rows(
 
 @dataclass(frozen=True)
 class BoundaryGrid:
-    """Decision scores on a regular grid spanning the kernel's input domain."""
+    """Decision scores on a regular grid spanning the kernel's input domain.
+
+    Each axis is 1-D, finite and strictly increasing with at least 2 nodes;
+    the scores are finite.  All three are stored as read-only float copies.
+    """
 
     xs: np.ndarray
     ys: np.ndarray
     scores: np.ndarray  # scores[i, j] = f(xs[i], ys[j])
 
     def __post_init__(self) -> None:
-        if self.scores.shape != (self.xs.size, self.ys.size):
+        xs, ys, scores = (np.array(a, dtype=float) for a in (self.xs, self.ys, self.scores))
+        for axis in (xs, ys):
+            if axis.ndim != 1 or axis.size < 2:
+                raise ValueError("each grid axis must be 1-D with at least 2 nodes")
+            if not (np.all(np.isfinite(axis)) and np.all(np.diff(axis) > 0.0)):
+                raise ValueError("each grid axis must be finite and strictly increasing")
+        if scores.shape != (xs.size, ys.size):
             raise ValueError("scores shape must match the axes")
+        if not np.all(np.isfinite(scores)):
+            raise ValueError("grid scores must be finite")
+        for name, value in (("xs", xs), ("ys", ys), ("scores", scores)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     def to_rows(self) -> np.ndarray:
         """Flat (x1, x2, score) rows, x-major."""
@@ -143,7 +158,7 @@ def boundary_grid(
         first, second = (kernel.coordinate_features(pts[:, d]) for d in (0, 1))
         weights = (first * model.coefficients[:, None]).T @ second
         scores = features @ weights @ features.T
-    return BoundaryGrid(xs=axis, ys=axis.copy(), scores=scores)
+    return BoundaryGrid(xs=axis, ys=axis, scores=scores)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ DATASET_NAMES = ("concentric", "moons", "xor")
 
 @dataclass(frozen=True)
 class LabeledSet:
-    """Points with +1/-1 labels; the +1 block precedes the -1 block."""
+    """Finite points with +1/-1 labels; the +1 block precedes the -1 block."""
 
     points: np.ndarray
     labels: np.ndarray
@@ -29,6 +29,8 @@ class LabeledSet:
         y = np.asarray(self.labels, dtype=float)
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ValueError("points must form a nonempty 2-D array")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("points must be finite")
         if y.shape != (pts.shape[0],):
             raise ValueError("labels must match the number of points")
         if not np.all(np.isin(y, (-1.0, 1.0))):

@@ -6,6 +6,11 @@ the package computes values and leaves their formats to it.
 All floats in CSV output carry 17 significant digits (lossless for float64),
 JSON keys are sorted, and the SVG contains no clock or environment data, so a
 repeated run with the same configuration reproduces every byte.
+
+Each artifact is formatted in one pass: its numbers are computed as arrays,
+and each kind of element is written by one ``%`` over a repeated template.
+A table that is symmetric bit for bit (the Gram matrices the pipelines build)
+formats each mirrored pair of cells once and writes the same string twice.
 """
 
 from __future__ import annotations
@@ -32,10 +37,31 @@ def _fmt(value: float) -> str:
 # ---------- CSV ----------
 
 
+def _strings(values: np.ndarray, spec: str) -> np.ndarray:
+    """``spec % v`` for every value, as a 1-D object array; one ``%`` pass."""
+    flat = np.ravel(values).tolist()
+    return np.array(((spec + "\n") * len(flat) % tuple(flat)).split("\n")[:-1], dtype=object)
+
+
 def _table(header: list[str], rows: np.ndarray) -> str:
-    """CSV text as ``csv.writer`` writes it (CRLF ends), every value ``%.17g``."""
-    line = ",".join(["%.17g"] * len(header)) + "\r\n"
-    return ",".join(header) + "\r\n" + (line * len(rows)) % tuple(rows.ravel().tolist())
+    """CSV text as ``csv.writer`` writes it (CRLF ends), every value ``%.17g``.
+
+    A square table that is symmetric bit for bit formats its upper triangle
+    alone and reuses each string for the mirror cell; comparing bit patterns
+    keeps ``0.0`` and ``-0.0`` apart.
+    """
+    values = np.ascontiguousarray(rows, dtype=float)
+    bits = values.view(np.uint64)
+    if values.shape[0] == values.shape[1] and np.array_equal(bits, bits.T):
+        upper = np.triu_indices(len(values))
+        cells = np.empty(values.shape, dtype=object)
+        cells[upper] = _strings(values[upper], "%.17g")
+        cells.T[upper] = cells[upper]
+        spec = "%s"
+    else:
+        cells, spec = values, "%.17g"
+    line = ",".join([spec] * len(header)) + "\r\n"
+    return ",".join(header) + "\r\n" + (line * len(values)) % tuple(cells.ravel().tolist())
 
 
 def _dataset_csv(dataset: LabeledSet) -> str:
@@ -144,44 +170,44 @@ def load_report_json(path) -> dict:
 
 # ---------- SVG boundary plot ----------
 
+_MARGIN = 6.0  # px between the plot area and the figure's edge
 
-def _zero_contour_segments(grid: BoundaryGrid) -> list[tuple[float, float, float, float]]:
-    """Marching-squares segments of the score's zero level, in data coordinates."""
+
+def _zero_contour_segments(grid: BoundaryGrid) -> np.ndarray:
+    """Marching-squares segments of the score's zero level, in data coordinates.
+
+    Rows (ax, ay, bx, by), cells i-major then j-minor.  Corners k = 0..3 of
+    cell (i, j) run counter-clockwise from (xs[i], ys[j]); edge k joins
+    corner k to corner k + 1 and crosses zero at t = v0 / (v0 - v1).  A cell
+    with two crossings gives one segment; a saddle cell (four) pairs its
+    edges by the sign of its center average, as (0, 1), (2, 3) when that
+    sign matches corner 0 and as (0, 3), (1, 2) otherwise.
+    """
     xs, ys, z = grid.xs, grid.ys, grid.scores
-    segments: list[tuple[float, float, float, float]] = []
-
-    def cross(v0, v1):
-        return (v0 > 0.0) != (v1 > 0.0)
-
-    def lerp(p0, p1, v0, v1):
-        t = 0.5 if v0 == v1 else v0 / (v0 - v1)
-        return (p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1]))
-
-    for i in range(len(xs) - 1):
-        for j in range(len(ys) - 1):
-            corners = [
-                ((xs[i], ys[j]), z[i, j]),
-                ((xs[i + 1], ys[j]), z[i + 1, j]),
-                ((xs[i + 1], ys[j + 1]), z[i + 1, j + 1]),
-                ((xs[i], ys[j + 1]), z[i, j + 1]),
-            ]
-            crossings = []
-            for k in range(4):
-                (p0, v0), (p1, v1) = corners[k], corners[(k + 1) % 4]
-                if cross(v0, v1):
-                    crossings.append(lerp(p0, p1, v0, v1))
-            if len(crossings) == 2:
-                (ax, ay), (bx, by) = crossings
-                segments.append((ax, ay, bx, by))
-            elif len(crossings) == 4:
-                # saddle cell: pair edges by the sign of the center average
-                center = sum(v for _, v in corners) / 4.0
-                first = (z[i, j] > 0.0) == (center > 0.0)
-                order = [(0, 1), (2, 3)] if first else [(0, 3), (1, 2)]
-                for a, b in order:
-                    (ax, ay), (bx, by) = crossings[a], crossings[b]
-                    segments.append((ax, ay, bx, by))
-    return segments
+    cx = (xs[:-1, None], xs[1:, None], xs[1:, None], xs[:-1, None])
+    cy = (ys[None, :-1], ys[None, :-1], ys[None, 1:], ys[None, 1:])
+    v = (z[:-1, :-1], z[1:, :-1], z[1:, 1:], z[:-1, 1:])
+    shape = v[0].shape
+    crossing = np.empty((4,) + shape, dtype=bool)
+    at_x, at_y = np.empty((4,) + shape), np.empty((4,) + shape)
+    for k in range(4):
+        n = (k + 1) % 4
+        crossing[k] = (v[k] > 0.0) != (v[n] > 0.0)
+        t = np.divide(v[k], v[k] - v[n], out=np.zeros(shape), where=crossing[k])
+        at_x[k] = cx[k] + t * (cx[n] - cx[k])
+        at_y[k] = cy[k] + t * (cy[n] - cy[k])
+    count = crossing.sum(axis=0)
+    saddle = count == 4
+    center = (((v[0] + v[1]) + v[2]) + v[3]) / 4.0
+    paired = (v[0] > 0.0) == (center > 0.0)
+    first = crossing.argmax(axis=0)  # 0 on a saddle
+    last = 3 - crossing[::-1].argmax(axis=0)  # 3 on a saddle
+    # the edges of each cell's two segment slots: start and end of slot 0, then of slot 1
+    edges = np.stack([first, np.where(saddle & paired, 1, last),
+                      np.where(paired, 2, 1), np.where(paired, 3, 2)])
+    ends = np.stack([np.take_along_axis(at, edges, axis=0) for at in (at_x, at_y)], axis=-1)
+    slots = ends.reshape(2, 2, -1, 2).transpose(2, 0, 1, 3).reshape(-1, 2, 4)
+    return slots[np.stack([count > 0, saddle], axis=-1).reshape(-1, 2)]
 
 
 def render_boundary_svg(
@@ -197,79 +223,67 @@ def render_boundary_svg(
     right corner.
     """
     xs, ys, z = grid.xs, grid.ys, grid.scores
-    margin = 6.0
-    span_x = xs[-1] - xs[0]
-    span_y = ys[-1] - ys[0]
+    plot = SVG_SIZE - 2 * _MARGIN
     # half-open grids carry one trailing cell of the same pitch
     pitch_x = xs[1] - xs[0]
     pitch_y = ys[1] - ys[0]
+    span_x = xs[-1] - xs[0]
+    span_y = ys[-1] - ys[0]
 
-    def to_px(x, y):
-        px = margin + (x - xs[0]) / (span_x + pitch_x) * (SVG_SIZE - 2 * margin)
-        py = margin + (ys[-1] + pitch_y - y) / (span_y + pitch_y) * (SVG_SIZE - 2 * margin)
-        return px, py
+    def px(x):
+        return _MARGIN + (x - xs[0]) / (span_x + pitch_x) * plot
 
-    cell_w = (SVG_SIZE - 2 * margin) / len(xs)
-    cell_h = (SVG_SIZE - 2 * margin) / len(ys)
+    def py(y):
+        return _MARGIN + (ys[-1] + pitch_y - y) / (span_y + pitch_y) * plot
+
     zmax = float(np.abs(z).max()) or 1.0
+    cells = np.empty(z.shape + (4,), dtype=object)
+    cells[..., 0] = _strings(px(xs), "%.2f")[:, None]
+    cells[..., 1] = _strings(py(ys + pitch_y), "%.2f")
+    cells[..., 2] = np.where(z > 0.0, "#2166ac", "#b2182b")
+    cells[..., 3] = 0.08 + 0.5 * (np.abs(z) / zmax)  # |z| <= zmax: the ratio stays in [0, 1]
+    rect = (f'<rect x="%s" y="%s" width="{plot / len(xs):.2f}" height="{plot / len(ys):.2f}" '
+            f'fill="%s" opacity="%.3f"/>\n')
+
+    segments = _zero_contour_segments(grid)
+    lines = np.column_stack([px(segments[:, 0]), py(segments[:, 1]),
+                             px(segments[:, 2]), py(segments[:, 3])])
+    line = '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="black" stroke-width="1.4"/>\n'
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" height="{SVG_SIZE}" '
-        f'viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
-        f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>',
+        f'viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">\n',
+        f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>\n',
+        rect * z.size % tuple(cells.ravel().tolist()),
+        line * len(lines) % tuple(lines.ravel().tolist()),
     ]
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            value = z[i, j]
-            color = "#2166ac" if value > 0.0 else "#b2182b"
-            opacity = 0.08 + 0.5 * min(1.0, abs(value) / zmax)
-            px, py = to_px(x, y + pitch_y)
-            parts.append(
-                f'<rect x="{px:.2f}" y="{py:.2f}" width="{cell_w:.2f}" '
-                f'height="{cell_h:.2f}" fill="{color}" opacity="{opacity:.3f}"/>'
-            )
-    for ax, ay, bx, by in _zero_contour_segments(grid):
-        (pax, pay), (pbx, pby) = to_px(ax, ay), to_px(bx, by)
-        parts.append(
-            f'<line x1="{pax:.2f}" y1="{pay:.2f}" x2="{pbx:.2f}" y2="{pby:.2f}" '
-            f'stroke="black" stroke-width="1.4"/>'
-        )
-
-    def triangle(px, py, orientation, fill):
-        r = 5.0
-        if orientation == "up":
-            pts = [(px, py - r), (px - r, py + r), (px + r, py + r)]
-        elif orientation == "down":
-            pts = [(px, py + r), (px - r, py - r), (px + r, py - r)]
-        elif orientation == "right":
-            pts = [(px + r, py), (px - r, py - r), (px - r, py + r)]
-        else:
-            pts = [(px - r, py), (px + r, py - r), (px + r, py + r)]
-        coords = " ".join(f"{a:.2f},{b:.2f}" for a, b in pts)
-        return (
-            f'<polygon points="{coords}" fill="{fill}" stroke="black" '
-            f'stroke-width="0.8"/>'
-        )
-
-    for subset, orientations in (
-        (train_set, ("up", "down")),
-        (test_set, ("right", "left")),
-    ):
+    r = 5.0
+    for subset, vertical in ((train_set, True), (test_set, False)):
         if subset is None:
             continue
-        for point, label in zip(subset.points, subset.labels):
-            px, py = to_px(point[0], point[1])
-            orientation = orientations[0] if label > 0 else orientations[1]
-            fill = "#4393c3" if label > 0 else "#d6604d"
-            parts.append(triangle(px, py, orientation, fill))
+        x, y = px(subset.points[:, 0]), py(subset.points[:, 1])
+        up = subset.labels > 0
+        if vertical:  # up for +1, down for -1
+            tip, base = np.where(up, y - r, y + r), np.where(up, y + r, y - r)
+            vertices = (x, tip, x - r, base, x + r, base)
+        else:  # right for +1, left for -1
+            tip, base = np.where(up, x + r, x - r), np.where(up, x - r, x + r)
+            vertices = (tip, y, base, y - r, base, y + r)
+        markers = np.empty((subset.size, 7), dtype=object)
+        markers[:, :6] = np.column_stack(vertices)
+        markers[:, 6] = np.where(up, "#4393c3", "#d6604d")
+        parts.append(
+            '<polygon points="%.2f,%.2f %.2f,%.2f %.2f,%.2f" fill="%s" stroke="black" '
+            'stroke-width="0.8"/>\n' * subset.size % tuple(markers.ravel().tolist())
+        )
     if test_accuracy is not None:
         parts.append(
-            f'<text x="{SVG_SIZE - margin - 4:.0f}" y="{SVG_SIZE - margin - 6:.0f}" '
+            f'<text x="{SVG_SIZE - _MARGIN - 4:.0f}" y="{SVG_SIZE - _MARGIN - 6:.0f}" '
             f'text-anchor="end" font-family="sans-serif" font-size="16">'
-            f"test {test_accuracy:.2f}</text>"
+            f"test {test_accuracy:.2f}</text>\n"
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("</svg>\n")
+    return "".join(parts)
 
 
 def write_boundary_svg(path, grid: BoundaryGrid, train_set: LabeledSet) -> None:

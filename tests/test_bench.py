@@ -250,6 +250,34 @@ class TestBoundaryGrid:
         with pytest.raises(ValueError):
             boundary_grid(model, train, KERNEL_N1, side=1)
 
+    @pytest.mark.parametrize(
+        "xs, ys, scores",
+        [
+            ([0.0], [0.0, 1.0], [[1.0, 2.0]]),  # one node
+            ([[0.0, 1.0]], [0.0, 1.0], [[1.0, 2.0]]),  # 2-D axis
+            ([0.0, 0.0], [0.0, 1.0], [[1.0, 2.0], [3.0, 4.0]]),  # repeated node
+            ([1.0, 0.0], [0.0, 1.0], [[1.0, 2.0], [3.0, 4.0]]),  # decreasing
+            ([0.0, 1.0], [0.0, np.nan], [[1.0, 2.0], [3.0, 4.0]]),
+            ([0.0, np.inf], [0.0, 1.0], [[1.0, 2.0], [3.0, 4.0]]),
+            ([0.0, 1.0], [0.0, 1.0], [[1.0, 2.0, 3.0], [3.0, 4.0, 5.0]]),  # shape
+            ([0.0, 1.0], [0.0, 1.0], [[1.0, np.nan], [3.0, 4.0]]),
+            ([0.0, 1.0], [0.0, 1.0], [[1.0, 2.0], [-np.inf, 4.0]]),
+        ],
+    )
+    def test_value_rejects_bad_axes_and_scores(self, xs, ys, scores):
+        with pytest.raises(ValueError):
+            BoundaryGrid(xs=xs, ys=ys, scores=scores)
+
+    def test_value_stores_read_only_float_copies(self):
+        xs = np.array([0, 1])
+        scores = [[1, 2], [3, 4]]
+        grid = BoundaryGrid(xs=xs, ys=[0.5, 0.75], scores=scores)
+        xs[0] = -5
+        scores[0][0] = 9
+        for array in (grid.xs, grid.ys, grid.scores):
+            assert array.dtype == np.float64 and not array.flags.writeable
+        assert grid.xs[0] == 0.0 and grid.scores[0, 0] == 1.0
+
     def test_row_output_is_x_major(self):
         xs = np.array([0.0, 1.0])
         ys = np.array([10.0, 20.0])

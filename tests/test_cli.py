@@ -2,12 +2,14 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from finitekernels import bench
+from finitekernels import TrainedModel, bench
 from finitekernels.cli import main, parse_kernel
 from finitekernels.kernels import KernelSpec
 from finitekernels.optics import ShotNoiseConfig
+from finitekernels.reports import write_model_json
 from finitekernels.resolution import optimize_profile
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -452,6 +454,22 @@ class TestFailureModes:
         )
         assert code == 1
         assert "error in stage 'gram'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["gram", "boundary"])
+    def test_non_finite_training_point_rejected_at_load(self, command, tmp_path, capsys):
+        train = tmp_path / "train.csv"
+        train.write_text("x1,x2,label\r\n0.2,0.3,1\r\nnan,0.1,1\r\n-0.4,0.5,-1\r\n")
+        model = tmp_path / "model.json"
+        write_model_json(model, TrainedModel(np.array([0.5, 0.25, -0.75]), 1.0))
+        argv = {
+            "gram": ["gram"],
+            "boundary": ["boundary", "--model", str(model), "--side", "3"],
+        }[command]
+        out = tmp_path / "o"
+        assert main(argv + ["--train", str(train), "--kernel", "cosine:1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error in stage '{command}'" in err and "points must be finite" in err
+        assert not list(out.glob("*"))
 
     def test_bench_write_failure_tagged_emit(self, tmp_path, capsys):
         (tmp_path / "o" / "report.json").mkdir(parents=True)  # a directory where a file goes

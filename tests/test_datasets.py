@@ -31,6 +31,11 @@ class TestLabeledSet:
         with pytest.raises(ValueError):
             LabeledSet(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        with pytest.raises(ValueError, match="points must be finite"):
+            LabeledSet(np.array([[0.0, 1.0], [bad, 0.0]]), np.array([1.0, -1.0]))
+
     def test_points_read_only(self):
         ls = LabeledSet(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, -1.0]))
         with pytest.raises(ValueError):

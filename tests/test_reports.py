@@ -1,8 +1,10 @@
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from finitekernels import (
     BenchReport,
@@ -16,6 +18,9 @@ from finitekernels import (
     run_benchmark,
 )
 from finitekernels.reports import (
+    SVG_SIZE,
+    _table,
+    _zero_contour_segments,
     emit_report,
     load_dataset_csv,
     load_gram_csv,
@@ -213,3 +218,263 @@ class TestEmitReport:
         emit_report(self.make_report(), b_dir)
         for name in ("train.csv", "gram.csv", "grid.csv", "model.json", "report.json", "boundary.svg"):
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
+
+
+# ---------- byte oracle: the renderers written value by value ----------
+
+
+def loop_table(header, rows):
+    """CSV text with every value formatted on its own, CRLF line ends."""
+    lines = [",".join(header)] + [",".join("%.17g" % float(v) for v in row) for row in rows]
+    return "\r\n".join(lines) + "\r\n"
+
+
+def loop_zero_contour_segments(grid):
+    xs, ys, z = grid.xs, grid.ys, grid.scores
+    segments = []
+
+    def cross(v0, v1):
+        return (v0 > 0.0) != (v1 > 0.0)
+
+    def lerp(p0, p1, v0, v1):
+        t = 0.5 if v0 == v1 else v0 / (v0 - v1)
+        return (p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1]))
+
+    for i in range(len(xs) - 1):
+        for j in range(len(ys) - 1):
+            corners = [
+                ((xs[i], ys[j]), z[i, j]),
+                ((xs[i + 1], ys[j]), z[i + 1, j]),
+                ((xs[i + 1], ys[j + 1]), z[i + 1, j + 1]),
+                ((xs[i], ys[j + 1]), z[i, j + 1]),
+            ]
+            crossings = []
+            for k in range(4):
+                (p0, v0), (p1, v1) = corners[k], corners[(k + 1) % 4]
+                if cross(v0, v1):
+                    crossings.append(lerp(p0, p1, v0, v1))
+            if len(crossings) == 2:
+                (ax, ay), (bx, by) = crossings
+                segments.append((ax, ay, bx, by))
+            elif len(crossings) == 4:
+                # saddle cell: pair edges by the sign of the center average
+                center = sum(v for _, v in corners) / 4.0
+                first = (z[i, j] > 0.0) == (center > 0.0)
+                order = [(0, 1), (2, 3)] if first else [(0, 3), (1, 2)]
+                for a, b in order:
+                    (ax, ay), (bx, by) = crossings[a], crossings[b]
+                    segments.append((ax, ay, bx, by))
+    return segments
+
+
+def loop_render_boundary_svg(grid, train_set=None, test_set=None, test_accuracy=None):
+    xs, ys, z = grid.xs, grid.ys, grid.scores
+    margin = 6.0
+    span_x = xs[-1] - xs[0]
+    span_y = ys[-1] - ys[0]
+    pitch_x = xs[1] - xs[0]
+    pitch_y = ys[1] - ys[0]
+
+    def to_px(x, y):
+        px = margin + (x - xs[0]) / (span_x + pitch_x) * (SVG_SIZE - 2 * margin)
+        py = margin + (ys[-1] + pitch_y - y) / (span_y + pitch_y) * (SVG_SIZE - 2 * margin)
+        return px, py
+
+    cell_w = (SVG_SIZE - 2 * margin) / len(xs)
+    cell_h = (SVG_SIZE - 2 * margin) / len(ys)
+    zmax = float(np.abs(z).max()) or 1.0
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" height="{SVG_SIZE}" '
+        f'viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
+        f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>',
+    ]
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            value = z[i, j]
+            color = "#2166ac" if value > 0.0 else "#b2182b"
+            opacity = 0.08 + 0.5 * min(1.0, abs(value) / zmax)
+            px, py = to_px(x, y + pitch_y)
+            parts.append(
+                f'<rect x="{px:.2f}" y="{py:.2f}" width="{cell_w:.2f}" '
+                f'height="{cell_h:.2f}" fill="{color}" opacity="{opacity:.3f}"/>'
+            )
+    for ax, ay, bx, by in loop_zero_contour_segments(grid):
+        (pax, pay), (pbx, pby) = to_px(ax, ay), to_px(bx, by)
+        parts.append(
+            f'<line x1="{pax:.2f}" y1="{pay:.2f}" x2="{pbx:.2f}" y2="{pby:.2f}" '
+            f'stroke="black" stroke-width="1.4"/>'
+        )
+
+    def triangle(px, py, orientation, fill):
+        r = 5.0
+        if orientation == "up":
+            pts = [(px, py - r), (px - r, py + r), (px + r, py + r)]
+        elif orientation == "down":
+            pts = [(px, py + r), (px - r, py - r), (px + r, py - r)]
+        elif orientation == "right":
+            pts = [(px + r, py), (px - r, py - r), (px - r, py + r)]
+        else:
+            pts = [(px - r, py), (px + r, py - r), (px + r, py + r)]
+        coords = " ".join(f"{a:.2f},{b:.2f}" for a, b in pts)
+        return f'<polygon points="{coords}" fill="{fill}" stroke="black" stroke-width="0.8"/>'
+
+    for subset, orientations in ((train_set, ("up", "down")), (test_set, ("right", "left"))):
+        if subset is None:
+            continue
+        for point, label in zip(subset.points, subset.labels):
+            px, py = to_px(point[0], point[1])
+            orientation = orientations[0] if label > 0 else orientations[1]
+            fill = "#4393c3" if label > 0 else "#d6604d"
+            parts.append(triangle(px, py, orientation, fill))
+    if test_accuracy is not None:
+        parts.append(
+            f'<text x="{SVG_SIZE - margin - 4:.0f}" y="{SVG_SIZE - margin - 6:.0f}" '
+            f'text-anchor="end" font-family="sans-serif" font-size="16">'
+            f"test {test_accuracy:.2f}</text>"
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+ORACLE_PROPERTY = settings(max_examples=80, deadline=None, derandomize=True)
+SCORE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25]), st.floats(-3.0, 3.0))
+CELL = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 1.0 / 3.0, 5e-324, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def signs(nx, ny):
+    """+1/-1 checkerboard: every cell with a sign change on all four edges is a saddle."""
+    return np.where(np.add.outer(np.arange(nx), np.arange(ny)) % 2 == 0, 1.0, -1.0)
+
+
+@st.composite
+def grids(draw):
+    """Axes of 2-12 nodes (uneven pitch allowed), free, checkerboard or constant scores."""
+
+    def axis():
+        n = draw(st.integers(2, 12))
+        gaps = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+        return draw(st.floats(-2.0, 2.0)) + draw(st.floats(0.01, 1.0)) * np.cumsum(gaps)
+
+    xs, ys = axis(), axis()
+    kind = draw(st.sampled_from(["free", "checkerboard", "constant"]))
+    if kind == "constant":
+        return BoundaryGrid(xs, ys, np.full((xs.size, ys.size), draw(SCORE)))
+    values = np.array(draw(st.lists(SCORE, min_size=xs.size * ys.size, max_size=xs.size * ys.size)))
+    scores = values.reshape(xs.size, ys.size)
+    if kind == "checkerboard":
+        scores = np.abs(scores) * signs(xs.size, ys.size)
+    return BoundaryGrid(xs, ys, scores)
+
+
+@st.composite
+def marker_sets(draw):
+    n_pos, n_neg = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    coordinate = st.floats(-3.0, 3.0)
+    points = draw(st.lists(st.tuples(coordinate, coordinate), min_size=n_pos + n_neg,
+                           max_size=n_pos + n_neg))
+    return LabeledSet(np.array(points), np.array([1.0] * n_pos + [-1.0] * n_neg))
+
+
+@st.composite
+def tables(draw):
+    """(header, rows): free shapes, symmetric squares, one ulp off, a mirrored 0.0 / -0.0."""
+    kind = draw(st.sampled_from(["free", "symmetric", "ulp", "zero-pair"]))
+    n = draw(st.integers(1 if kind in ("free", "symmetric") else 2, 8))
+    k = draw(st.integers(1, 8)) if kind == "free" else n
+    rows = np.array(draw(st.lists(CELL, min_size=n * k, max_size=n * k))).reshape(n, k)
+    if kind != "free":
+        i, j = np.tril_indices(n, -1)
+        rows[i, j] = rows[j, i]
+    if kind in ("ulp", "zero-pair"):
+        a, b = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+        if kind == "ulp":
+            rows[b, a] = np.nextafter(rows[a, b], np.inf)
+        else:
+            rows[a, b], rows[b, a] = 0.0, -0.0
+    return [f"c{c + 1}" for c in range(k)], rows
+
+
+XS3 = np.array([0.0, 0.5, 1.0])
+MARKERS = LabeledSet(np.array([[0.1, 0.2], [0.9, 0.4], [0.3, 0.8]]), np.array([1.0, -1.0, -1.0]))
+
+
+class TestByteOracle:
+    """The array renderers write the bytes the per-value loops above write."""
+
+    @ORACLE_PROPERTY
+    @given(grids(), st.none() | marker_sets(), st.none() | marker_sets(),
+           st.none() | st.floats(0.0, 1.0))
+    @example(BoundaryGrid(XS3, XS3, np.zeros((3, 3))), MARKERS, MARKERS, 0.5)  # zmax falls back to 1
+    @example(BoundaryGrid(XS3, XS3, np.full((3, 3), -2.0)), None, MARKERS, None)
+    @example(BoundaryGrid(XS3[:2], XS3, signs(2, 3)), MARKERS, None, 1.0)
+    @example(BoundaryGrid(XS3, XS3[:2], np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, 1.0]])), None, None, None)
+    def test_svg_equals_loop(self, grid, train_set, test_set, test_accuracy):
+        expected = loop_render_boundary_svg(grid, train_set, test_set, test_accuracy)
+        assert render_boundary_svg(grid, train_set, test_set, test_accuracy) == expected
+        segments = np.array(loop_zero_contour_segments(grid)).reshape(-1, 4)
+        assert np.array_equal(_zero_contour_segments(grid), segments)
+
+    @ORACLE_PROPERTY
+    @given(tables())
+    @example((["c1"], np.array([[-0.0]])))
+    @example((["x1"], np.array([[0.5], [-0.0], [1e-300]])))
+    @example((["x1", "x2", "label"], np.array([[1.0 / 3.0, -0.25, 1.0]])))
+    @example((["c1", "c2"], np.array([[1.0, 0.0], [-0.0, 1.0]])))
+    @example((["c1", "c2"], np.array([[1.0, 0.1], [np.nextafter(0.1, 1.0), 1.0]])))
+    def test_table_equals_loop(self, table):
+        header, rows = table
+        assert _table(header, rows) == loop_table(header, rows)
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestGoldenBytes:
+    """Pinned bytes of fixed, hand-built inputs; elementwise arithmetic only, so no BLAS."""
+
+    XS = np.array([-1.0, -0.625, -0.25, 0.125, 0.5, 0.875])
+    YS = np.array([-0.5, 0.0, 0.375, 0.75])
+    SCORES = np.array([  # nine saddle cells, both pairings, one center exactly 0
+        [0.9, 0.4, -0.1, -0.7],
+        [0.5, -0.3, 0.2, -0.4],
+        [0.0, 0.35, -0.25, 0.15],
+        [-0.0, -0.5, 0.45, -0.05],
+        [-0.6, 0.3, -0.8, 0.65],
+        [-1.2, -0.2, 0.1, 1.5],
+    ])
+    TRAIN = LabeledSet(np.array([[-0.9, -0.4], [0.3, 0.6], [0.7, -0.1], [-0.2, 0.2]]),
+                       np.array([1.0, 1.0, -1.0, -1.0]))
+    TEST = LabeledSet(np.array([[0.1, 0.1], [-0.5, 0.7], [0.85, 0.8]]), np.array([1.0, -1.0, -1.0]))
+
+    def test_svg(self):
+        grid = BoundaryGrid(self.XS, self.YS, self.SCORES)
+        assert len(_zero_contour_segments(grid)) == 24
+        assert sha256(render_boundary_svg(grid, self.TRAIN, self.TEST, 0.8125)) == (
+            "5b37cefc62efecb131c3879e56ab2012b247ca3e3ed9fd60bac0b6f1df2081f9"
+        )
+        assert sha256(render_boundary_svg(grid)) == (
+            "c8ac6b22f15df8f6e5382519fd56ac43073a1e49ee1905cc8bdd57cec5920cae"
+        )
+
+    def test_tables(self):
+        symmetric = np.array([
+            [1.0, 1.0 / 3.0, -0.0, 1e-300],
+            [1.0 / 3.0, 2.0 / 3.0, 5e-324, 0.1],
+            [-0.0, 5e-324, 0.0, -1e20],
+            [1e-300, 0.1, -1e20, 1.0 / 7.0],
+        ])
+        assert sha256(_table(["c1", "c2", "c3", "c4"], symmetric)) == (
+            "0d0911ff9c6b875066a91ede8b4b8609565848619b023ccb0cde1325b9d50575"
+        )
+        dataset = np.array([[1.0 / 3.0, -0.25, 1.0], [0.1, 2.5e-17, -1.0]])
+        assert sha256(_table(["x1", "x2", "label"], dataset)) == (
+            "f639e38c35d0bc3fca2665178513c2a8fbec4fdf4445eb9ce3b0f096f0f188d1"
+        )
+        assert sha256(_table(["c1", "c2"], np.array([[1.0, 0.0], [-0.0, 1.0]]))) == (
+            "e13b772a82fe2be6cd9fe1a141804a6f1bcebbb0d5866fc0305185865d7e7ff5"
+        )
