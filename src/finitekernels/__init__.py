@@ -40,7 +40,6 @@ from .resolution import (
     msi_variance_closed_form,
     optimize_profile,
     rayleigh_quotient,
-    resolution_numeric,
     resolution_quadratic,
     resolution_sweep,
 )
@@ -129,7 +128,6 @@ __all__ = [
     "qubit_count",
     "rayleigh_quotient",
     "rescale_dataset",
-    "resolution_numeric",
     "resolution_quadratic",
     "resolution_sweep",
     "run_benchmark",

@@ -23,7 +23,7 @@ from .kernels import KernelSpec
 from .optics import ShotNoiseConfig
 from .resolution import optimize_profile, resolution_sweep
 from .states import msi_profile, tsq_profile
-from .svm import CONDITION_POLICIES, accuracy as model_accuracy, condition_gram
+from .svm import CONDITION_POLICIES, TrainedModel, accuracy as model_accuracy, condition_gram
 from .svm import train as train_model
 from . import reports
 
@@ -213,10 +213,19 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _load_model(path, train_set) -> TrainedModel:
+    """The model at ``path``, which must hold one coefficient per training point."""
+    model = reports.load_model_json(path)
+    if model.coefficients.size != train_set.size:
+        raise ValueError(f"model {path} has {model.coefficients.size} coefficients "
+                         f"but the training set has {train_set.size} points")
+    return model
+
+
 def _cmd_eval(args) -> int:
     out = _out_dir(args)
-    model = reports.load_model_json(args.model)
     train_set = reports.load_dataset_csv(args.train)
+    model = _load_model(args.model, train_set)
     test_set = reports.load_dataset_csv(args.test)
     kernel = parse_kernel(args.kernel)
     rows = kernel_rows(test_set, train_set, kernel, noise=_noise(args))
@@ -229,8 +238,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_boundary(args) -> int:
     out = _out_dir(args)
-    model = reports.load_model_json(args.model)
     train_set = reports.load_dataset_csv(args.train)
+    model = _load_model(args.model, train_set)
     kernel = parse_kernel(args.kernel)
     grid = boundary_grid(model, train_set, kernel, noise=_noise(args), **_given(side=args.side))
     with _stage("emit"):

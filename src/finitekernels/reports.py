@@ -114,16 +114,13 @@ def write_grid_csv(path, grid: BoundaryGrid) -> None:
 
 
 def write_resolution_csv(path, rows) -> None:
-    """Columns family,L,variance,resolution, one row per sweep point."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["family", "L", "variance", "resolution"])
-        for point in rows:
-            if not isinstance(point, SweepPoint):
-                raise ValueError("rows must be SweepPoint instances")
-            writer.writerow(
-                [point.family, str(point.length), _fmt(point.variance), _fmt(point.resolution)]
-            )
+    """Columns family,L,variance,resolution, one row per sweep point (CRLF ends)."""
+    rows = list(rows)
+    if not all(isinstance(point, SweepPoint) for point in rows):
+        raise ValueError("rows must be SweepPoint instances")
+    values = [v for p in rows for v in (p.family, p.length, p.variance, p.resolution)]
+    text = "%s,%s,%.17g,%.17g\r\n" * len(rows) % tuple(values)
+    Path(path).write_text("family,L,variance,resolution\r\n" + text, newline="")
 
 
 def write_sweep_csv(path, rows) -> None:

@@ -13,6 +13,8 @@ a given length is the ground eigenvector of K, which is entrywise positive.
 K is symmetric Toeplitz, so the matrix of length L is the leading L x L
 block of any larger one.  A family sweep therefore builds K once, at its
 longest length, and evaluates and optimizes every length on that block.
+K also commutes with index reversal, so its ground eigenvector is
+palindromic (Cantoni & Butler, Linear Algebra Appl. 13, 1976).
 """
 
 from __future__ import annotations
@@ -25,9 +27,6 @@ import numpy as np
 from .states import AmplitudeProfile, _is_int, msi_profile, tsq_profile
 
 RESOLUTION_DIAGONAL = 1.0 / 12.0
-# Even, as Simpson's rule needs; keeps the quadrature error below 1e-11 even for
-# profiles with ~64 modes, whose integrand oscillates at frequencies up to 2 pi (L-1).
-_SIMPSON_PANELS = 65536
 
 
 def _as_length(value, minimum: int, what: str) -> int:
@@ -98,30 +97,6 @@ def _quadratic_report(profile: AmplitudeProfile, matrix: np.ndarray) -> Resoluti
     )
 
 
-def resolution_numeric(profile: AmplitudeProfile) -> float:
-    """Variance via composite Simpson quadrature of the kernel density.
-
-    Independent of the quadratic form: evaluates the kernel pointwise on
-    [-1/2, 1/2] and integrates x^2 k(x) against k(x) over ``_SIMPSON_PANELS``
-    panels.
-    """
-    x = np.linspace(-0.5, 0.5, _SIMPSON_PANELS + 1)
-    z = np.exp(2.0j * math.pi * x)
-    # Horner evaluation of sum_n r_n z^n
-    s = np.zeros_like(z)
-    for w in profile.weights[::-1]:
-        s = s * z + w
-    kappa = np.abs(s) ** 2
-    h = 1.0 / _SIMPSON_PANELS
-    simpson = np.ones(_SIMPSON_PANELS + 1)
-    simpson[1:-1:2] = 4.0
-    simpson[2:-1:2] = 2.0
-    simpson *= h / 3.0
-    denom = float(simpson @ kappa)
-    num = float(simpson @ (x**2 * kappa))
-    return num / denom
-
-
 def msi_variance_closed_form(n_terms: int) -> float:
     """Closed-form variance of the equal-weight profile with L >= 2 terms.
 
@@ -148,23 +123,36 @@ def optimize_profile(length: int) -> AmplitudeProfile:
     nonnegativity constraint does not bind.  That positivity is what makes it
     the constrained optimum, so it is checked, not assumed: a failure raises
     ``RuntimeError`` instead of returning a profile that is not the optimum.
-    K commutes with index reversal, so the mean of the eigenvector and its
-    reverse is a ground eigenvector too, and is returned: exactly palindromic.
+    K commutes with index reversal, so the ground eigenvector is palindromic
+    and is solved for on its first h = ceil(L/2) entries alone: one h x h
+    ``eigh``.  The returned profile is palindromic by construction.
     """
     length = _as_length(length, 2, "optimization length")
     return _ground_profile(build_resolution_matrix(length))
 
 
 def _ground_profile(matrix: np.ndarray) -> AmplitudeProfile:
-    """``optimize_profile`` on a given resolution matrix of the wanted length."""
-    r = np.linalg.eigh(matrix)[1][:, 0]
+    """``optimize_profile`` on a given resolution matrix of the wanted length.
+
+    A palindrome r = (u, reversed u), its middle entry shared for odd L,
+    has r^T K r = 2 u^T D^2 S D^2 u and r^T r = 2 u^T D^2 u, with
+    S = K[:h, :h] + K[:h, L-h:] reversed along its columns, and D the
+    identity but for sqrt(1/2) at the shared entry.  So the quotient of r is
+    that of v = D u under D S D, and the ground vector v gives u = v / D.
+    """
+    length = matrix.shape[0]
+    h = (length + 1) // 2
+    s = matrix[:h, :h] + matrix[:h, length - h:][:, ::-1]
+    d = np.where(np.arange(h) < length // 2, 1.0, math.sqrt(0.5))
+    u = np.linalg.eigh(d[:, None] * s * d)[1][:, 0] / d
+    r = np.concatenate([u, u[::-1][length % 2:]])
     if r.sum() < 0.0:
         r = -r
     if not np.all(r > 0.0):
         raise RuntimeError(
             f"ground eigenvector of the {r.size}-mode resolution matrix is not positive"
         )
-    return AmplitudeProfile.from_unnormalized(0.5 * (r + r[::-1]))
+    return AmplitudeProfile.from_unnormalized(r)
 
 
 # ---------- family sweep ----------
@@ -180,6 +168,11 @@ class SweepPoint:
     length: int
     variance: float
     resolution: float
+
+    def __post_init__(self) -> None:
+        if self.family not in SWEEP_FAMILIES:
+            raise ValueError(f"unknown family {self.family!r}")
+        _as_length(self.length, 2, "sweep length")
 
 
 def resolution_sweep(

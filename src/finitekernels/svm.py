@@ -95,6 +95,9 @@ class TrainedModel:
         a = np.asarray(self.coefficients, dtype=float)
         if a.ndim != 1 or a.size == 0:
             raise ValueError("coefficients must form a nonempty vector")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("coefficients must be finite")
+        _check_gamma(self.gamma)
         a = a.copy()
         a.flags.writeable = False
         object.__setattr__(self, "coefficients", a)

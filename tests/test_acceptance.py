@@ -33,7 +33,6 @@ from finitekernels import (
     msi_variance_closed_form,
     optimize_profile,
     overlap_kernel,
-    resolution_numeric,
     resolution_quadratic,
     run_benchmark,
     sample_kernel,
@@ -43,6 +42,8 @@ from finitekernels import (
 )
 from finitekernels.cli import main as cli_main
 from finitekernels.states import DataPoint
+
+from test_resolution import resolution_numeric  # the quadrature oracle of the variance
 
 PINNED_BENCHMARKS = (("concentric", 7), ("moons", 1), ("xor", 0))
 PINNED_GAMMA = 1.0

@@ -471,6 +471,38 @@ class TestFailureModes:
         assert f"error in stage '{command}'" in err and "points must be finite" in err
         assert not list(out.glob("*"))
 
+    @pytest.mark.parametrize("command", ["eval", "boundary"])
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            pytest.param('{"a": [NaN, 0.25, -0.75], "gamma": 1.0}',
+                         "coefficients must be finite", id="nan-coefficient"),
+            pytest.param('{"a": [0.5, Infinity, -0.75], "gamma": 1.0}',
+                         "coefficients must be finite", id="inf-coefficient"),
+            pytest.param('{"a": [0.5, 0.25, -0.75], "gamma": NaN}',
+                         "gamma must be a finite positive real", id="nan-gamma"),
+            pytest.param('{"a": [0.5, 0.25, -0.75], "gamma": 0}',
+                         "gamma must be a finite positive real", id="zero-gamma"),
+            pytest.param('{"a": [0.5, 0.25, -0.75, 1.0, 0.0], "gamma": 1.0}',
+                         "has 5 coefficients but the training set has 3 points", id="five-coefficients"),
+        ],
+    )
+    def test_bad_model_rejected_at_load(self, command, payload, message, tmp_path, capsys):
+        train = tmp_path / "train.csv"
+        train.write_text("x1,x2,label\r\n0.2,0.3,1\r\n0.6,0.1,1\r\n-0.4,0.5,-1\r\n")
+        model = tmp_path / "model.json"
+        model.write_text(payload + "\n")
+        argv = {
+            "eval": ["eval", "--test", str(train)],
+            "boundary": ["boundary", "--side", "3"],
+        }[command]
+        out = tmp_path / "o"
+        argv += ["--model", str(model), "--train", str(train), "--kernel", "cosine:1", "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"error in stage '{command}'" in err and message in err
+        assert not list(out.glob("*"))
+
     def test_bench_write_failure_tagged_emit(self, tmp_path, capsys):
         (tmp_path / "o" / "report.json").mkdir(parents=True)  # a directory where a file goes
         assert main(["bench", "--side", "2", "--out", str(tmp_path / "o")]) == 1

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import xml.etree.ElementTree as ET
 
@@ -13,10 +15,12 @@ from finitekernels import (
     KernelSpec,
     LabeledSet,
     ShotNoiseConfig,
+    SweepPoint,
     TrainedModel,
     resolution_sweep,
     run_benchmark,
 )
+from finitekernels.resolution import SWEEP_FAMILIES
 from finitekernels.reports import (
     SVG_SIZE,
     _table,
@@ -229,6 +233,17 @@ def loop_table(header, rows):
     return "\r\n".join(lines) + "\r\n"
 
 
+def loop_resolution_csv(rows):
+    """resolution.csv as one csv.writer row per sweep point."""
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(["family", "L", "variance", "resolution"])
+    for point in rows:
+        writer.writerow([point.family, str(point.length), format(float(point.variance), ".17g"),
+                         format(float(point.resolution), ".17g")])
+    return fh.getvalue()
+
+
 def loop_zero_contour_segments(grid):
     xs, ys, z = grid.xs, grid.ys, grid.scores
     segments = []
@@ -428,6 +443,20 @@ class TestByteOracle:
     def test_table_equals_loop(self, table):
         header, rows = table
         assert _table(header, rows) == loop_table(header, rows)
+
+    @ORACLE_PROPERTY
+    @given(st.lists(st.builds(
+        SweepPoint,
+        family=st.sampled_from(SWEEP_FAMILIES),
+        length=st.integers(2, 10**6) | st.sampled_from([np.int64(7), np.int32(96)]),
+        variance=st.floats() | st.sampled_from([0.0, -0.0, 5e-324]),
+        resolution=st.floats(),
+    ), max_size=12))
+    @example(resolution_sweep(range(2, 40)))
+    def test_resolution_csv_equals_loop(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("res") / "resolution.csv"
+        write_resolution_csv(path, rows)
+        assert path.read_bytes() == loop_resolution_csv(rows).encode()
 
 
 def sha256(text):

@@ -1,6 +1,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,6 @@ from finitekernels import (
     optimize_profile,
     rayleigh_quotient,
     resolution,
-    resolution_numeric,
     resolution_quadratic,
     resolution_sweep,
     tsq_profile,
@@ -34,6 +34,66 @@ MSI_VARIANCE_ORACLE = {
 # weights (w, 1 - 2w, w) with w = 8 / (17 + sqrt(129))
 OPT3_VARIANCE = 0.017741692886875177
 OPT3_EDGE_WEIGHT = 0.28210916541997264
+
+
+# the three conditions perfbench's resolve check enforces on every resolution.csv
+SPOT_TOL = 1e-12
+DOMINANCE_RTOL = 1e-12
+# every tsq squeezing the resolve-sweep workload draws: 3.0 + 0.25 (seed % 8)
+WORKLOAD_ZETAS = [3.0 + 0.25 * k for k in range(8)]
+
+
+# Even, as Simpson's rule needs; keeps the quadrature error below 1e-11 even for
+# profiles with ~64 modes, whose integrand oscillates at frequencies up to 2 pi (L-1).
+_SIMPSON_PANELS = 65536
+
+
+def resolution_numeric(profile: AmplitudeProfile) -> float:
+    """Variance via composite Simpson quadrature of the kernel density.
+
+    Independent of the quadratic form: evaluates the kernel pointwise on
+    [-1/2, 1/2] and integrates x^2 k(x) against k(x) over ``_SIMPSON_PANELS``
+    panels.
+    """
+    x = np.linspace(-0.5, 0.5, _SIMPSON_PANELS + 1)
+    z = np.exp(2.0j * math.pi * x)
+    # Horner evaluation of sum_n r_n z^n
+    s = np.zeros_like(z)
+    for w in profile.weights[::-1]:
+        s = s * z + w
+    kappa = np.abs(s) ** 2
+    h = 1.0 / _SIMPSON_PANELS
+    simpson = np.ones(_SIMPSON_PANELS + 1)
+    simpson[1:-1:2] = 4.0
+    simpson[2:-1:2] = 2.0
+    simpson *= h / 3.0
+    denom = float(simpson @ kappa)
+    num = float(simpson @ (x**2 * kappa))
+    return num / denom
+
+
+def full_eigh_profile(length: int) -> np.ndarray:
+    """Ground eigenvector of the whole L x L resolution matrix, made positive."""
+    r = np.linalg.eigh(build_resolution_matrix(length))[1][:, 0]
+    return -r if r.sum() < 0.0 else r
+
+
+def mpmath_ground_eigenvalue(length: int) -> mpmath.mpf:
+    """Smallest eigenvalue of the palindromic half problem D S D, at 30 digits."""
+    with mpmath.workdps(30):
+        def k(i, j):
+            d = i - j
+            return mpmath.mpf(1) / 12 if d == 0 else (-1) ** abs(d) / (2 * mpmath.pi**2 * d * d)
+
+        half = (length + 1) // 2
+        scale = [mpmath.mpf(1)] * half
+        if length % 2:
+            scale[-1] = mpmath.sqrt(mpmath.mpf(1) / 2)
+        s = mpmath.matrix(half, half)
+        for i in range(half):
+            for j in range(half):
+                s[i, j] = scale[i] * (k(i, j) + k(i, length - 1 - j)) * scale[j]
+        return min(mpmath.eigsy(s, eigvals_only=True))
 
 
 class TestResolutionMatrix:
@@ -193,6 +253,14 @@ class TestOptimizer:
             weights = optimize_profile(length).weights
             assert weights.min() > 0.0
             np.testing.assert_array_equal(weights, weights[::-1])
+            oracle = rayleigh_quotient(full_eigh_profile(length))
+            assert rayleigh_quotient(weights) == pytest.approx(oracle, rel=1e-12)
+
+    @pytest.mark.parametrize("length", [32, 64, 96])
+    def test_reaches_high_precision_ground_eigenvalue(self, length):
+        variance = resolution_quadratic(optimize_profile(length)).variance
+        ground = float(mpmath_ground_eigenvalue(length))
+        assert variance == pytest.approx(ground, rel=1e-12)
 
 
 class TestSweep:
@@ -216,6 +284,12 @@ class TestSweep:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             resolution_sweep([2, 3], families=("msi", "gauss"))
+
+    def test_point_validated(self):
+        with pytest.raises(ValueError, match="unknown family 'a,b'"):
+            SweepPoint(family="a,b", length=3, variance=0.1, resolution=0.3)
+        with pytest.raises(ValueError, match="sweep length"):
+            SweepPoint(family="msi", length=1.5, variance=0.1, resolution=0.3)
 
     def test_short_lengths_rejected(self):
         with pytest.raises(ValueError):
@@ -269,3 +343,19 @@ class TestSweepProperties:
         for row in rows:
             report = resolution_quadratic(SWEEP_ORACLE[row.family](row.length, zeta))
             assert (row.variance, row.resolution) == (report.variance, report.resolution)
+
+
+class TestResolveWorkloadOracle:
+    @pytest.mark.parametrize("zeta", WORKLOAD_ZETAS)
+    def test_sweep_passes_the_resolve_check(self, zeta):
+        lengths = range(2, 97)
+        variance = {
+            (r.family, r.length): r.variance
+            for r in resolution_sweep(lengths, tsq_squeezing=zeta)
+        }
+        for n in lengths:
+            msi = variance[("msi", n)]
+            assert abs(msi - msi_variance_closed_form(n)) <= SPOT_TOL
+            tsq = variance[("tsq", n)]
+            assert tsq == resolution_quadratic(tsq_profile(n, zeta)).variance
+            assert variance[("optimized", n)] <= min(msi, tsq) * (1.0 + DOMINANCE_RTOL)

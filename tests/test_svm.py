@@ -200,6 +200,18 @@ class TestDecide:
         assert accuracy(model, rows, labels) == pytest.approx(2.0 / 3.0)
 
 
+class TestTrainedModel:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficients_rejected(self, bad):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            TrainedModel(coefficients=np.array([0.5, bad]), gamma=1.0)
+
+    @pytest.mark.parametrize("gamma", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_gamma_validated(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be a finite positive real"):
+            TrainedModel(coefficients=np.ones(2), gamma=gamma)
+
+
 class TestGramMatrix:
     def test_requires_square_symmetric(self):
         with pytest.raises(ValueError):
