@@ -44,7 +44,6 @@ from .resolution import (
     resolution_sweep,
 )
 from .optics import (
-    CoincidenceRecord,
     ShotNoiseConfig,
     build_feature_unitary,
     coincidence_rate_budget,
@@ -88,7 +87,6 @@ __all__ = [
     "BenchReport",
     "BenchmarkConfig",
     "BoundaryGrid",
-    "CoincidenceRecord",
     "DataPoint",
     "FeatureState",
     "GramMatrix",

@@ -143,16 +143,19 @@ def boundary_grid(
     """
     if side < 2:
         raise ValueError("grid side must be at least 2")
+    pts = _coords(train_set)
+    if model.coefficients.size != len(pts):
+        raise ValueError(f"model has {model.coefficients.size} coefficients "
+                         f"but the training set has {len(pts)} points")
     lo, hi = DOMAINS[kernel.convention]
     axis = np.linspace(lo, hi, side, endpoint=False)
     features = None if noise is not None else kernel.coordinate_features(axis)
     if features is None:
         nodes = np.array([[x, y] for x in axis for y in axis])
-        rows = kernel_rows(nodes, train_set, kernel, noise=noise, stream=STREAM_GRID)
+        rows = kernel_rows(nodes, pts, kernel, noise=noise, stream=STREAM_GRID)
         # one dot per node: a single matrix-vector product rounds differently
         scores = np.array([row @ model.coefficients for row in rows]).reshape(side, side)
     else:
-        pts = _coords(train_set)
         if kernel.dimension != 2 or pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError("point dimension does not match this kernel spec")
         first, second = (kernel.coordinate_features(pts[:, d]) for d in (0, 1))

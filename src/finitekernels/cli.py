@@ -66,41 +66,24 @@ def parse_kernel(text: str, dimension: int = 2) -> KernelSpec:
     """Kernel strings: cosine:N (fractional N allowed), fractional:p, msi:L, opt:L, tsq:L:zeta.
 
     ``opt:L`` is the variance-optimal profile of length L (``optimize_profile``).
+    Whitespace is refused: ``int`` and ``float`` would strip it, while
+    ``sweep.csv`` and ``report.json`` would carry it as it is.
     """
-    parts = text.split(":")
-    name = parts[0]
+    if any(ch.isspace() for ch in text):
+        raise ValueError(f"bad kernel string {text!r}: it must not hold whitespace")
+    name, *args = text.split(":")
+    spec = functools.partial(KernelSpec, dimension=dimension, label=text)
     try:
-        if name == "cosine" and len(parts) == 2:
-            value = float(parts[1])
-            if value.is_integer() and value >= 1:
-                return KernelSpec(
-                    kind="cosine_power", dimension=dimension, power=int(value), label=text
-                )
-            return KernelSpec(
-                kind="fractional_cosine", dimension=dimension, exponent=value, label=text
-            )
-        if name == "fractional" and len(parts) == 2:
-            return KernelSpec(
-                kind="fractional_cosine",
-                dimension=dimension,
-                exponent=float(parts[1]),
-                label=text,
-            )
-        if name in ("msi", "opt") and len(parts) == 2:
+        if name in ("cosine", "fractional") and len(args) == 1:
+            value = float(args[0])
+            if name == "cosine" and value.is_integer() and value >= 1:
+                return spec(kind="cosine_power", power=int(value))
+            return spec(kind="fractional_cosine", exponent=value)
+        if name in ("msi", "opt") and len(args) == 1:
             build = msi_profile if name == "msi" else optimize_profile
-            return KernelSpec(
-                kind="profile",
-                dimension=dimension,
-                profile=build(int(parts[1])),
-                label=text,
-            )
-        if name == "tsq" and len(parts) == 3:
-            return KernelSpec(
-                kind="profile",
-                dimension=dimension,
-                profile=tsq_profile(int(parts[1]), float(parts[2])),
-                label=text,
-            )
+            return spec(kind="profile", profile=build(int(args[0])))
+        if name == "tsq" and len(args) == 2:
+            return spec(kind="profile", profile=tsq_profile(int(args[0]), float(args[1])))
     except ValueError as exc:
         raise ValueError(f"bad kernel string {text!r}: {exc}") from exc
     raise ValueError(

@@ -225,27 +225,6 @@ class ShotNoiseConfig:
             object.__setattr__(self, name, kind(getattr(self, name)))
 
 
-@dataclass(frozen=True)
-class CoincidenceRecord:
-    """Raw counts of one sampled kernel value.
-
-    ``counts["signal"]`` aggregates the coincidence-pair combination entering
-    the kernel numerator; ``counts["rest"]`` is every other detection event.
-    """
-
-    counts: dict
-    total: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.total < 1:
-            raise ValueError("total must be positive")
-        if any(v < 0 for v in self.counts.values()):
-            raise ValueError("counts must be nonnegative")
-        if sum(self.counts.values()) != self.total:
-            raise ValueError("counts must sum to the total")
-
-
 _MASK32 = (1 << 32) - 1
 # three 64-bit Philox counter words, two 32-bit key entries each
 _KEY_WIDTH = 6
@@ -272,14 +251,15 @@ def _counters(keys: np.ndarray) -> np.ndarray:
 
 def sample_kernel(
     true_kappa: float, config: ShotNoiseConfig, key: tuple[int, ...] = ()
-) -> tuple[float, CoincidenceRecord]:
-    """Binomial estimate of one kernel value from coincidence counting.
+) -> tuple[float, int]:
+    """Binomial estimate of one kernel value and its raw signal count.
 
     ``key`` (at most 6 entries in [0, 2**32 - 1], e.g. the Gram indices of the
     entry) selects the stream: Philox4x64 with key ``(seed, len(key))`` and
     counter ``(0, k0 | k1 << 32, k2 | k3 << 32, k4 | k5 << 32)``, missing
-    entries 0.  The estimate is one ``binomial(events, p)`` draw from it,
-    unbiased at fidelity 1 with standard deviation sqrt(kappa (1 - kappa) / events).
+    entries 0.  The signal count is one ``binomial(events, p)`` draw from it;
+    the estimate, count / events, is unbiased at fidelity 1 with standard
+    deviation sqrt(kappa (1 - kappa) / events).
     """
     if not (0.0 <= true_kappa <= 1.0):
         raise ValueError("true_kappa must lie in [0, 1]")
@@ -290,13 +270,7 @@ def sample_kernel(
     p = config.fidelity * true_kappa + (1.0 - config.fidelity) * config.background
     bit_generator = np.random.Philox(counter=_counters(keys)[0], key=[config.seed, keys.shape[1]])
     signal = int(np.random.Generator(bit_generator).binomial(config.events_per_point, p))
-    estimate = signal / config.events_per_point
-    record = CoincidenceRecord(
-        counts={"signal": signal, "rest": config.events_per_point - signal},
-        total=config.events_per_point,
-        seed=config.seed,
-    )
-    return estimate, record
+    return signal / config.events_per_point, signal
 
 
 def sample_kernels(true_kappas, config: ShotNoiseConfig, keys) -> np.ndarray:

@@ -9,13 +9,14 @@ repeated run with the same configuration reproduces every byte.
 
 Each artifact is formatted in one pass: its numbers are computed as arrays,
 and each kind of element is written by one ``%`` over a repeated template.
+Every CSV table is written by ``_csv`` (``\r\n`` line ends, ``\n`` for
+``sweep.csv``), its fields never quoted, and read back by ``_read_table``.
 A table that is symmetric bit for bit (the Gram matrices the pipelines build)
 formats each mirrored pair of cells once and writes the same string twice.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 
@@ -30,10 +31,6 @@ from .svm import GramMatrix, TrainedModel
 SVG_SIZE = 480  # width and height of the boundary figure, in px
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 # ---------- CSV ----------
 
 
@@ -43,8 +40,13 @@ def _strings(values: np.ndarray, spec: str) -> np.ndarray:
     return np.array(((spec + "\n") * len(flat) % tuple(flat)).split("\n")[:-1], dtype=object)
 
 
+def _csv(header: list[str], spec: str, count: int, values: tuple, end: str = "\r\n") -> str:
+    """The header, then ``count`` lines of ``spec``, all filled from ``values`` by one ``%``."""
+    return ",".join(header) + end + (spec + end) * count % values
+
+
 def _table(header: list[str], rows: np.ndarray) -> str:
-    """CSV text as ``csv.writer`` writes it (CRLF ends), every value ``%.17g``.
+    """CSV text of a float table (CRLF ends), every value ``%.17g``.
 
     A square table that is symmetric bit for bit formats its upper triangle
     alone and reuses each string for the mirror cell; comparing bit patterns
@@ -60,8 +62,22 @@ def _table(header: list[str], rows: np.ndarray) -> str:
         spec = "%s"
     else:
         cells, spec = values, "%.17g"
-    line = ",".join([spec] * len(header)) + "\r\n"
-    return ",".join(header) + "\r\n" + (line * len(values)) % tuple(cells.ravel().tolist())
+    return _csv(header, ",".join([spec] * len(header)), len(values), tuple(cells.ravel().tolist()))
+
+
+def _read_table(path) -> tuple[list[str], np.ndarray]:
+    """Header and float rows of a CSV table, read line by line; lines may end in CRLF or LF."""
+    with open(path) as fh:
+        lines = (line.rstrip("\n").split(",") for line in fh)
+        header = next(lines, None)
+        if header is None:
+            raise ValueError(f"CSV file {path} is empty; expected a header row")
+        rows = []
+        for number, row in enumerate(lines, 2):
+            if len(row) != len(header):
+                raise ValueError(f"CSV file {path}, line {number}: field count differs from header")
+            rows.append([float(v) for v in row])
+    return header, np.array(rows).reshape(len(rows), len(header))
 
 
 def _dataset_csv(dataset: LabeledSet) -> str:
@@ -83,16 +99,10 @@ def write_dataset_csv(path, dataset: LabeledSet) -> None:
 
 
 def load_dataset_csv(path) -> LabeledSet:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[-1] != "label":
-            raise ValueError("dataset CSV must end with a 'label' column")
-        points, labels = [], []
-        for row in reader:
-            points.append([float(v) for v in row[:-1]])
-            labels.append(float(row[-1]))
-    return LabeledSet(np.asarray(points), np.asarray(labels))
+    header, values = _read_table(path)
+    if header[-1] != "label":
+        raise ValueError(f"dataset CSV {path} must end with a 'label' column")
+    return LabeledSet(values[:, :-1], values[:, -1])
 
 
 def write_gram_csv(path, gram: GramMatrix) -> None:
@@ -101,10 +111,9 @@ def write_gram_csv(path, gram: GramMatrix) -> None:
 
 
 def load_gram_csv(path) -> GramMatrix:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        values = np.asarray([[float(v) for v in row] for row in reader])
+    header, values = _read_table(path)
+    if header != [f"c{i + 1}" for i in range(len(header))]:
+        raise ValueError(f"Gram CSV {path} must have the header c1..cM")
     return GramMatrix(values)
 
 
@@ -118,18 +127,20 @@ def write_resolution_csv(path, rows) -> None:
     rows = list(rows)
     if not all(isinstance(point, SweepPoint) for point in rows):
         raise ValueError("rows must be SweepPoint instances")
-    values = [v for p in rows for v in (p.family, p.length, p.variance, p.resolution)]
-    text = "%s,%s,%.17g,%.17g\r\n" * len(rows) % tuple(values)
-    Path(path).write_text("family,L,variance,resolution\r\n" + text, newline="")
+    values = tuple(v for p in rows for v in (p.family, p.length, p.variance, p.resolution))
+    text = _csv(["family", "L", "variance", "resolution"], "%s,%s,%.17g,%.17g", len(rows), values)
+    Path(path).write_text(text, newline="")
 
 
 def write_sweep_csv(path, rows) -> None:
-    """Columns kernel,gamma,train_accuracy,test_accuracy, one row per sweep run."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["kernel", "gamma", "train_accuracy", "test_accuracy"])
-        for kernel_text, gamma, train_acc, test_acc in rows:
-            writer.writerow([kernel_text, _fmt(gamma), _fmt(train_acc), _fmt(test_acc)])
+    """Columns kernel,gamma,train_accuracy,test_accuracy, one row per sweep run (LF ends)."""
+    rows = list(rows)
+    if any(ch in ',"' or ch.isspace() for row in rows for ch in row[0]):
+        raise ValueError("a kernel string in sweep.csv must hold no comma, quote or whitespace")
+    values = tuple(v for kernel, gamma, train, test in rows for v in (kernel, gamma, train, test))
+    text = _csv(["kernel", "gamma", "train_accuracy", "test_accuracy"], "%s,%.17g,%.17g,%.17g",
+                len(rows), values, end="\n")
+    Path(path).write_text(text, newline="")
 
 
 # ---------- JSON ----------

@@ -244,6 +244,13 @@ class TestBoundaryGrid:
         with pytest.raises(ValueError, match="dimension"):
             boundary_grid(model, train, kernel, side=3)
 
+    @pytest.mark.parametrize("noise", [None, ShotNoiseConfig(events_per_point=100)])
+    def test_model_must_match_the_training_set(self, noise):
+        train, _ = generate_dataset("xor", seed=0)
+        model = TrainedModel(coefficients=np.ones(5), gamma=1.0)
+        with pytest.raises(ValueError, match="5 coefficients but the training set has 40 points"):
+            boundary_grid(model, train, KERNEL_N1, side=3, noise=noise)
+
     def test_side_floor(self):
         train, _ = generate_dataset("moons", seed=1, train_size=3, test_size=4)
         model = TrainedModel(coefficients=np.zeros(3), gamma=1.0)

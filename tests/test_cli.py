@@ -55,6 +55,28 @@ class TestParseKernel:
         with pytest.raises(ValueError, match="bad kernel string"):
             parse_kernel(text)
 
+    def test_fractional_keeps_an_integer_exponent(self):
+        spec = parse_kernel("fractional:3")
+        assert spec.kind == "fractional_cosine" and spec.exponent == 3.0 and spec.power is None
+
+    @pytest.mark.parametrize("space", ["\n", "\r", "\t", " "])
+    @pytest.mark.parametrize("text", ["cosine:1", "msi:4", "tsq:8:3"])
+    def test_whitespace_rejected(self, text, space):
+        # int() and float() strip whitespace, which sweep.csv and report.json would carry
+        for padded in (text + space, space + text, text.replace(":", ":" + space, 1)):
+            with pytest.raises(ValueError, match="whitespace"):
+                parse_kernel(padded)
+
+    @pytest.mark.parametrize("space", ["\n", "\r", "\t", " "])
+    def test_whitespace_rejected_by_bench_and_sweep(self, space, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["bench", "--kernel", "cosine:1" + space, "--side", "2", "--out", str(out)]) == 1
+        assert "error in stage 'config'" in capsys.readouterr().err
+        argv = ["sweep", "--kernels", f"msi:4{space},cosine:1", "--gammas", "1", "--out", str(out)]
+        assert main(argv) == 1
+        assert "whitespace" in capsys.readouterr().err
+        assert not list(out.glob("*"))
+
 
 class TestPipelineSubcommands:
     def test_gen_gram_train_eval_boundary_chain(self, tmp_path):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from finitekernels import (
-    CoincidenceRecord,
     DataPoint,
     ShotNoiseConfig,
     build_feature_unitary,
@@ -192,10 +191,10 @@ class TestShotNoise:
 
     def test_deterministic_per_key(self):
         cfg = ShotNoiseConfig(events_per_point=500, seed=3)
-        e1, r1 = sample_kernel(0.4, cfg, key=(2, 5))
-        e2, r2 = sample_kernel(0.4, cfg, key=(2, 5))
+        e1, s1 = sample_kernel(0.4, cfg, key=(2, 5))
+        e2, s2 = sample_kernel(0.4, cfg, key=(2, 5))
         assert e1 == e2
-        assert r1.counts == r2.counts
+        assert s1 == s2
 
     def test_key_order_matters(self):
         cfg = ShotNoiseConfig(events_per_point=100_000, seed=3)
@@ -206,9 +205,9 @@ class TestShotNoise:
     def test_estimate_within_unit_interval(self):
         cfg = ShotNoiseConfig(events_per_point=50, seed=1)
         for kappa in (0.0, 0.3, 1.0):
-            est, rec = sample_kernel(kappa, cfg, key=(int(kappa * 10),))
+            est, signal = sample_kernel(kappa, cfg, key=(int(kappa * 10),))
             assert 0.0 <= est <= 1.0
-            assert rec.total == 50
+            assert type(signal) is int and 0 <= signal <= 50 and est == signal / 50
 
     def test_kappa_domain_enforced(self):
         cfg = ShotNoiseConfig()
@@ -302,7 +301,7 @@ class TestSampleKernels:
         config = ShotNoiseConfig(2500, 0.98, 0)
         pins = [(0.5, (0, 1, 2), 1271), (1.0, (0, 3, 3), 2483), (0.0, (2, 7, 11), 30)]
         for kappa, (s, i, j), signal in pins:
-            assert sample_kernel(kappa, config, key=(s, i, j))[1].counts["signal"] == signal
+            assert sample_kernel(kappa, config, key=(s, i, j))[1] == signal
             p = config.fidelity * kappa + (1.0 - config.fidelity) * config.background
             stream = np.random.Philox(key=[config.seed, 3], counter=[0, s | i << 32, j, 0])
             assert np.random.Generator(stream).binomial(2500, p) == signal
@@ -346,14 +345,6 @@ class TestSampleKernels:
         keys = [(), (0,), (7,), (7, 0), (7, 0, 0)]
         estimates = {sample_kernel(0.4, config, key=key)[0] for key in keys}
         assert len(estimates) == len(keys)
-
-
-class TestCoincidenceRecord:
-    def test_counts_must_sum_to_total(self):
-        with pytest.raises(ValueError):
-            CoincidenceRecord(counts={"signal": 7, "rest": 2}, total=10, seed=0)
-        with pytest.raises(ValueError):
-            CoincidenceRecord(counts={"signal": -1, "rest": 11}, total=10, seed=0)
 
 
 class TestRateBudget:

@@ -2,6 +2,8 @@ import csv
 import hashlib
 import io
 import json
+import math
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -20,6 +22,7 @@ from finitekernels import (
     resolution_sweep,
     run_benchmark,
 )
+from finitekernels.cli import main, parse_kernel
 from finitekernels.resolution import SWEEP_FAMILIES
 from finitekernels.reports import (
     SVG_SIZE,
@@ -107,6 +110,129 @@ class TestCsvRoundTrips:
             b"cosine:1,0.10000000000000001,1,0.66666666666666663\n"
             b"msi:4,10,0.5,0.25\n"
         )
+
+    @pytest.mark.parametrize("kernel", ["cosine,1", 'msi:"4"', "cosine:1\r", "msi:\n4", "msi: 4"])
+    def test_sweep_csv_refuses_a_field_it_would_have_to_quote(self, kernel, tmp_path):
+        rows = [("cosine:1", 1.0, 1.0, 1.0), (kernel, 1.0, 1.0, 1.0)]
+        with pytest.raises(ValueError, match="no comma, quote or whitespace"):
+            write_sweep_csv(tmp_path / "sweep.csv", rows)
+        assert not (tmp_path / "sweep.csv").exists()
+
+
+class TestCsvReader:
+    """The one reader refuses what no writer produces, naming the file."""
+
+    @pytest.mark.parametrize("load", [load_dataset_csv, load_gram_csv])
+    def test_zero_byte_file(self, load, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"")
+        with pytest.raises(ValueError, match=re.escape(f"{path} is empty")):
+            load(path)
+
+    @pytest.mark.parametrize("line", ["0.5,0.25,1,7", "0.5,1", ""], ids=["extra", "missing", "blank"])
+    def test_dataset_row_with_another_field_count(self, line, tmp_path):
+        path = tmp_path / "train.csv"
+        path.write_bytes(f"x1,x2,label\r\n0.1,0.2,1\r\n{line}\r\n-0.3,0.4,-1\r\n".encode())
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: field count")):
+            load_dataset_csv(path)
+
+    def test_gram_row_with_an_extra_field(self, tmp_path):
+        # four values in all: a reshape of the flat values would re-wrap them into 2 x 2
+        path = tmp_path / "gram.csv"
+        path.write_bytes(b"c1,c2\r\n1,0.5,0.5\r\n1\r\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 2: field count")):
+            load_gram_csv(path)
+
+    @pytest.mark.parametrize("header", ["c1,c3", "c2,c1", "x1,x2", "c1, c2", "C1,C2"])
+    def test_gram_header_must_be_c1_to_cm(self, header, tmp_path):
+        path = tmp_path / "gram.csv"
+        path.write_bytes(f"{header}\r\n1,0.5\r\n0.5,1\r\n".encode())
+        with pytest.raises(ValueError, match=re.escape(f"{path} must have the header c1..cM")):
+            load_gram_csv(path)
+
+    def test_header_only_dataset(self, tmp_path):
+        path = tmp_path / "train.csv"
+        path.write_bytes(b"x1,x2,label\r\n")
+        with pytest.raises(ValueError, match="points must form a nonempty 2-D array"):
+            load_dataset_csv(path)
+
+    def test_plain_newlines_read(self, tmp_path):
+        path = tmp_path / "gram.csv"
+        path.write_bytes(b"c1,c2\n1,0.5\n0.5,1\n")
+        assert load_gram_csv(path).values.tolist() == [[1.0, 0.5], [0.5, 1.0]]
+
+    def test_train_on_an_empty_gram_names_the_file(self, tmp_path, capsys):
+        assert main(["gen", "--dataset", "xor", "--seed", "0", "--out", str(tmp_path)]) == 0
+        gram = tmp_path / "gram.csv"
+        gram.write_bytes(b"")
+        argv = ["train", "--gram", str(gram), "--dataset", str(tmp_path / "train.csv"),
+                "--out", str(tmp_path / "m")]
+        assert main(argv) == 1
+        assert f"error in stage 'train': CSV file {gram} is empty" in capsys.readouterr().err
+
+
+ROUND_TRIP = settings(max_examples=60, deadline=None, derandomize=True)
+# -0.0, subnormals, values that need all 17 digits, and the extremes of float64
+EXACT = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1.0 / 3.0, np.nextafter(0.1, 1.0),
+                     -1.7976931348623157e308, 2.2250738585072014e-308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def labeled_sets(draw):
+    n_pos, n_neg, dim = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    n = n_pos + n_neg
+    points = np.array(draw(st.lists(EXACT, min_size=n * dim, max_size=n * dim))).reshape(n, dim)
+    return LabeledSet(points, np.array([1.0] * n_pos + [-1.0] * n_neg))
+
+
+@st.composite
+def gram_matrices(draw):
+    """Symmetric bit for bit, or with one mirrored 0.0 / -0.0 pair."""
+    n = draw(st.integers(1, 6))
+    values = np.array(draw(st.lists(EXACT, min_size=n * n, max_size=n * n))).reshape(n, n)
+    i, j = np.tril_indices(n, -1)
+    values[i, j] = values[j, i]
+    if n > 1 and draw(st.booleans()):
+        values[0, 1], values[1, 0] = 0.0, -0.0
+    return GramMatrix(values)
+
+
+class TestRoundTripProperties:
+    """load(write(x)) == x bit for bit, for every writer/loader pair."""
+
+    @ROUND_TRIP
+    @given(labeled_sets())
+    def test_dataset(self, tmp_path_factory, dataset):
+        path = tmp_path_factory.mktemp("data") / "train.csv"
+        write_dataset_csv(path, dataset)
+        back = load_dataset_csv(path)
+        assert same_bits(back.points, dataset.points) and same_bits(back.labels, dataset.labels)
+
+    @ROUND_TRIP
+    @given(gram_matrices())
+    def test_gram(self, tmp_path_factory, gram):
+        path = tmp_path_factory.mktemp("gram") / "gram.csv"
+        write_gram_csv(path, gram)
+        assert same_bits(load_gram_csv(path).values, gram.values)
+
+    @ROUND_TRIP
+    @given(st.lists(EXACT, min_size=1, max_size=8),
+           EXACT.filter(lambda g: g > 0.0) | st.sampled_from([5e-324, 1e4]), st.text(max_size=8))
+    def test_model(self, tmp_path_factory, coefficients, gamma, train_id):
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        model = TrainedModel(np.array(coefficients), gamma, train_id)
+        write_model_json(path, model)
+        back = load_model_json(path)
+        assert same_bits(back.coefficients, model.coefficients)
+        assert same_bits(back.gamma, gamma) and back.train_id == train_id
 
 
 def text_last_field_set(path):
@@ -241,6 +367,16 @@ def loop_resolution_csv(rows):
     for point in rows:
         writer.writerow([point.family, str(point.length), format(float(point.variance), ".17g"),
                          format(float(point.resolution), ".17g")])
+    return fh.getvalue()
+
+
+def loop_sweep_csv(rows):
+    """sweep.csv as one csv.writer row per run, LF line ends."""
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["kernel", "gamma", "train_accuracy", "test_accuracy"])
+    for kernel_text, gamma, train_acc, test_acc in rows:
+        writer.writerow([kernel_text] + [format(float(v), ".17g") for v in (gamma, train_acc, test_acc)])
     return fh.getvalue()
 
 
@@ -413,6 +549,14 @@ def tables(draw):
     return [f"c{c + 1}" for c in range(k)], rows
 
 
+ACCEPTED_KERNELS = st.one_of(
+    st.sampled_from(["cosine:0.5", "cosine:1", "cosine:3", "msi:4", "tsq:8:3", "opt:4",
+                     "fractional:1.5", "cosine:1e0", "msi:1_0", "cosine:2"]),
+    st.floats(0.05, 8.0).map(lambda p: f"cosine:{p!r}"),
+    st.integers(2, 16).map(lambda n: f"msi:{n}"),
+    st.tuples(st.integers(2, 12), st.floats(0.1, 5.0)).map(lambda t: f"tsq:{t[0]}:{t[1]!r}"),
+)
+SWEEP_NUMBER = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324])
 XS3 = np.array([0.0, 0.5, 1.0])
 MARKERS = LabeledSet(np.array([[0.1, 0.2], [0.9, 0.4], [0.3, 0.8]]), np.array([1.0, -1.0, -1.0]))
 
@@ -457,6 +601,18 @@ class TestByteOracle:
         path = tmp_path_factory.mktemp("res") / "resolution.csv"
         write_resolution_csv(path, rows)
         assert path.read_bytes() == loop_resolution_csv(rows).encode()
+
+
+    @ORACLE_PROPERTY
+    @given(st.lists(st.tuples(ACCEPTED_KERNELS, SWEEP_NUMBER, SWEEP_NUMBER, SWEEP_NUMBER),
+                    max_size=12))
+    @example([("cosine:1", 0.1, 1.0, 2.0 / 3.0), ("msi:4", math.inf, math.nan, -0.0)])
+    def test_sweep_csv_equals_loop(self, tmp_path_factory, rows):
+        for kernel_text, *_ in rows:
+            parse_kernel(kernel_text)  # only strings the sweep command accepts
+        path = tmp_path_factory.mktemp("sweep") / "sweep.csv"
+        write_sweep_csv(path, rows)
+        assert path.read_bytes() == loop_sweep_csv(rows).encode()
 
 
 def sha256(text):
