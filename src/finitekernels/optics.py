@@ -17,8 +17,13 @@ draws from its own counter-based Philox4x64 stream (Salmon et al., SC 2011):
 a key of up to 6 entries k0..k5 in [0, 2**32 - 1] selects Philox key
 (seed, len(key)) and counter (0, k0 | k1 << 32, k2 | k3 << 32, k4 | k5 << 32),
 missing entries 0, so sampled Gram matrices do not depend on evaluation
-order.  ``sample_kernel`` measures one value; ``sample_kernels`` a batch bit
-for bit equal to it, moving one generator from counter to counter.
+order.  ``sample_kernel`` measures one value with numpy's generator.
+``sample_kernels`` measures a batch bit for bit equal to it, in arrays: it
+computes the first Philox block of every stream and on it repeats numpy's
+binomial draw, by inversion or by BTPE (Kachitvichyanukul & Schmeiser,
+CACM 31, 1988), with libm's log and exp.  numpy's generator itself draws
+the few entries that need more than that block's four uniforms, and every
+entry of a batch too small to repay the arrays' fixed cost.
 """
 
 from __future__ import annotations
@@ -211,8 +216,9 @@ class ShotNoiseConfig:
     background: float = 0.5
 
     def __post_init__(self) -> None:
-        if not _is_int(self.events_per_point) or self.events_per_point < 1:
-            raise ValueError("events_per_point must be a positive integer")
+        # above 2**53 a count is no longer exact as a double, and numpy's estimates divide by one
+        if not _is_int(self.events_per_point) or not 1 <= self.events_per_point <= _MAX_EVENTS:
+            raise ValueError("events_per_point must be an integer in [1, 2**53]")
         if not (0.0 < self.fidelity <= 1.0):
             raise ValueError("fidelity must lie in (0, 1]")
         # Philox would take a 64-bit seed; the 32-bit bound keeps the accepted CLI and INI seeds
@@ -226,10 +232,23 @@ class ShotNoiseConfig:
 
 
 _MASK32 = (1 << 32) - 1
+_MAX_EVENTS = 1 << 53
 # three 64-bit Philox counter words, two 32-bit key entries each
 _KEY_WIDTH = 6
-# keys turned into Python counters per pass; bounds the Python ints alive at once
-_SAMPLE_BLOCK = 1024
+# below this batch size numpy's draw per entry beats the fixed cost of the array code
+_ARRAY_BATCH = 1024
+# entries drawn per pass of the array code; bounds its temporaries whatever the batch size
+_SAMPLE_BLOCK = 4096
+# Philox4x64-10 (Random123): the multipliers of counter words 0 and 2, the key's Weyl increments
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_MASK64 = (1 << 64) - 1
+_LOW32, _SHIFT32 = np.uint64(_MASK32), np.uint64(32)
+# step 50 forms f(y) / f(m) for counts within 20 of the mode: one table of factors holds most
+_RATIO_STEPS = 20
+# BTPE tries made in arrays: two spend exactly the four uniforms of a stream's first block
+_BTPE_TRIES = 2
 
 
 def _check_stream_keys(keys: np.ndarray) -> None:
@@ -247,6 +266,195 @@ def _counters(keys: np.ndarray) -> np.ndarray:
     counters = np.zeros((keys.shape[0], 4), dtype=np.uint64)
     counters[:, 1:] = packed[:, 0::2] | packed[:, 1::2] << np.uint64(32)
     return counters
+
+
+def _mulhilo(multiplier: int, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of ``multiplier * words``, built from 32-bit halves."""
+    m_low, m_high = np.uint64(multiplier & _MASK32), np.uint64(multiplier >> 32)
+    low, high = words & _LOW32, words >> _SHIFT32
+    middle = m_low * high + (m_low * low >> _SHIFT32)
+    cross = m_high * low + (middle & _LOW32)
+    return m_high * high + (middle >> _SHIFT32) + (cross >> _SHIFT32), words * np.uint64(multiplier)
+
+
+def _philox_block(counters: np.ndarray, key) -> np.ndarray:
+    """Philox4x64-10 of each counter row under one two-word key, as a (4, rows) array.
+
+    numpy's Philox draws this block first from counter (c0 - 1, c1, c2, c3).
+    """
+    c0, c1, c2, c3 = (np.ascontiguousarray(word) for word in counters.T)
+    k0, k1 = (int(word) for word in key)
+    for _ in range(_PHILOX_ROUNDS):
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
+        k0, k1 = (k0 + _PHILOX_WEYL[0]) & _MASK64, (k1 + _PHILOX_WEYL[1]) & _MASK64
+    return np.stack([c0, c1, c2, c3])
+
+
+def _log(values: np.ndarray) -> np.ndarray:
+    """C's log of each value, through ``math``: numpy's SIMD log can differ in the last bit.
+
+    As in C, log(0) is -inf and the log of a negative value is NaN.
+    """
+    return np.array(
+        [math.log(x) if x > 0.0 else -math.inf if x == 0.0 else math.nan for x in values.tolist()],
+        dtype=float,
+    )
+
+
+def _inversion(n: int, p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """numpy's binomial inversion (p <= 0.5, n p <= 30) of one uniform per entry.
+
+    The search ``U -= px`` steps every entry at once; -1 marks an entry whose
+    search passes its bound, where numpy starts again with a new uniform.
+    """
+    q = 1.0 - p
+    px = np.array([math.exp(n * math.log(x)) for x in q.tolist()], dtype=float)
+    mean = n * p
+    bound = np.minimum(n, mean + 10.0 * np.sqrt(mean * q + 1)).astype(np.int64)
+    counts = np.zeros(p.size, dtype=np.int64)
+    live = u > px
+    # an entry's u and px are not read again once it stops; past its bound it only has to stop
+    for x in range(1, int(bound.max(initial=0)) + 2):
+        if not live.any():
+            break
+        counts += live
+        u = u - px
+        px = (n - x + 1) * p * px / (x * q)
+        live &= u > px
+    counts[counts > bound] = -1
+    return counts
+
+
+def _stirling(z: np.ndarray) -> np.ndarray:
+    """Step 52's Stirling correction term of one factorial argument."""
+    z2 = z * z
+    return (13680. - (462. - (132. - (99. - 140. / z2) / z2) / z2) / z2) / z / 166320.
+
+
+def _btpe(n: int, r: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """One BTPE try (Kachitvichyanukul & Schmeiser, CACM 31, 1988) per entry, as numpy makes it.
+
+    Takes r <= 0.5 with n r > 30 and the try's two uniforms; -1 marks a
+    rejected try.  Every step keeps the operation order of numpy's C code.
+    """
+    q = 1.0 - r
+    fm = n * r + r
+    m = np.floor(fm).astype(np.int64)
+    nrq = n * r * q
+    p1 = np.floor(2.195 * np.sqrt(nrq) - 4.6 * q) + 0.5
+    xm = m + 0.5
+    xl, xr = xm - p1, xm + p1
+    c = 0.134 + 20.5 / (15.3 + m)
+    a = (fm - xl) / (fm - xl * r)
+    laml = a * (1.0 + a / 2.0)
+    a = (xr - fm) / (xr * q)
+    lamr = a * (1.0 + a / 2.0)
+    p2 = p1 * (1.0 + 2.0 * c)
+    p3 = p2 + c / laml
+    p4 = p3 + c / lamr
+    # steps 10 to 40: the triangle, the parallelogram and the left and right exponential tails
+    u = u * p4
+    region = (u > p1).astype(np.intp) + (u > p2) + (u > p3)
+    tail = region >= 2
+    log_v = np.zeros_like(v)
+    log_v[tail] = _log(v[tail])
+    x = xl + (u - p1) / c
+    y = np.choose(region, [np.floor(xm - p1 * v + u), np.floor(x),
+                           np.floor(xl + log_v / laml), np.floor(xr - log_v / lamr)]).astype(np.int64)
+    reject = tail & (v == 0.0)
+    v = np.choose(region, [v, v * c + 1.0 - np.abs(m - x + 0.5) / p1,
+                           v * (u - p2) * laml, v * (u - p3) * lamr])
+    reject |= np.choose(region, [False, v > 1.0, y < 0, y > n])
+    # step 50 for counts near the mode or narrow hats, step 52 for the rest
+    accept = region == 0
+    test = np.flatnonzero(~accept & ~reject)
+    k = np.abs(y[test] - m[test])
+    squeeze = (k > 20) & (k < nrq[test] / 2.0 - 1)
+    near, far = test[~squeeze], test[squeeze]
+    accept[near] = ~(v[near] > _mass_ratio(n, r[near], q[near], m[near], y[near]))
+    k = k[squeeze]
+    rho = (k / nrq[far]) * ((k * (k / 3.0 + 0.625) + 0.16666666666666666) / nrq[far] + 0.5)
+    t = -k * k / (2 * nrq[far])
+    log_v = _log(v[far])
+    accept[far] = log_v < t - rho
+    bounded = ~accept[far] & ~(log_v > t + rho)
+    i, log_v = far[bounded], log_v[bounded]
+    x1, f1 = (y[i] + 1).astype(float), (m[i] + 1).astype(float)
+    z, w = (n + 1 - m[i]).astype(float), (n - y[i] + 1).astype(float)
+    bound = (xm[i] * _log(f1 / x1) + (n - m[i] + 0.5) * _log(z / w)
+             + (y[i] - m[i]) * _log(w * r[i] / (x1 * q[i]))
+             + _stirling(f1) + _stirling(z) + _stirling(x1) + _stirling(w))
+    accept[i] = ~(log_v > bound)
+    return np.where(accept, y, -1)
+
+
+def _mass_ratio(n: int, r: np.ndarray, q: np.ndarray, m: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Step 50's f(y) / f(m), numpy's running product over the counts between m and y.
+
+    Count i contributes a / i - s, multiplied in for y > m and divided out for
+    y < m, in ascending i.  The product runs over tables of _RATIO_STEPS
+    factors per entry, each an ``accumulate`` from the product so far.
+    """
+    k = np.abs(y - m)
+    order = np.argsort(-k, kind="stable")  # longest products first: the running ones form a prefix
+    k, r, q, m, y = k[order], r[order], q[order], m[order], y[order]
+    s = (r / q)[:, None]
+    a = s * (n + 1)
+    start, up = np.minimum(m, y)[:, None], m < y
+    ratio = np.ones(y.size)
+    for first in range(1, int(k.max(initial=0)) + 1, _RATIO_STEPS):
+        live = int(np.count_nonzero(k >= first))
+        steps = np.arange(first, first + _RATIO_STEPS)
+        # a factor of 1 past the end of a product leaves it as it is
+        factors = np.where(steps <= k[:live, None], a[:live] / (start[:live] + steps) - s[:live], 1.0)
+        table = np.hstack([ratio[:live, None], factors])
+        for running, lanes in ((np.multiply, up[:live]), (np.divide, ~up[:live])):
+            ratio[:live][lanes] = running.accumulate(table[lanes], axis=1)[:, -1]
+    ratio[order] = ratio.copy()
+    return ratio
+
+
+def _first_uniforms(keys: np.ndarray, key) -> np.ndarray:
+    """The four uniforms numpy's Philox draws first from each key row's stream, as (4, rows)."""
+    counters = _counters(keys)
+    counters[:, 0] = 1  # numpy's Philox steps word 0 before it makes a block
+    return (_philox_block(counters, key) >> np.uint64(11)) * 2.0**-53
+
+
+def _btpe_tries(n: int, r: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """BTPE on each entry's first four uniforms; -1 where every try rejects."""
+    counts = np.full(r.size, -1, dtype=np.int64)
+    pending = np.arange(r.size)
+    for t in range(_BTPE_TRIES):
+        if pending.size:
+            counts[pending] = _btpe(n, r[pending], uniforms[2 * t, pending], uniforms[2 * t + 1, pending])
+            pending = pending[counts[pending] < 0]
+    return counts
+
+
+def _array_counts(events: int, p: np.ndarray, keys: np.ndarray, key) -> np.ndarray:
+    """numpy's ``binomial(events, p)`` of each key row's stream, drawn in arrays; -1 where
+    a draw needs more than the four uniforms of the stream's first block."""
+    # numpy draws with r = min(p, 1 - p), flipping the count where p > 0.5, by inversion if r * events <= 30
+    flip, r = p > 0.5, np.minimum(p, 1.0 - p)
+    inversion = r * events <= 30.0
+    counts = np.empty(p.size, dtype=np.int64)
+    first = np.empty(p.size)
+    for start in range(0, p.size, _SAMPLE_BLOCK):
+        uniforms = _first_uniforms(keys[start : start + _SAMPLE_BLOCK], key)
+        first[start : start + uniforms.shape[1]] = uniforms[0]
+        btpe = np.flatnonzero(~inversion[start : start + _SAMPLE_BLOCK])
+        counts[start + btpe] = _btpe_tries(events, r[start + btpe], uniforms[:, btpe])
+    # inversion steps every entry at once, so it runs over whole blocks of inversion entries
+    inverted = np.flatnonzero(inversion)
+    for start in range(0, inverted.size, _SAMPLE_BLOCK):
+        i = inverted[start : start + _SAMPLE_BLOCK]
+        counts[i] = _inversion(events, r[i], first[i])
+    flip &= counts >= 0
+    counts[flip] = events - counts[flip]
+    return counts
 
 
 def sample_kernel(
@@ -278,8 +486,13 @@ def sample_kernels(true_kappas, config: ShotNoiseConfig, keys) -> np.ndarray:
 
     Entry k equals ``sample_kernel(true_kappas[k], config, key=keys[k])[0]``
     bit for bit.  ``keys`` holds one row of at most 6 stream-key entries per
-    kappa, each in [0, 2**32 - 1].  One generator is reused: each entry
-    writes its Philox counter into the generator state, then draws.
+    kappa, each in [0, 2**32 - 1].  A batch of 1,024 entries or more is
+    drawn in arrays, at most 4,096 entries at a time: Philox4x64-10 gives
+    each stream's first four uniforms, and numpy's binomial algorithm runs on
+    them, inversion where min(p, 1 - p) * events <= 30 and otherwise two BTPE
+    tries.  numpy's generator, set to each entry's own counter, draws the
+    entries that need a fifth uniform (about 3% at 2,500 events) and every
+    entry of a smaller batch.
     """
     kappas = np.asarray(true_kappas, dtype=float)
     keys = np.asarray(keys)
@@ -289,20 +502,21 @@ def sample_kernels(true_kappas, config: ShotNoiseConfig, keys) -> np.ndarray:
         raise ValueError("true_kappa must lie in [0, 1]")
     _check_stream_keys(keys)
     p = config.fidelity * kappas + (1.0 - config.fidelity) * config.background
-    key = [config.seed, keys.shape[1]]
+    events, key = config.events_per_point, [config.seed, keys.shape[1]]
+    if kappas.size >= _ARRAY_BATCH:
+        counts = _array_counts(events, p, keys, key)
+    else:
+        counts = np.full(kappas.size, -1, dtype=np.int64)
+    # numpy's generator draws the rest from each entry's own counter: neither
+    # algorithm carries anything past a rejected try, so it ends where the arrays would
     generator = np.random.Generator(np.random.Philox(key=key))
     stream = {"counter": [0, 0, 0, 0], "key": key}
-    # an empty buffer makes every draw start from the entry's own counter
     state = {"bit_generator": "Philox", "state": stream, "buffer": [0, 0, 0, 0],
              "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    bit_generator, binomial, events = generator.bit_generator, generator.binomial, config.events_per_point
-    counts = np.empty(kappas.size, dtype=np.int64)
-    for start in range(0, kappas.size, _SAMPLE_BLOCK):
-        block = slice(start, start + _SAMPLE_BLOCK)
-        draws = zip(_counters(keys[block]).tolist(), p[block].tolist())
-        for k, (stream["counter"], p_k) in enumerate(draws, start):
-            bit_generator.state = state
-            counts[k] = binomial(events, p_k)
+    undecided = np.flatnonzero(counts < 0)
+    for k, stream["counter"] in zip(undecided.tolist(), _counters(keys[undecided]).tolist()):
+        generator.bit_generator.state = state
+        counts[k] = generator.binomial(events, p[k])
     return counts / events
 
 

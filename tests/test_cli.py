@@ -405,6 +405,12 @@ class TestNoiseRule:
         assert f"error in stage '{'config' if command == 'bench' else command}'" in err
         assert qualifier[0] in err
 
+    @pytest.mark.parametrize("events", [2**53 + 1, 2**63, 2**64])
+    def test_events_above_two_to_the_53_rejected(self, events, tmp_path, capsys):
+        assert main(["bench", "--events", str(events), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "error in stage 'config'" in err and "events_per_point" in err and "2**53" in err
+
     def test_enabled_is_a_strict_boolean(self, tmp_path, capsys):
         code, _ = self.run_bench(["--config", self.config(tmp_path, "enabled = ture\n")], tmp_path)
         assert code == 1

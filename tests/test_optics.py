@@ -18,6 +18,7 @@ from finitekernels import (
     sample_kernel,
     sample_kernels,
 )
+from finitekernels import optics
 from finitekernels.optics import (
     beam_divider,
     is_unitary,
@@ -345,6 +346,153 @@ class TestSampleKernels:
         keys = [(), (0,), (7,), (7, 0), (7, 0, 0)]
         estimates = {sample_kernel(0.4, config, key=key)[0] for key in keys}
         assert len(estimates) == len(keys)
+
+
+def numpy_sampling_loop(kappas, config, keys):
+    """sample_kernel's draws without its per-call set-up: one numpy generator set to each counter."""
+    key = [config.seed, keys.shape[1]]
+    generator = np.random.Generator(np.random.Philox(key=key))
+    counts = []
+    for kappa, counter in zip(np.asarray(kappas).tolist(), optics._counters(keys).tolist()):
+        generator.bit_generator.state = {
+            "bit_generator": "Philox", "state": {"counter": counter, "key": key},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        p = config.fidelity * kappa + (1.0 - config.fidelity) * config.background
+        counts.append(generator.binomial(config.events_per_point, p))
+    return np.array(counts) / config.events_per_point
+
+
+def numpy_binomial_on_words(n, p, words):
+    """numpy's binomial(n, p) reading its first uniforms from the given 64-bit words."""
+    bit_generator = np.random.Philox(key=[0, 0])
+    state = bit_generator.state
+    state["buffer"], state["buffer_pos"] = np.array(words, dtype=np.uint64), 0
+    bit_generator.state = state
+    return int(np.random.Generator(bit_generator).binomial(n, p))
+
+
+def first_uniforms(words):
+    return (np.array(words, dtype=np.uint64).reshape(4, -1) >> np.uint64(11)) * 2.0**-53
+
+
+# (n, p, the four words of a stream's first block) at which a BTPE try sits on a knife edge,
+# found by scanning the v words next to a threshold; numpy accepts or rejects each as its own
+# arithmetic decides, and the second try (u = 0) always accepts
+KNIFE_EDGES = {
+    # step 50's v against f(y) / f(m): the product formed in descending order decides the other way
+    "step 50 order": [
+        (8334, float.fromhex("0x1.94289dbbe0be3p-5"), [15739586697136705536, 13058562402216642560, 0, 0]),
+        (19857, float.fromhex("0x1.dbedbfe5e16fep-6"), [14569573253462396928, 13758823269819619328, 0, 0]),
+        (11208, float.fromhex("0x1.519371052633bp-2"), [15524420965309386752, 9167881831581630464, 0, 0]),
+        (13879, float.fromhex("0x1.8d9a211f55575p-2"), [15966366178783250432, 12167438119733919744, 0, 0]),
+    ],
+    # step 52's log(v) against its bound: a log one ulp off libm's, as numpy's SIMD log can be, decides the other way
+    "step 52 bound": [
+        (23145, float.fromhex("0x1.ddab9a246d9ecp-3"), [17219049824206860288, 4351126433167132672, 0, 0]),
+        (49438, float.fromhex("0x1.cd7375a7761aep-3"), [16026240513226901504, 13185499869720160256, 0, 0]),
+        (196123, float.fromhex("0x1.c2b37e0411a28p-2"), [14100382449268242432, 6506497595555784704, 0, 0]),
+        (33013, float.fromhex("0x1.25bdd2e3c536ap-2"), [16366641281251104768, 14250333012650819584, 0, 0]),
+    ],
+}
+
+
+def large_kappa_batch(rng, size):
+    """Runs of kappas at 0, at 1, near 0, near 1 and anywhere in between."""
+    pool = np.stack([np.zeros(size), np.ones(size), rng.uniform(0.0, 1e-3, size),
+                     1.0 - rng.uniform(0.0, 1e-3, size), rng.uniform(0.0, 1.0, size)])
+    kinds = np.repeat(rng.integers(0, len(pool), size), rng.integers(1, 9, size))[:size]
+    return pool[kinds, np.arange(size)]
+
+
+class TestArraySampler:
+    """The array code behind sample_kernels against numpy's own Philox and binomial."""
+
+    @pytest.mark.parametrize("width", range(7))
+    def test_philox_block_equals_numpy(self, width):
+        rng = np.random.default_rng(width)
+        top = 2**64 - 1
+        counters = [[0, 0, 0, 0], [top, 0, 0, 0], [top, top, 5, 0], [top, top, top, 7], [top] * 4]
+        counters += rng.integers(0, 2**64 - 1, (20, 4), dtype=np.uint64, endpoint=True).tolist()
+        for seed in (0, 5, 2**32 - 1):
+            key = [seed, width]
+            # numpy steps the 256-bit counter before it makes a block
+            stepped = [(sum(w << 64 * i for i, w in enumerate(c)) + 1) % 2**256 for c in counters]
+            rows = np.array([[(s >> 64 * i) & top for i in range(4)] for s in stepped], dtype=np.uint64)
+            expected = [np.random.Philox(counter=np.array(c, dtype=np.uint64), key=key).random_raw(4)
+                        for c in counters]
+            assert np.array_equal(optics._philox_block(rows, key).T, np.array(expected))
+
+    def test_log_is_libm(self):
+        values = np.random.default_rng(1).random(100_000)
+        values[:3] = 0.0, -1.0, 1.0
+        expected = [-math.inf, math.nan, 0.0] + [math.log(v) for v in values[3:].tolist()]
+        np.testing.assert_array_equal(optics._log(values), expected)
+
+    @pytest.mark.parametrize("edge", KNIFE_EDGES)
+    def test_btpe_knife_edges_equal_numpy(self, edge):
+        for n, p, words in KNIFE_EDGES[edge]:
+            expected = numpy_binomial_on_words(n, p, words)
+            assert optics._btpe_tries(n, np.array([p]), first_uniforms(words))[0] == expected
+
+    def test_btpe_tries_equal_numpy_on_random_words(self):
+        rng = np.random.default_rng(2)
+        for n in (62, 100, 2500, 10_000, 2**40):
+            p = np.concatenate([[0.5], rng.uniform(31 / n, 0.5, 299)])
+            words = rng.integers(0, 2**64 - 1, (4, p.size), dtype=np.uint64, endpoint=True)
+            counts = optics._btpe_tries(n, p, first_uniforms(words))
+            decided = np.flatnonzero(counts >= 0)
+            assert decided.size > 0.8 * p.size
+            expected = [numpy_binomial_on_words(n, p[k], words[:, k].tolist()) for k in decided]
+            assert counts[decided].tolist() == expected
+
+    @BATCH_PROPERTY
+    @given(sampling_batches())
+    def test_array_path_equals_scalar_loop_bitwise(self, batch):
+        config, kappas, keys = batch
+        keys = np.array(keys, dtype=np.int64)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(optics, "_ARRAY_BATCH", 0)  # small batches take the array path too
+            batched = sample_kernels(kappas, config, keys)
+        assert np.array_equal(batched, scalar_sampling_loop(kappas, config, keys))
+
+    def test_every_entry_through_numpy(self, monkeypatch):
+        # with no try made in arrays, each entry is drawn again by numpy from its own counter
+        monkeypatch.setattr(optics, "_ARRAY_BATCH", 0)
+        monkeypatch.setattr(optics, "_BTPE_TRIES", 0)
+        monkeypatch.setattr(optics, "_inversion", lambda n, p, u: np.full(p.size, -1))
+        rng = np.random.default_rng(3)
+        for events in (10, 2500):
+            config = ShotNoiseConfig(events_per_point=events, seed=11)
+            kappas = large_kappa_batch(rng, 600)
+            keys = rng.integers(0, 2**32, (600, 3))
+            batched = sample_kernels(kappas, config, keys)
+            assert np.array_equal(batched, scalar_sampling_loop(kappas, config, keys))
+
+    @pytest.mark.parametrize("events", [1, 30, 31, 2500, 10_000])
+    def test_large_batches_equal_numpy(self, events):
+        rng = np.random.default_rng(events)
+        for fidelity in (1.0, 0.98, 0.5):
+            config = ShotNoiseConfig(events_per_point=events, fidelity=fidelity, seed=events % 7)
+            kappas = large_kappa_batch(rng, 50_000)
+            keys = rng.integers(0, 2**32, (50_000, 3))
+            batched = sample_kernels(kappas, config, keys)
+            reference = numpy_sampling_loop(kappas, config, keys)
+            assert np.array_equal(batched, reference)
+            assert np.array_equal(reference[:500], scalar_sampling_loop(kappas[:500], config, keys[:500]))
+
+    @pytest.mark.parametrize("array_batch", [0, optics._ARRAY_BATCH], ids=["arrays", "numpy"])
+    def test_events_up_to_two_to_the_53(self, array_batch, monkeypatch):
+        monkeypatch.setattr(optics, "_ARRAY_BATCH", array_batch)
+        config = ShotNoiseConfig(events_per_point=2**53, seed=2)
+        kappas, keys = [0.0, 1e-15, 0.3, 0.5, 1.0], [[0], [1], [2], [3], [4]]
+        batched = sample_kernels(kappas, config, keys)
+        assert np.array_equal(batched, scalar_sampling_loop(kappas, config, np.array(keys)))
+
+    @pytest.mark.parametrize("events", [2**53 + 1, 2**63, 2**64])
+    def test_events_above_two_to_the_53_rejected(self, events):
+        with pytest.raises(ValueError, match=r"events_per_point must be an integer in \[1, 2\*\*53\]"):
+            ShotNoiseConfig(events_per_point=events)
 
 
 class TestRateBudget:
