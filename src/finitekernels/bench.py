@@ -8,7 +8,6 @@ evaluations are ordered, batched or parallelized.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
@@ -17,7 +16,7 @@ import numpy as np
 from .datasets import DATASET_NAMES, LabeledSet, generate_dataset
 from .kernels import KernelSpec
 from .optics import ShotNoiseConfig, sample_kernels
-from .states import DOMAINS, _is_int
+from .states import DOMAINS, _as_int, _as_positive, _frozen_array
 from .svm import (
     CONDITION_POLICIES,
     GramMatrix,
@@ -51,23 +50,23 @@ def compute_gram(
     noise: ShotNoiseConfig | None = None,
     pin_diagonal: bool = False,
 ) -> GramMatrix:
-    """Kernel matrix over one point set; upper triangle evaluated, then mirrored.
+    """Kernel matrix over one point set, bitwise symmetric with a unit diagonal.
 
-    Exact path: M(M-1)/2 kernel evaluations, unit diagonal by construction.
-    Sampled path: each off-diagonal entry is measured once with a stream keyed
-    by its indices; the diagonal is measured too unless ``pin_diagonal`` pins
-    it to 1.
+    Exact path: ``KernelSpec.matrix``, symmetric and 1 on the diagonal by
+    construction, counted as M(M-1)/2 kernel evaluations.  Sampled path:
+    each upper-triangle entry is measured once with a stream keyed by its
+    indices (i, j), i < j, and written to both halves; the diagonal is
+    measured too unless ``pin_diagonal`` pins it to 1.
     """
     pts = _coords(points)
     m = pts.shape[0]
-    upper = np.triu(kernel.matrix(pts, pts), 1)
-    np.fill_diagonal(upper, 1.0)  # pinned, or measured at kappa = 1 below
+    values = kernel.matrix(pts, pts)
     evaluations = m * (m - 1) // 2
     if noise is not None:
         i, j = np.triu_indices(m, 1 if pin_diagonal else 0)
-        upper[i, j] = sample_kernels(upper[i, j], noise, _stream_keys(STREAM_GRAM, i, j))
+        keys = _stream_keys(STREAM_GRAM, i, j)
+        values[i, j] = values[j, i] = sample_kernels(values[i, j], noise, keys)
         evaluations = i.size
-    values = upper + np.triu(upper, 1).T
     return GramMatrix(
         values=values,
         provenance="exact" if noise is None else "sampled",
@@ -104,18 +103,16 @@ class BoundaryGrid:
     scores: np.ndarray  # scores[i, j] = f(xs[i], ys[j])
 
     def __post_init__(self) -> None:
-        xs, ys, scores = (np.array(a, dtype=float) for a in (self.xs, self.ys, self.scores))
+        xs, ys = (_frozen_array(a, float, "each grid axis") for a in (self.xs, self.ys))
         for axis in (xs, ys):
             if axis.ndim != 1 or axis.size < 2:
                 raise ValueError("each grid axis must be 1-D with at least 2 nodes")
-            if not (np.all(np.isfinite(axis)) and np.all(np.diff(axis) > 0.0)):
-                raise ValueError("each grid axis must be finite and strictly increasing")
+            if not np.all(np.diff(axis) > 0.0):
+                raise ValueError("each grid axis must be strictly increasing")
+        scores = _frozen_array(self.scores, float, "grid scores")
         if scores.shape != (xs.size, ys.size):
             raise ValueError("scores shape must match the axes")
-        if not np.all(np.isfinite(scores)):
-            raise ValueError("grid scores must be finite")
         for name, value in (("xs", xs), ("ys", ys), ("scores", scores)):
-            value.flags.writeable = False
             object.__setattr__(self, name, value)
 
     def to_rows(self) -> np.ndarray:
@@ -139,10 +136,10 @@ def boundary_grid(
     W = (F(t_1) * a)^T F(t_2) over the training coordinates t_1, t_2 and
     scores = F(axis) W F(axis)^T, equal to the closed-form rows up to
     roundoff.  A noisy or fractional grid needs every kernel value, so
-    each node's kernel row is evaluated directly, side^2 rows total.
+    each node's kernel row is evaluated directly, side^2 rows total, and
+    scored as one 1 x m dot per row.
     """
-    if side < 2:
-        raise ValueError("grid side must be at least 2")
+    side = _as_int(side, "grid side", 2)
     pts = _coords(train_set)
     if model.coefficients.size != len(pts):
         raise ValueError(f"model has {model.coefficients.size} coefficients "
@@ -151,10 +148,10 @@ def boundary_grid(
     axis = np.linspace(lo, hi, side, endpoint=False)
     features = None if noise is not None else kernel.coordinate_features(axis)
     if features is None:
-        nodes = np.array([[x, y] for x in axis for y in axis])
+        nodes = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
         rows = kernel_rows(nodes, pts, kernel, noise=noise, stream=STREAM_GRID)
-        # one dot per node: a single matrix-vector product rounds differently
-        scores = np.array([row @ model.coefficients for row in rows]).reshape(side, side)
+        # a stack of 1 x m dots: a single matrix-vector product rounds differently
+        scores = (rows[:, None, :] @ model.coefficients)[:, 0].reshape(side, side)
     else:
         if kernel.dimension != 2 or pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError("point dimension does not match this kernel spec")
@@ -182,18 +179,9 @@ class BenchmarkConfig:
     def __post_init__(self) -> None:
         if self.dataset not in DATASET_NAMES:
             raise ValueError(f"unknown dataset {self.dataset!r}")
-        for name in ("seed", "train_size", "test_size", "grid_side"):
-            if not _is_int(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer")
-            object.__setattr__(self, name, int(getattr(self, name)))
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        for name in ("train_size", "test_size", "grid_side"):
-            if getattr(self, name) < 2:
-                raise ValueError(f"{name} must be at least 2")
-        if not math.isfinite(self.gamma) or self.gamma <= 0.0:
-            raise ValueError("gamma must be a finite positive real")
-        object.__setattr__(self, "gamma", float(self.gamma))
+        for name, minimum in (("seed", 0), ("train_size", 2), ("test_size", 2), ("grid_side", 2)):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name, minimum))
+        object.__setattr__(self, "gamma", _as_positive(self.gamma, "gamma"))
         if self.condition_policy not in CONDITION_POLICIES:
             raise ValueError(f"unknown condition policy {self.condition_policy!r}")
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DOMAINS, _is_int, rescale_dataset
+from .states import DOMAINS, _as_int, _frozen_array, rescale_dataset
 
 DATASET_NAMES = ("concentric", "moons", "xor")
 
@@ -25,12 +25,10 @@ class LabeledSet:
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float)
-        y = np.asarray(self.labels, dtype=float)
+        pts = _frozen_array(self.points, float, "points")
+        y = _frozen_array(self.labels, float)
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ValueError("points must form a nonempty 2-D array")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("points must be finite")
         if y.shape != (pts.shape[0],):
             raise ValueError("labels must match the number of points")
         if not np.all(np.isin(y, (-1.0, 1.0))):
@@ -39,10 +37,6 @@ class LabeledSet:
             raise ValueError("both classes must be nonempty")
         if np.any(np.diff(y) > 0):
             raise ValueError("the +1 block must precede the -1 block")
-        pts = pts.copy()
-        pts.flags.writeable = False
-        y = y.copy()
-        y.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "labels", y)
 
@@ -102,11 +96,9 @@ def generate_dataset(
         raise ValueError(f"unknown dataset {name!r}; choose from {DATASET_NAMES}")
     if convention not in DOMAINS:
         raise ValueError(f"unknown convention {convention!r}")
-    if not _is_int(seed) or seed < 0:
-        raise ValueError("seed must be a non-negative integer")
-    for what, size in (("train_size", train_size), ("test_size", test_size)):
-        if not _is_int(size) or size < 2:
-            raise ValueError(f"{what} must be an integer >= 2")
+    seed = _as_int(seed, "seed", 0)
+    train_size = _as_int(train_size, "train_size", 2)
+    test_size = _as_int(test_size, "test_size", 2)
     rng = np.random.default_rng(seed)
     n_train_pos = train_size // 2
     n_test_pos = test_size // 2
@@ -142,11 +134,8 @@ def best_random_linear_accuracy(
     """
     pts = np.asarray(points, dtype=float)
     y = np.asarray(labels, dtype=float)
-    if not _is_int(trials) or trials < 1:
-        raise ValueError("trials must be a positive integer")
-    if not _is_int(seed) or seed < 0:
-        raise ValueError("seed must be a non-negative integer")
-    rng = np.random.default_rng(seed)
+    trials = _as_int(trials, "trials", 1)
+    rng = np.random.default_rng(_as_int(seed, "seed", 0))
     normals = rng.normal(size=(trials, pts.shape[1]))
     span = np.abs(pts).max()
     offsets = rng.uniform(-span, span, trials)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import AmplitudeProfile, DataPoint, FeatureState, _is_int, as_coords
+from .states import AmplitudeProfile, DataPoint, FeatureState, _as_int, _as_positive, as_coords
 
 
 def _clip_unit(value):
@@ -58,8 +58,7 @@ def _paired_diffs(x, xp) -> np.ndarray:
 
 def kernel_cosine(x, xp, power: int = 1) -> float:
     """Product over coordinates of cos^(2N) of the separation."""
-    if not _is_int(power) or power < 1:
-        raise ValueError("power must be a positive integer")
+    power = _as_int(power, "power", 1)
     d = _paired_diffs(x, xp)
     return float(_clip_unit(np.prod(np.cos(d) ** (2 * power))))
 
@@ -69,8 +68,7 @@ def kernel_fractional(x, xp, exponent: float) -> float:
 
     The absolute value keeps fractional powers real and in [0, 1].
     """
-    if not math.isfinite(exponent) or exponent <= 0.0:
-        raise ValueError("exponent must be a finite positive real")
+    exponent = _as_positive(exponent, "exponent")
     d = _paired_diffs(x, xp)
     return float(_clip_unit(np.prod(np.abs(np.cos(d)) ** (2.0 * exponent))))
 
@@ -105,10 +103,9 @@ def qubit_count(power: int, scheme: str = "compact") -> int:
     ``"compact"`` packs the N+1 levels into ceil(log2(N+1)) qubits;
     ``"product"`` uses the N-qubit symmetric product form.
     """
-    if not _is_int(power) or power < 1:
-        raise ValueError("power must be a positive integer")
+    power = _as_int(power, "power", 1)
     if scheme == "compact":
-        return max(1, (power).bit_length())
+        return max(1, power.bit_length())
     if scheme == "product":
         return power
     raise ValueError(f"unknown scheme {scheme!r}")
@@ -145,9 +142,7 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if not _is_int(self.dimension) or self.dimension < 1:
-            raise ValueError("dimension must be a positive integer")
-        object.__setattr__(self, "dimension", int(self.dimension))
+        object.__setattr__(self, "dimension", _as_int(self.dimension, "dimension", 1))
         needs_profile = self.kind == "profile"
         needs_power = self.kind == "cosine_power"
         needs_exponent = self.kind == "fractional_cosine"
@@ -158,13 +153,9 @@ class KernelSpec:
         if needs_exponent != (self.exponent is not None):
             raise ValueError("exponent must be set exactly for kind='fractional_cosine'")
         if self.power is not None:
-            if not _is_int(self.power) or self.power < 1:
-                raise ValueError("power must be a positive integer")
-            object.__setattr__(self, "power", int(self.power))
-        if self.exponent is not None and (
-            not math.isfinite(self.exponent) or self.exponent <= 0.0
-        ):
-            raise ValueError("exponent must be a finite positive real")
+            object.__setattr__(self, "power", _as_int(self.power, "power", 1))
+        if self.exponent is not None:
+            object.__setattr__(self, "exponent", _as_positive(self.exponent, "exponent"))
 
     @property
     def convention(self) -> str:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DataPoint, _is_int
+from .states import DataPoint, _as_int, _as_positive, _is_int
 
 _HT, _HB, _VB, _VT = range(4)
 
@@ -123,8 +123,7 @@ def _single_photon_unitary(coord: float, power: int) -> np.ndarray:
 
 def input_state(dimension: int, power: int = 3) -> np.ndarray:
     """Canonical circuit input: each photon H-polarized in the bottom rail."""
-    if not _is_int(dimension) or dimension < 1:
-        raise ValueError("dimension must be a positive integer")
+    dimension = _as_int(dimension, "dimension", 1)
     if not _is_int(power) or power not in (1, 3):
         raise ValueError("the optical circuit realizes powers 1 and 3 only")
     single = np.zeros(2 if power == 1 else 4)
@@ -524,10 +523,6 @@ def coincidence_rate_budget(
     pairs: int, rate_cps: float, events_needed: int
 ) -> float:
     """Seconds of wall time to collect the requested events for every pair."""
-    if not _is_int(pairs) or pairs < 0:
-        raise ValueError("pairs must be a non-negative integer")
-    if not math.isfinite(rate_cps) or rate_cps <= 0.0:
-        raise ValueError("rate_cps must be a finite positive rate")
-    if not _is_int(events_needed) or events_needed < 0:
-        raise ValueError("events_needed must be a non-negative integer")
-    return pairs * events_needed / rate_cps
+    pairs = _as_int(pairs, "pairs", 0)
+    rate_cps = _as_positive(rate_cps, "rate_cps")
+    return pairs * _as_int(events_needed, "events_needed", 0) / rate_cps

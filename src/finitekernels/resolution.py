@@ -24,21 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import AmplitudeProfile, _is_int, msi_profile, tsq_profile
+from .states import AmplitudeProfile, _as_int, msi_profile, tsq_profile
 
 RESOLUTION_DIAGONAL = 1.0 / 12.0
 
 
-def _as_length(value, minimum: int, what: str) -> int:
-    """``value`` as an int, if it is an integer of at least ``minimum``."""
-    if not _is_int(value) or value < minimum:
-        raise ValueError(f"{what} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
-
-
 def build_resolution_matrix(size: int) -> np.ndarray:
     """Mode-space matrix of the variance quadratic form."""
-    n = np.arange(_as_length(size, 1, "matrix size"))
+    n = np.arange(_as_int(size, "matrix size", 1))
     d = n[:, None] - n[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         matrix = ((-1.0) ** np.abs(d)) / (2.0 * math.pi**2 * d.astype(float) ** 2)
@@ -73,7 +66,7 @@ class ResolutionReport:
     profile: AmplitudeProfile
 
     def __post_init__(self) -> None:
-        if self.variance < 0.0:
+        if not self.variance >= 0.0:  # so NaN fails too
             raise ValueError("variance must be nonnegative")
         expected = float(self.profile.weights @ self.profile.weights)
         if abs(self.renorm - expected) > 1e-12:
@@ -103,7 +96,7 @@ def msi_variance_closed_form(n_terms: int) -> float:
     Equals (1/12) (1 - S1) with
     S1 = -(12 / pi^2) sum_{j=1}^{L-1} (-1)^j (L - j) / (L j^2).
     """
-    n_terms = _as_length(n_terms, 2, "n_terms")
+    n_terms = _as_int(n_terms, "n_terms", 2)
     j = np.arange(1, n_terms)
     s1 = -(12.0 / math.pi**2) * float(
         np.sum(((-1.0) ** j) * (n_terms - j) / (n_terms * j.astype(float) ** 2))
@@ -127,7 +120,7 @@ def optimize_profile(length: int) -> AmplitudeProfile:
     and is solved for on its first h = ceil(L/2) entries alone: one h x h
     ``eigh``.  The returned profile is palindromic by construction.
     """
-    length = _as_length(length, 2, "optimization length")
+    length = _as_int(length, "optimization length", 2)
     return _ground_profile(build_resolution_matrix(length))
 
 
@@ -172,7 +165,7 @@ class SweepPoint:
     def __post_init__(self) -> None:
         if self.family not in SWEEP_FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        _as_length(self.length, 2, "sweep length")
+        object.__setattr__(self, "length", _as_int(self.length, "sweep length", 2))
 
 
 def resolution_sweep(
@@ -188,7 +181,7 @@ def resolution_sweep(
     eigenvector, come from its leading block, which equals the matrix
     ``resolution_quadratic`` and ``optimize_profile`` build at that length.
     """
-    lens = [_as_length(v, 2, "sweep length") for v in lengths]
+    lens = [_as_int(v, "sweep length", 2) for v in lengths]
     if not lens:
         raise ValueError("lengths must be nonempty")
     fams = list(families)

@@ -34,8 +34,27 @@ def _is_int(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
-def _frozen_array(values, dtype) -> np.ndarray:
+def _as_int(value, what: str, minimum: int) -> int:
+    """``value`` as an int, if it is an integer of at least ``minimum``."""
+    if not _is_int(value) or value < minimum:
+        rule = {0: "a non-negative integer", 1: "a positive integer"}.get(
+            minimum, f"an integer >= {minimum}")
+        raise ValueError(f"{what} must be {rule}, got {value!r}")
+    return int(value)
+
+
+def _as_positive(value, what: str) -> float:
+    """``value`` as a float, if it is a finite positive real."""
+    if not math.isfinite(value) or value <= 0.0:
+        raise ValueError(f"{what} must be a finite positive real")
+    return float(value)
+
+
+def _frozen_array(values, dtype, what: str | None = None) -> np.ndarray:
+    """A read-only copy of ``values``, refused unless finite when ``what`` names it."""
     arr = np.array(values, dtype=dtype)
+    if what is not None and not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} must be finite")
     arr.flags.writeable = False
     return arr
 
@@ -52,16 +71,14 @@ class AmplitudeProfile:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
+        w = _frozen_array(self.weights, float, "profile weights")
         if w.ndim != 1 or w.size == 0:
             raise ValueError("profile weights must form a nonempty 1-D vector")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("profile weights must be finite")
         if np.any(w < 0.0):
             raise ValueError("profile weights must be nonnegative")
         if abs(float(w.sum()) - 1.0) > NORM_TOL:
             raise ValueError("profile weights must sum to 1 within 1e-12")
-        object.__setattr__(self, "weights", _frozen_array(w, float))
+        object.__setattr__(self, "weights", w)
 
     @classmethod
     def from_unnormalized(cls, weights) -> "AmplitudeProfile":
@@ -93,13 +110,12 @@ class FeatureState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.amplitudes, dtype=complex)
+        a = _frozen_array(self.amplitudes, complex, "state amplitudes")
         if a.ndim != 1 or a.size == 0:
             raise ValueError("state amplitudes must form a nonempty 1-D vector")
-        norm = float(np.linalg.norm(a))
-        if abs(norm - 1.0) > NORM_TOL:
+        if abs(float(np.linalg.norm(a)) - 1.0) > NORM_TOL:
             raise ValueError("state amplitudes must have unit norm within 1e-12")
-        object.__setattr__(self, "amplitudes", _frozen_array(a, complex))
+        object.__setattr__(self, "amplitudes", a)
 
     @property
     def dim(self) -> int:
@@ -119,21 +135,17 @@ class DataPoint:
     phases: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        c = np.atleast_1d(np.asarray(self.coords, dtype=float))
+        c = np.atleast_1d(_frozen_array(self.coords, float, "coords"))
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coords must form a nonempty 1-D vector")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coords must be finite")
-        object.__setattr__(self, "coords", _frozen_array(c, float))
+        object.__setattr__(self, "coords", c)
         if self.phases is not None:
-            p = np.atleast_1d(np.asarray(self.phases, dtype=float))
+            p = np.atleast_1d(_frozen_array(self.phases, float, "phases"))
             if p.shape != c.shape:
                 raise ValueError("phases must have one entry per coordinate")
-            if not np.all(np.isfinite(p)):
-                raise ValueError("phases must be finite")
             if p[0] != 0.0:
                 raise ValueError("the first phase is the reference and must be 0")
-            object.__setattr__(self, "phases", _frozen_array(p, float))
+            object.__setattr__(self, "phases", p)
 
 
 def as_coords(x) -> np.ndarray:
@@ -145,7 +157,7 @@ def as_coords(x) -> np.ndarray:
 
 def _check_domain(values: np.ndarray, convention: str) -> None:
     lo, hi = DOMAINS[convention]
-    if np.any(values < lo) or np.any(values >= hi):
+    if not np.all((values >= lo) & (values < hi)):  # so NaN fails too
         raise ValueError(
             f"input outside the {convention} domain [{lo:.6g}, {hi:.6g})"
         )
@@ -156,8 +168,7 @@ def _check_domain(values: np.ndarray, convention: str) -> None:
 
 def msi_profile(n_terms: int) -> AmplitudeProfile:
     """Equal weights 1/L over L consecutive modes (multi-slit interference)."""
-    if not _is_int(n_terms) or n_terms < 2:
-        raise ValueError("n_terms must be an integer >= 2")
+    n_terms = _as_int(n_terms, "n_terms", 2)
     return AmplitudeProfile(np.full(n_terms, 1.0 / n_terms))
 
 
@@ -169,10 +180,8 @@ def tsq_profile(n_terms: int, squeezing: float) -> AmplitudeProfile:
     consecutive weights is ((2n+1)/(2n+2)) tanh^2(z) < 1, so the weights
     decrease strictly for any positive squeezing.
     """
-    if not _is_int(n_terms) or n_terms < 1:
-        raise ValueError("n_terms must be a positive integer")
-    if not math.isfinite(squeezing) or squeezing <= 0.0:
-        raise ValueError("squeezing must be a finite positive real")
+    n_terms = _as_int(n_terms, "n_terms", 1)
+    squeezing = _as_positive(squeezing, "squeezing")
     n = np.arange(n_terms, dtype=float)
     log_tanh = math.log(math.tanh(squeezing))
     # lgamma(2n+1) - 2 lgamma(n+1) - n log 4 + 2n log tanh(z); cosh cancels on renormalization
@@ -213,8 +222,7 @@ def embed_cosine(x, power: int = 1) -> FeatureState:
     Each coordinate contributes an (N+1)-dimensional factor with amplitudes
     sqrt(C(N,k)) sin^k cos^(N-k); the full state is their tensor product.
     """
-    if not _is_int(power) or power < 1:
-        raise ValueError("power must be a positive integer")
+    power = _as_int(power, "power", 1)
     coords = as_coords(x)
     _check_domain(coords, "cosine")
     state = np.ones(1, dtype=complex)
@@ -258,6 +266,8 @@ def rescale_dataset(points, convention: str) -> np.ndarray:
     pts = np.atleast_2d(pts.T).T if squeeze else pts
     if pts.ndim != 2 or pts.shape[0] < 2:
         raise ValueError("need at least two points to rescale")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points to rescale must be finite")
     lo, hi = DOMAINS[convention]
     hi_eff = hi - 1e-9 * (hi - lo)
     mn = pts.min(axis=0)

@@ -22,6 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .states import _as_positive, _frozen_array
+
 SYMMETRY_TOL = 1e-12
 KKT_TOL = 1e-8
 # eigenvalues of Q_FF below this fraction of the largest count as its null space
@@ -47,17 +49,13 @@ class GramMatrix:
     n_evaluations: int = 0
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
+        v = _frozen_array(self.values, float, "Gram values")
         if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] == 0:
             raise ValueError("Gram values must form a nonempty square matrix")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("Gram values must be finite")
         if np.max(np.abs(v - v.T)) > SYMMETRY_TOL:
             raise ValueError("Gram matrix must be symmetric")
         if self.provenance not in ("exact", "sampled"):
             raise ValueError("provenance must be 'exact' or 'sampled'")
-        v = v.copy()
-        v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
     @property
@@ -92,15 +90,11 @@ class TrainedModel:
     diagnostics: TrainDiagnostics | None = None
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.coefficients, dtype=float)
+        a = _frozen_array(self.coefficients, float, "coefficients")
         if a.ndim != 1 or a.size == 0:
             raise ValueError("coefficients must form a nonempty vector")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("coefficients must be finite")
-        _check_gamma(self.gamma)
-        a = a.copy()
-        a.flags.writeable = False
         object.__setattr__(self, "coefficients", a)
+        object.__setattr__(self, "gamma", _as_positive(self.gamma, "gamma"))
 
 
 def _as_gram(gram) -> GramMatrix:
@@ -120,7 +114,7 @@ def training_objective(gram, labels, gamma: float, coefficients) -> float:
     """Primal objective sum a^2 + gamma * sum hinge(1 - y f) at given coefficients."""
     g = _as_gram(gram).values
     y = _check_labels(labels, g.shape[0])
-    _check_gamma(gamma)
+    gamma = _as_positive(gamma, "gamma")
     a = np.asarray(coefficients, dtype=float)
     scores = g @ a
     slack = np.maximum(0.0, 1.0 - y * scores)
@@ -155,17 +149,11 @@ def kkt_residual(gram, labels, gamma: float, coefficients, dual) -> float:
     """
     g = _as_gram(gram).values
     y = _check_labels(labels, g.shape[0])
-    _check_gamma(gamma)
+    gamma = _as_positive(gamma, "gamma")
     a = np.asarray(coefficients, dtype=float)
     alpha = np.asarray(dual, dtype=float)
     stationarity = float(np.max(np.abs(2.0 * a - g @ (y * alpha))))
     return _kkt_residual(y, gamma, alpha, g @ a, stationarity)
-
-
-def _check_gamma(gamma: float) -> float:
-    if not math.isfinite(gamma) or gamma <= 0.0:
-        raise ValueError("gamma must be a finite positive real")
-    return gamma
 
 
 class _Solution(NamedTuple):
@@ -246,9 +234,7 @@ def _model(y, gamma: float, train_id: str, solution: _Solution) -> TrainedModel:
         objective=float(a @ a + gamma * slack.sum()),
         sweeps=iterations,
     )
-    return TrainedModel(
-        coefficients=a, gamma=float(gamma), train_id=train_id, diagnostics=diagnostics
-    )
+    return TrainedModel(coefficients=a, gamma=gamma, train_id=train_id, diagnostics=diagnostics)
 
 
 def train(gram, labels, gamma: float, train_id: str = "") -> TrainedModel:
@@ -304,7 +290,7 @@ def train_path(gram, labels, gammas, train_id: str = "") -> list[TrainedModel]:
     """
     g = _as_gram(gram).values
     y = _check_labels(labels, g.shape[0])
-    gammas = [_check_gamma(gamma) for gamma in gammas]
+    gammas = [_as_positive(gamma, "gamma") for gamma in gammas]
     models: list[TrainedModel | None] = [None] * len(gammas)
     solution = None
     for k in sorted(range(len(gammas)), key=lambda k: -gammas[k]):

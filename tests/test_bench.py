@@ -257,6 +257,14 @@ class TestBoundaryGrid:
         with pytest.raises(ValueError):
             boundary_grid(model, train, KERNEL_N1, side=1)
 
+    @pytest.mark.parametrize("side", [3.0, True, "3"])
+    def test_side_must_be_an_integer(self, side):
+        # a float side used to pass the floor and die inside np.linspace
+        train, _ = generate_dataset("moons", seed=1, train_size=3, test_size=4)
+        model = TrainedModel(coefficients=np.zeros(3), gamma=1.0)
+        with pytest.raises(ValueError, match="grid side"):
+            boundary_grid(model, train, KERNEL_N1, side=side)
+
     @pytest.mark.parametrize(
         "xs, ys, scores",
         [

@@ -384,6 +384,15 @@ class TestCoordinateFeatures:
     def test_fractional_kinds_have_no_map(self, text):
         assert parse_kernel(text).coordinate_features(np.zeros(3)) is None
 
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("text", FINITE_KERNELS)
+    def test_exact_gram_rank_is_at_most_the_feature_width(self, text, dimension):
+        # G = F F^T with F of width r = w^D, so no more than r eigenvalues stand above roundoff
+        spec = parse_kernel(text, dimension)
+        r = spec.coordinate_features(np.zeros(1)).shape[1] ** dimension
+        pts = random_points(np.random.default_rng(dimension), spec, r + 10)
+        assert np.linalg.matrix_rank(spec.matrix(pts, pts), hermitian=True) <= r
+
     def test_takes_the_values_of_one_coordinate(self):
         with pytest.raises(ValueError, match="1-D"):
             parse_kernel("cosine:1").coordinate_features(np.zeros((3, 2)))

@@ -1,5 +1,7 @@
 """Module layering: ``reports`` alone serializes and writes files, ``bench`` only
 computes, and no module imports scipy, so numpy is the only runtime dependency.
+Each argument rule (an integer of at least N, a finite read-only array) is
+written once, in ``states``.
 """
 
 import ast
@@ -41,6 +43,29 @@ def writes_files(path: Path) -> bool:
     return False
 
 
+def scoped_nodes(path: Path):
+    """Every node of a file, with the dotted name of the defs and classes around it."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}".lstrip(".")
+            yield inner, child
+            yield from visit(child, inner)
+
+    yield from visit(ast.parse(path.read_text()), "")
+
+
+def sites(predicate) -> list[str]:
+    """``file:scope`` of every node of the package that ``predicate`` holds for, once per node."""
+    return sorted(
+        f"{path.name}:{scope}"
+        for path in PACKAGE.glob("*.py")
+        for scope, node in scoped_nodes(path)
+        if predicate(node)
+    )
+
+
 def test_only_reports_imports_json():
     assert importers("json") == {"reports.py"}
 
@@ -56,3 +81,32 @@ def test_runtime_imports_no_scipy():
 
 def test_only_reports_opens_or_writes_files():
     assert {path.name for path in PACKAGE.glob("*.py") if writes_files(path)} == {"reports.py"}
+
+
+def test_only_states_frozen_array_makes_arrays_read_only():
+    def freezes(node):
+        if isinstance(node, ast.Assign):
+            return any(getattr(target, "attr", None) == "writeable" for target in node.targets)
+        return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "setflags"
+
+    assert sites(freezes) == ["states.py:_frozen_array"]
+
+
+def test_integer_rule_is_applied_by_as_int_and_the_bounded_checks_alone():
+    def calls_is_int(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_is_int"
+
+    # the optics checks carry their bound or their allowed set in the message
+    assert sites(calls_is_int) == sorted([
+        "states.py:_as_int",
+        "optics.py:input_state",
+        "optics.py:build_feature_unitary",
+        "optics.py:ShotNoiseConfig.__post_init__",
+        "optics.py:ShotNoiseConfig.__post_init__",
+    ])
+
+
+def test_retired_argument_helpers_are_gone():
+    for path in PACKAGE.glob("*.py"):
+        text = path.read_text()
+        assert "_check_gamma" not in text and "_as_length" not in text, path.name

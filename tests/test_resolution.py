@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from finitekernels import (
     AmplitudeProfile,
+    ResolutionReport,
     SweepPoint,
     build_resolution_matrix,
     msi_profile,
@@ -150,6 +151,15 @@ class TestRayleighQuotient:
     def test_single_mode_is_uniform_density(self):
         # one mode: kernel is flat, variance is that of uniform on a unit period
         assert rayleigh_quotient(np.array([1.0])) == pytest.approx(1.0 / 12.0, abs=1e-15)
+
+
+class TestResolutionReport:
+    @pytest.mark.parametrize("variance", [-1e-3, math.nan])
+    def test_negative_or_nan_variance_rejected(self, variance):
+        # nan < 0 is false, so a bare sign check lets NaN through
+        profile = msi_profile(3)
+        with pytest.raises(ValueError, match="variance must be nonnegative"):
+            ResolutionReport(variance=variance, resolution=0.1, renorm=1.0 / 3.0, profile=profile)
 
 
 class TestClosedFormAndQuadrature:

@@ -1,14 +1,21 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from finitekernels import (
     AmplitudeProfile,
+    BenchmarkConfig,
     DataPoint,
     FeatureState,
+    KernelSpec,
+    SweepPoint,
+    TrainedModel,
     best_random_linear_accuracy,
+    boundary_grid,
     build_feature_unitary,
+    build_resolution_matrix,
     coincidence_rate_budget,
     embed_cosine,
     embed_interference,
@@ -18,8 +25,10 @@ from finitekernels import (
     kernel_cosine,
     msi_profile,
     msi_variance_closed_form,
+    optimize_profile,
     qubit_count,
     rescale_dataset,
+    resolution_sweep,
     tsq_profile,
 )
 from finitekernels.states import INTERFERENCE_DOMAIN, COSINE_DOMAIN
@@ -132,6 +141,12 @@ class TestFeatureState:
         s = FeatureState(np.array([0.0, 0.0, 1.0], dtype=complex))
         assert s.dim == 3
 
+    @pytest.mark.parametrize("amplitudes", [[np.nan], [1.0, complex(0.0, np.nan)], [np.inf]])
+    def test_refuses_non_finite_amplitudes(self, amplitudes):
+        # abs(nan - 1) > tol is false, so a norm check alone passes NaN
+        with pytest.raises(ValueError, match="state amplitudes must be finite"):
+            FeatureState(np.array(amplitudes))
+
 
 class TestDataPoint:
     def test_phase_shape_must_match(self):
@@ -168,6 +183,10 @@ class TestInterferenceEmbedding:
         with pytest.raises(ValueError):
             embed_interference(0.75, msi_profile(2))
 
+    def test_nan_is_outside_the_domain(self):
+        with pytest.raises(ValueError, match="outside the interference domain"):
+            embed_interference(math.nan, msi_profile(3))
+
 
 class TestCosineEmbedding:
     def test_binomial_amplitudes_at_quarter_pi(self):
@@ -191,6 +210,10 @@ class TestCosineEmbedding:
         with pytest.raises(ValueError):
             embed_cosine(np.array([math.pi / 2]), power=1)
         embed_cosine(np.array([-math.pi / 2]), power=1)
+
+    def test_nan_is_outside_the_domain(self):
+        with pytest.raises(ValueError, match="outside the cosine domain"):
+            embed_cosine([math.nan, 0.1])
 
     def test_power_must_be_positive_integer(self):
         with pytest.raises(ValueError):
@@ -233,6 +256,11 @@ class TestRescaleDataset:
     def test_degenerate_column_rejected(self):
         with pytest.raises(ValueError):
             rescale_dataset(np.array([[1.0, 2.0], [1.0, 3.0]]), "cosine")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_coordinate_rejected(self, bad):
+        with pytest.raises(ValueError, match="points to rescale must be finite"):
+            rescale_dataset(np.array([[0.0, 1.0], [bad, 2.0], [1.0, 3.0]]), "cosine")
 
     def test_preserves_ordering(self):
         pts = np.array([[0.0], [1.0], [4.0]])
@@ -284,3 +312,56 @@ def test_bool_or_non_integer_rejected(case):
     call, name = INTEGER_ARGUMENTS[case]
     with pytest.raises(ValueError, match=name):
         call()
+
+
+_SPEC = KernelSpec(kind="cosine_power", dimension=2, power=1)
+_MODEL = TrainedModel(coefficients=[0.5, -0.5], gamma=1.0)
+# (call of one integer, a valid value): every count, seed, length, power and
+# dimension that the library checks as an integer
+INTEGER_SITES = {
+    "msi_profile": (msi_profile, 3),
+    "tsq_profile": (lambda n: tsq_profile(n, 1.0), 3),
+    "embed_cosine": (lambda n: embed_cosine(_X, power=n), 2),
+    "build_resolution_matrix": (build_resolution_matrix, 3),
+    "msi_variance_closed_form": (msi_variance_closed_form, 4),
+    "optimize_profile": (optimize_profile, 4),
+    "SweepPoint": (lambda n: SweepPoint(family="msi", length=n, variance=0.1, resolution=0.3), 3),
+    "resolution_sweep": (lambda n: resolution_sweep([2, n]), 4),
+    "kernel_cosine": (lambda n: kernel_cosine(_X, _XP, power=n), 2),
+    "qubit_count": (qubit_count, 3),
+    "KernelSpec-dimension": (lambda n: KernelSpec(kind="cosine_power", dimension=n, power=1), 2),
+    "KernelSpec-power": (lambda n: KernelSpec(kind="cosine_power", power=n), 2),
+    "input_state": (input_state, 2),
+    "coincidence_rate_budget-pairs": (lambda n: coincidence_rate_budget(n, 250.0, 10), 7),
+    "coincidence_rate_budget-events": (lambda n: coincidence_rate_budget(7, 250.0, n), 10),
+    "generate_dataset-seed": (lambda n: generate_dataset("moons", n), 1),
+    "generate_dataset-train_size": (lambda n: generate_dataset("moons", 1, train_size=n), 5),
+    "generate_dataset-test_size": (lambda n: generate_dataset("moons", 1, test_size=n), 5),
+    "best_random_linear_accuracy-trials": (
+        lambda n: best_random_linear_accuracy(_PTS, _LABELS, trials=n), 5
+    ),
+    "best_random_linear_accuracy-seed": (
+        lambda n: best_random_linear_accuracy(_PTS, _LABELS, seed=n), 3
+    ),
+    "boundary_grid-side": (lambda n: boundary_grid(_MODEL, _PTS, _SPEC, side=n), 3),
+    "BenchmarkConfig-seed": (lambda n: BenchmarkConfig("moons", n, _SPEC), 1),
+    "BenchmarkConfig-train_size": (lambda n: BenchmarkConfig("moons", 1, _SPEC, train_size=n), 8),
+    "BenchmarkConfig-test_size": (lambda n: BenchmarkConfig("moons", 1, _SPEC, test_size=n), 8),
+    "BenchmarkConfig-grid_side": (lambda n: BenchmarkConfig("moons", 1, _SPEC, grid_side=n), 8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTEGER_SITES))
+def test_numpy_integer_acts_as_int(case):
+    call, value = INTEGER_SITES[case]
+    # pickled, a result shows every value bit for bit and every field's type
+    assert pickle.dumps(call(np.int64(value))) == pickle.dumps(call(value))
+
+
+def test_integer_error_names_the_rule_and_the_value():
+    with pytest.raises(ValueError, match=r"^pairs must be a non-negative integer, got -1$"):
+        coincidence_rate_budget(-1, 250.0, 10)
+    with pytest.raises(ValueError, match=r"^power must be a positive integer, got np.int64\(0\)$"):
+        qubit_count(np.int64(0))
+    with pytest.raises(ValueError, match=r"^n_terms must be an integer >= 2, got 1.0$"):
+        msi_profile(1.0)
