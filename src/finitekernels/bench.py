@@ -8,7 +8,7 @@ evaluations are ordered, batched or parallelized.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -21,7 +21,7 @@ from .svm import (
     CONDITION_POLICIES,
     GramMatrix,
     TrainedModel,
-    accuracy,
+    _accuracy,
     condition_gram,
     train,
     train_path,
@@ -53,15 +53,19 @@ def compute_gram(
     """Kernel matrix over one point set, bitwise symmetric with a unit diagonal.
 
     Exact path: ``KernelSpec.matrix``, symmetric and 1 on the diagonal by
-    construction, counted as M(M-1)/2 kernel evaluations.  Sampled path:
-    each upper-triangle entry is measured once with a stream keyed by its
-    indices (i, j), i < j, and written to both halves; the diagonal is
-    measured too unless ``pin_diagonal`` pins it to 1.
+    construction, counted as M(M-1)/2 kernel evaluations.  For a finite
+    kind (one with ``coordinate_features``) it is Phi Phi^T up to roundoff,
+    with Phi of width w^D, and the Gram records that ``rank_bound``.
+    Sampled path: each upper-triangle entry is measured once with a stream
+    keyed by its indices (i, j), i < j, and written to both halves; the
+    diagonal is measured too unless ``pin_diagonal`` pins it to 1.
     """
     pts = _coords(points)
     m = pts.shape[0]
     values = kernel.matrix(pts, pts)
     evaluations = m * (m - 1) // 2
+    # (0, w) for a finite kind, whose exact Gram then has rank at most w^D
+    features = kernel.coordinate_features(np.empty(0)) if noise is None else None
     if noise is not None:
         i, j = np.triu_indices(m, 1 if pin_diagonal else 0)
         keys = _stream_keys(STREAM_GRAM, i, j)
@@ -72,6 +76,7 @@ def compute_gram(
         provenance="exact" if noise is None else "sampled",
         seed=None if noise is None else noise.seed,
         n_evaluations=evaluations,
+        rank_bound=None if features is None else features.shape[1] ** kernel.dimension,
     )
 
 
@@ -253,10 +258,11 @@ def _train_id(config: BenchmarkConfig) -> str:
 
 
 def _accuracies(prepared: _Prepared, model: TrainedModel) -> tuple[float, float]:
-    """The train and test accuracies of ``model``."""
+    """The train and test accuracies of ``model``, from arrays the run built and checked."""
     train_set, test_set, _, conditioned, test_rows = prepared
-    train_acc = accuracy(model, conditioned.values, train_set.labels)
-    return train_acc, accuracy(model, test_rows, test_set.labels)
+    a = model.coefficients
+    return (_accuracy(a, conditioned.values, train_set.labels),
+            _accuracy(a, test_rows, test_set.labels))
 
 
 def run_benchmark(config: BenchmarkConfig) -> BenchReport:
@@ -278,7 +284,7 @@ def gamma_sweep(config: BenchmarkConfig, gammas) -> list[tuple[float, float]]:
     equal ``train``'s up to roundoff, so the accuracies equal
     ``run_benchmark``'s unless a score lies within roundoff of 0.
     """
-    gammas = [replace(config, gamma=gamma).gamma for gamma in gammas]
+    gammas = [_as_positive(gamma, "gamma") for gamma in gammas]
     prepared = _prepare(config)
     labels = prepared.train_set.labels
     models = train_path(prepared.gram_conditioned, labels, gammas, train_id=_train_id(config))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DOMAINS, _as_int, _frozen_array, rescale_dataset
+from .states import DOMAINS, _as_int, _check_signs, _frozen_array, rescale_dataset
 
 DATASET_NAMES = ("concentric", "moons", "xor")
 
@@ -31,8 +31,7 @@ class LabeledSet:
             raise ValueError("points must form a nonempty 2-D array")
         if y.shape != (pts.shape[0],):
             raise ValueError("labels must match the number of points")
-        if not np.all(np.isin(y, (-1.0, 1.0))):
-            raise ValueError("labels must be +1 or -1")
+        _check_signs(y)
         if not (np.any(y > 0) and np.any(y < 0)):
             raise ValueError("both classes must be nonempty")
         if np.any(np.diff(y) > 0):

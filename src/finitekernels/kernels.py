@@ -17,7 +17,8 @@ coordinate (``KernelSpec.coordinate_features``), and w^D in D coordinates.
 alternate in sign for k > p + 1; at p = 1/2 the coefficient of cos 2kd is
 (-1)^(k+1) 4 / (pi (4k^2 - 1)).  Exact Gram matrices of the fractional kind
 are therefore indefinite, and ``svm.condition_gram`` repairs them before
-training, as it does sampled ones.
+training, as it does sampled ones; an exact Gram of a finite kind it leaves
+as it is.
 """
 
 from __future__ import annotations

@@ -44,10 +44,16 @@ def _as_int(value, what: str, minimum: int) -> int:
 
 
 def _as_positive(value, what: str) -> float:
-    """``value`` as a float, if it is a finite positive real."""
-    if not math.isfinite(value) or value <= 0.0:
+    """``value`` as a float, if it is a finite positive real and not a bool."""
+    if isinstance(value, bool) or not math.isfinite(value) or value <= 0.0:
         raise ValueError(f"{what} must be a finite positive real")
     return float(value)
+
+
+def _check_signs(labels: np.ndarray) -> None:
+    """Refuse unless every entry of the float array ``labels`` is +1 or -1."""
+    if not ((labels == 1.0) | (labels == -1.0)).all():
+        raise ValueError("labels must be +1 or -1")
 
 
 def _frozen_array(values, dtype, what: str | None = None) -> np.ndarray:

@@ -10,8 +10,15 @@ dual with a primal active-set method, solving each face of the box exactly
 through an eigendecomposition, and terminates on the KKT residual.  The
 dual's m x m quadratic form Q = (1/4) diag(y) G^2 diag(y) is never formed:
 its gradient 1 - 2 Q alpha is 1 - y * scores, and a face block Q_FF comes
-from the free columns of G.  The solver reads G through two products G v
-and one column slice per iteration.
+from the free columns of C = G diag(y) / 2, formed once per solve.  The
+solver reads G and C through two products a = C alpha, scores = G a and
+one column slice of C per iteration.
+
+The KKT residual is complementary slackness read off that gradient: where
+1 - y * scores > 0 the point has that slack and gamma - alpha must vanish,
+elsewhere alpha must.  Stationarity 2a = G (y * alpha) holds by
+construction and the box by the step rule, so the solver checks neither;
+``kkt_residual`` adds both for an arbitrary (coefficients, dual) pair.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import _as_positive, _frozen_array
+from .states import _as_int, _as_positive, _check_signs, _frozen_array
 
 SYMMETRY_TOL = 1e-12
 KKT_TOL = 1e-8
@@ -40,13 +47,19 @@ class GramMatrix:
 
     ``provenance`` is ``"exact"`` for closed-form evaluation or ``"sampled"``
     for shot-noise estimates; ``n_evaluations`` counts the kernel
-    determinations that produced it.
+    determinations that produced it.  ``rank_bound`` is set only on an exact
+    Gram of a finite kind: it is then Phi Phi^T for that kind's feature map
+    Phi of width ``rank_bound`` (w^D, see ``kernels``), positive
+    semidefinite by construction, and ``condition_gram`` returns it
+    unchanged.  ``None``, as on sampled, fractional and loaded Grams,
+    claims nothing.
     """
 
     values: np.ndarray
     provenance: str = "exact"
     seed: int | None = None
     n_evaluations: int = 0
+    rank_bound: int | None = None
 
     def __post_init__(self) -> None:
         v = _frozen_array(self.values, float, "Gram values")
@@ -56,6 +69,10 @@ class GramMatrix:
             raise ValueError("Gram matrix must be symmetric")
         if self.provenance not in ("exact", "sampled"):
             raise ValueError("provenance must be 'exact' or 'sampled'")
+        if self.rank_bound is not None:
+            if self.provenance != "exact":
+                raise ValueError("only an exact Gram carries a rank bound")
+            object.__setattr__(self, "rank_bound", _as_int(self.rank_bound, "rank_bound", 1))
         object.__setattr__(self, "values", v)
 
     @property
@@ -105,8 +122,7 @@ def _check_labels(labels, size: int) -> np.ndarray:
     y = np.asarray(labels, dtype=float)
     if y.shape != (size,):
         raise ValueError("labels must match the Gram size")
-    if not np.all(np.isin(y, (-1.0, 1.0))):
-        raise ValueError("labels must be +1 or -1")
+    _check_signs(y)
     return y
 
 
@@ -121,23 +137,16 @@ def training_objective(gram, labels, gamma: float, coefficients) -> float:
     return float(a @ a + gamma * slack.sum())
 
 
-def _kkt_residual(y, gamma: float, alpha, scores, stationarity: float = 0.0) -> float:
-    """KKT residual from the scores G a; stationarity is checked by the caller.
+def _slackness(grad, alpha, gamma: float) -> float:
+    """Complementary slackness at the dual gradient ``grad`` = 1 - y * (G a).
 
-    ``train`` recovers a = G (y * alpha) / 2, so there its stationarity term
-    2a - G (y * alpha) is 0 by construction and is not recomputed.  The
-    complementary-slackness terms carry a factor of alpha or gamma - alpha,
-    up to gamma, so they are divided by max(1, gamma): at large gamma the
-    absolute products of roundoff slacks would otherwise sit above any bar.
+    A point with grad > 0 has slack grad, so gamma - alpha must vanish
+    there; elsewhere alpha must.  Each term carries a factor up to gamma,
+    so it is divided by max(1, gamma): at large gamma the absolute products
+    of roundoff slacks would otherwise sit above any bar.
     """
-    margin = y * scores
-    slack = np.maximum(0.0, 1.0 - margin)
-    # ndarray methods, not np.max: this runs once per solver iteration
-    dual_box = float(max(0.0, -alpha.min(), alpha.max() - gamma))
-    scale = max(1.0, gamma)
-    comp_margin = float(np.abs(alpha * (1.0 - slack - margin)).max()) / scale
-    comp_slack = float(np.abs((gamma - alpha) * slack).max()) / scale
-    return max(stationarity, dual_box, comp_margin, comp_slack)
+    violation = np.where(grad > 0.0, gamma - alpha, alpha) * grad
+    return float(np.abs(violation).max()) / max(1.0, gamma)
 
 
 def kkt_residual(gram, labels, gamma: float, coefficients, dual) -> float:
@@ -153,7 +162,8 @@ def kkt_residual(gram, labels, gamma: float, coefficients, dual) -> float:
     a = np.asarray(coefficients, dtype=float)
     alpha = np.asarray(dual, dtype=float)
     stationarity = float(np.max(np.abs(2.0 * a - g @ (y * alpha))))
-    return _kkt_residual(y, gamma, alpha, g @ a, stationarity)
+    dual_box = float(max(0.0, -alpha.min(), alpha.max() - gamma))
+    return max(stationarity, dual_box, _slackness(1.0 - y * (g @ a), alpha, gamma))
 
 
 class _Solution(NamedTuple):
@@ -171,17 +181,21 @@ def _solve(g, y, gamma: float, alpha: np.ndarray, budget: int) -> _Solution:
     their bound; from alpha = 0 nothing is free, which is the cold start.
     ``alpha`` is updated in place.  Stops on the KKT tolerance, on a solved
     face with no violating bound coordinate, or after ``budget`` iterations.
+    The residual is computed only where it can end the fit: at the start
+    (a warm start at the optimum stops there), on a solved face and at the
+    budget.
     """
     free = (alpha > 0.0) & (alpha < gamma)
     face_solved = not free.any()
-    half_y = 0.5 * y
+    c = g * (0.5 * y)  # C = G diag(y) / 2
     for iterations in range(budget + 1):
-        a = 0.5 * (g @ (y * alpha))
+        a = c @ alpha
         scores = g @ a
-        residual = _kkt_residual(y, gamma, alpha, scores)
-        if residual < KKT_TOL or iterations == budget:
-            break
         grad = 1.0 - y * scores  # 1 - 2 Q alpha
+        if face_solved or iterations in (0, budget):
+            residual = _slackness(grad, alpha, gamma)
+            if residual < KKT_TOL or iterations == budget:
+                break
         if face_solved:  # free the bound coordinate that violates the KKT conditions most
             violation = np.where(alpha > 0.0, -grad, grad)
             violation[free] = -np.inf
@@ -190,19 +204,19 @@ def _solve(g, y, gamma: float, alpha: np.ndarray, budget: int) -> _Solution:
                 break
             free[worst] = True
         idx = free.nonzero()[0]
-        # Q_FF = C'C for the free columns C = G[:, F] diag(y_F) / 2
-        columns = g[:, idx] * half_y[idx]
+        columns = c[:, idx]  # Q_FF = C_F' C_F
         q_ff = columns.T @ columns
         alpha_f, grad_f = alpha[idx], grad[idx]
         w, v = np.linalg.eigh(q_ff)
         keep = w > _RCOND * w[-1]
-        basis = v[:, keep]
-        coef = basis.T @ grad_f
-        null = grad_f - basis @ coef
         # on a full-rank face the null part is roundoff, which at large gamma
-        # can exceed any absolute bar; otherwise a null part this small cannot
-        # lift the KKT residual to KKT_TOL
-        newton = keep.all() or gamma * np.abs(null).max() <= 0.1 * KKT_TOL
+        # can exceed any absolute bar, so it is not formed; otherwise a null
+        # part this small cannot lift the KKT residual to KKT_TOL
+        full_rank = keep.all()
+        basis = v if full_rank else v[:, keep]
+        coef = basis.T @ grad_f
+        null = None if full_rank else grad_f - basis @ coef
+        newton = full_rank or gamma * np.abs(null).max() <= 0.1 * KKT_TOL
         if newton:
             step, limit = basis @ (coef / (2.0 * w[keep])), 1.0
         else:
@@ -269,7 +283,7 @@ def train(gram, labels, gamma: float, train_id: str = "") -> TrainedModel:
     a solved face the bound coordinate with the largest KKT violation is
     freed.  Primal recovery is a = G (y * alpha) / 2.  Q itself is never
     formed: the gradient 1 - 2 Q alpha is 1 - y * (G a), and Q_FF is
-    C'C for the free columns C = G[:, F] diag(y_F) / 2.  A fit that ends
+    C_F'C_F for the free columns of C = G diag(y) / 2.  A fit that ends
     above a KKT residual of 1e-6 raises ``RuntimeError``.
     """
     return train_path(gram, labels, [gamma], train_id)[0]
@@ -320,24 +334,31 @@ def accuracy(model: TrainedModel, kernel_rows, labels) -> float:
         raise ValueError("kernel_rows must be finite")
     if rows.shape[1] != model.coefficients.size:
         raise ValueError("kernel row length must match the coefficient count")
-    y = _check_labels(labels, rows.shape[0])
-    scores = rows @ model.coefficients
-    return float(np.mean(y * scores > 0.0))
+    return _accuracy(model.coefficients, rows, _check_labels(labels, rows.shape[0]))
+
+
+def _accuracy(coefficients, rows, y) -> float:
+    """``accuracy`` on arrays already checked: finite rows, one per +1/-1 label."""
+    return float(np.mean(y * (rows @ coefficients) > 0.0))
 
 
 def condition_gram(gram, policy: str = "clip") -> GramMatrix:
-    """Repair an indefinite sampled Gram matrix ahead of training.
+    """Repair a Gram matrix that may be indefinite ahead of training.
 
     ``gram`` is a ``GramMatrix`` or a square symmetric finite array.
     ``"clip"`` floors negative eigenvalues at zero, ``"shift"`` adds
     |lambda_min| to the diagonal when the smallest eigenvalue is negative,
     ``"none"`` returns the input unchanged as a ``GramMatrix``.  The result
-    is exactly resymmetrized.
+    is exactly resymmetrized.  A Gram with a ``rank_bound`` (an exact Gram
+    of a finite kind, positive semidefinite by construction) is returned
+    unchanged under every policy: repairing it would only add roundoff,
+    whose bits depend on the BLAS thread count through ``eigh``.  Sampled,
+    fractional and loaded Grams carry no bound and are repaired.
     """
     if policy not in CONDITION_POLICIES:
         raise ValueError(f"policy must be one of {CONDITION_POLICIES}")
     gram = _as_gram(gram)
-    if policy == "none":
+    if policy == "none" or gram.rank_bound is not None:
         return gram
     v = gram.values
     if policy == "clip":

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,7 @@ from finitekernels.reports import write_model_json
 from finitekernels.resolution import optimize_profile
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestParseKernel:
@@ -558,3 +562,21 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert "error in stage 'config'" in err
         assert name in err
+
+
+def test_exact_bench_is_byte_identical_across_blas_thread_counts(tmp_path):
+    # an exact finite-kind Gram is trained unrepaired, so no eigh (whose bits
+    # depend on the thread count) touches model.json or grid.csv
+    outputs = []
+    for threads in ("1", "2"):
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads))
+        out = tmp_path / f"threads{threads}"
+        argv = ["bench", "--dataset", "moons", "--seed", "1", "--kernel", "cosine:1",
+                "--train-size", "400", "--out", str(out)]
+        subprocess.run([sys.executable, "-m", "finitekernels", *argv], env=env, check=True,
+                       capture_output=True)
+        outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert {"gram.csv", "model.json", "grid.csv"} <= outputs[0].keys()
+    assert outputs[0] == outputs[1]

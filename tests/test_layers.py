@@ -1,7 +1,7 @@
 """Module layering: ``reports`` alone serializes and writes files, ``bench`` only
 computes, and no module imports scipy, so numpy is the only runtime dependency.
-Each argument rule (an integer of at least N, a finite read-only array) is
-written once, in ``states``.
+Each argument rule (an integer of at least N, a finite read-only array, +1/-1
+labels) is written once, in ``states``.
 """
 
 import ast
@@ -110,3 +110,14 @@ def test_retired_argument_helpers_are_gone():
     for path in PACKAGE.glob("*.py"):
         text = path.read_text()
         assert "_check_gamma" not in text and "_as_length" not in text, path.name
+
+
+def test_label_rule_is_written_once_in_states():
+    def states_the_rule(node):
+        return isinstance(node, ast.Constant) and node.value == "labels must be +1 or -1"
+
+    def calls_isin(node):
+        return isinstance(node, ast.Attribute) and node.attr == "isin"
+
+    assert sites(states_the_rule) == ["states.py:_check_signs"]
+    assert sites(calls_isin) == []

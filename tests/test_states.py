@@ -314,6 +314,22 @@ def test_bool_or_non_integer_rejected(case):
         call()
 
 
+# (call, the argument name the error must give): each passes True where the
+# library takes a finite positive real, which would otherwise run as 1.0
+POSITIVE_REAL_BOOLS = {
+    "BenchmarkConfig-gamma": (lambda: BenchmarkConfig("moons", 1, _SPEC, gamma=True), "gamma"),
+    "TrainedModel-gamma": (lambda: TrainedModel([1.0], gamma=True), "gamma"),
+    "tsq_profile-squeezing": (lambda: tsq_profile(3, True), "squeezing"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(POSITIVE_REAL_BOOLS))
+def test_bool_rejected_as_positive_real(case):
+    call, name = POSITIVE_REAL_BOOLS[case]
+    with pytest.raises(ValueError, match=f"^{name} must be a finite positive real$"):
+        call()
+
+
 _SPEC = KernelSpec(kind="cosine_power", dimension=2, power=1)
 _MODEL = TrainedModel(coefficients=[0.5, -0.5], gamma=1.0)
 # (call of one integer, a valid value): every count, seed, length, power and

@@ -22,6 +22,7 @@ from finitekernels import (
 from finitekernels import svm
 from finitekernels.bench import BenchmarkConfig, _prepare
 from finitekernels.cli import parse_kernel
+from finitekernels.reports import load_gram_csv, write_gram_csv
 
 
 def brute_force_dual(gram, labels, gamma):
@@ -300,6 +301,65 @@ class TestConditioning:
             condition_gram(GramMatrix(np.eye(2)), "prune")
 
 
+def moons_gram(kernel_text, noise=None):
+    train_set, _ = generate_dataset("moons", 1, train_size=40, test_size=10,
+                                    convention=parse_kernel(kernel_text).convention)
+    return compute_gram(train_set, parse_kernel(kernel_text), noise=noise)
+
+
+@pytest.fixture
+def eigen_calls(monkeypatch):
+    """The matrices handed to ``np.linalg.eigh`` and ``eigvalsh`` while a test runs."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda v, solver=solver: calls.append(v) or solver(v))
+    return calls
+
+
+class TestConditioningSkip:
+    @pytest.mark.parametrize("kernel_text, width", [
+        ("cosine:1", 3), ("cosine:3", 7), ("msi:4", 7), ("tsq:8:3", 15), ("opt:4", 7),
+    ])
+    def test_exact_finite_gram_records_its_rank_bound(self, kernel_text, width):
+        assert moons_gram(kernel_text).rank_bound == width**2
+
+    @pytest.mark.parametrize("policy", svm.CONDITION_POLICIES)
+    def test_exact_finite_gram_returned_untouched(self, policy, eigen_calls):
+        gram = moons_gram("cosine:1")
+        assert condition_gram(gram, policy) is gram
+        assert eigen_calls == []
+
+    @pytest.mark.parametrize("policy", ["clip", "shift"])
+    @pytest.mark.parametrize("kernel_text, noise", [
+        ("cosine:0.5", None), ("cosine:1", ShotNoiseConfig(500)),
+    ], ids=["fractional", "sampled"])
+    def test_indefinite_kinds_still_repaired(self, kernel_text, noise, policy, eigen_calls):
+        gram = moons_gram(kernel_text, noise)
+        assert gram.rank_bound is None
+        assert np.linalg.eigvalsh(gram.values)[0] < -1e-6
+        eigen_calls.clear()
+        fixed = condition_gram(gram, policy)
+        assert len(eigen_calls) == 1
+        assert np.linalg.eigvalsh(fixed.values)[0] >= -1e-12
+
+    @pytest.mark.parametrize("policy", ["clip", "shift"])
+    def test_gram_loaded_from_csv_still_repaired(self, policy, eigen_calls, tmp_path):
+        write_gram_csv(tmp_path / "gram.csv", moons_gram("cosine:1"))
+        loaded = load_gram_csv(tmp_path / "gram.csv")
+        assert loaded.rank_bound is None
+        condition_gram(loaded, policy)
+        assert len(eigen_calls) == 1
+
+    def test_rank_bound_validated(self):
+        with pytest.raises(ValueError, match="only an exact Gram carries a rank bound"):
+            GramMatrix(np.eye(2), provenance="sampled", rank_bound=2)
+        for bad in (0, True, 2.0):
+            with pytest.raises(ValueError, match="rank_bound must be a positive integer"):
+                GramMatrix(np.eye(2), rank_bound=bad)
+        assert GramMatrix(np.eye(2), rank_bound=np.int64(2)).rank_bound == 2
+
+
 def cyclic_reference(gram, labels, gamma, max_sweeps=200_000, tol=1e-8):
     """Cyclic coordinate ascent on the same dual, with a cached gradient Q alpha.
 
@@ -536,6 +596,14 @@ class TestTrainPath:
                 assert accuracy(model, rows, labels) == accuracy(cold, rows, labels)
             if gamma == max(gammas):  # fitted cold, exactly as train fits it
                 assert np.array_equal(model.coefficients, cold.coefficients)
+
+    def test_repeated_gamma_stops_at_iteration_zero(self):
+        # the warm start is the optimum, with free coordinates: no face is solved yet
+        train_set, _, _, gram, _ = path_problem("moons", 1, "cosine:1", 40, False)
+        first, again = train_path(gram, train_set.labels, [1.0, 1.0])
+        assert ((first.diagnostics.dual > 0.0) & (first.diagnostics.dual < 1.0)).any()
+        assert again.diagnostics.sweeps == 0
+        assert np.array_equal(again.coefficients, first.coefficients)
 
     def test_warm_miss_falls_back_to_cold(self, monkeypatch):
         train_set, _, _, gram, _ = path_problem("moons", 1, "cosine:1", 40, False)
