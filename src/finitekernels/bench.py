@@ -22,6 +22,7 @@ from .svm import (
     GramMatrix,
     TrainedModel,
     _accuracy,
+    _check_size,
     condition_gram,
     train,
     train_path,
@@ -146,9 +147,7 @@ def boundary_grid(
     """
     side = _as_int(side, "grid side", 2)
     pts = _coords(train_set)
-    if model.coefficients.size != len(pts):
-        raise ValueError(f"model has {model.coefficients.size} coefficients "
-                         f"but the training set has {len(pts)} points")
+    _check_size(model, len(pts))
     lo, hi = DOMAINS[kernel.convention]
     axis = np.linspace(lo, hi, side, endpoint=False)
     features = None if noise is not None else kernel.coordinate_features(axis)

@@ -3,8 +3,12 @@
 Subcommands: gen, gram, train, eval, boundary, bench, sweep, resolve.
 ``bench`` accepts an INI config file (flat key = value lines under sections;
 see the README).  Each setting comes from its command-line flag, else from
-the config file, else from the library's default.  Every failure exits
-nonzero with a stage-tagged message on stderr.
+the config file, else from the library's default.  A flag shared by several
+subcommands (dataset and seed, sizes, kernel, shot noise, model and training
+set) is declared once and behaves the same in each.  ``eval`` and ``boundary``
+refuse a model whose coefficient count differs from the training set's size,
+a rule ``svm`` owns.  Every failure exits nonzero with a stage-tagged message
+on stderr.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .kernels import KernelSpec
 from .optics import ShotNoiseConfig
 from .resolution import optimize_profile, resolution_sweep
 from .states import msi_profile, tsq_profile
-from .svm import CONDITION_POLICIES, TrainedModel, accuracy as model_accuracy, condition_gram
+from .svm import CONDITION_POLICIES, accuracy as model_accuracy, condition_gram
 from .svm import train as train_model
 from . import reports
 
@@ -152,14 +156,7 @@ def _fill_unset(args) -> None:
             setattr(args, name, value)
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _cmd_gen(args) -> int:
-    out = _out_dir(args)
+def _cmd_gen(args, out: Path) -> None:
     convention = parse_kernel(args.kernel).convention
     sizes = _given(train_size=args.train_size, test_size=args.test_size)
     train_set, test_set = generate_dataset(args.dataset, args.seed, convention=convention, **sizes)
@@ -167,11 +164,9 @@ def _cmd_gen(args) -> int:
         reports.write_dataset_csv(out / "train.csv", train_set)
         reports.write_dataset_csv(out / "test.csv", test_set)
     print(f"wrote {out / 'train.csv'} and {out / 'test.csv'}")
-    return 0
 
 
-def _cmd_gram(args) -> int:
-    out = _out_dir(args)
+def _cmd_gram(args, out: Path) -> None:
     dataset = reports.load_dataset_csv(args.train)
     kernel = parse_kernel(args.kernel)
     gram = compute_gram(dataset, kernel, noise=_noise(args))
@@ -181,11 +176,9 @@ def _cmd_gram(args) -> int:
         reports.write_gram_csv(out / "gram.csv", gram)
         reports.write_json(out / "gram.json", meta)
     print(f"wrote {out / 'gram.csv'} ({gram.n_evaluations} evaluations)")
-    return 0
 
 
-def _cmd_train(args) -> int:
-    out = _out_dir(args)
+def _cmd_train(args, out: Path) -> None:
     dataset = reports.load_dataset_csv(args.dataset)
     conditioned = condition_gram(reports.load_gram_csv(args.gram), **_given(policy=args.condition))
     model = train_model(conditioned, dataset.labels, args.gamma, train_id=Path(args.dataset).stem)
@@ -193,22 +186,11 @@ def _cmd_train(args) -> int:
         reports.write_model_json(out / "model.json", model)
     train_acc = model_accuracy(model, conditioned.values, dataset.labels)
     print(f"wrote {out / 'model.json'} (train accuracy {train_acc:.3f})")
-    return 0
 
 
-def _load_model(path, train_set) -> TrainedModel:
-    """The model at ``path``, which must hold one coefficient per training point."""
-    model = reports.load_model_json(path)
-    if model.coefficients.size != train_set.size:
-        raise ValueError(f"model {path} has {model.coefficients.size} coefficients "
-                         f"but the training set has {train_set.size} points")
-    return model
-
-
-def _cmd_eval(args) -> int:
-    out = _out_dir(args)
+def _cmd_eval(args, out: Path) -> None:
     train_set = reports.load_dataset_csv(args.train)
-    model = _load_model(args.model, train_set)
+    model = reports.load_model_json(args.model)
     test_set = reports.load_dataset_csv(args.test)
     kernel = parse_kernel(args.kernel)
     rows = kernel_rows(test_set, train_set, kernel, noise=_noise(args))
@@ -216,24 +198,20 @@ def _cmd_eval(args) -> int:
     with _stage("emit"):
         reports.write_json(out / "eval.json", {"accuracy": acc, "kernel": kernel.kernel_id()})
     print(f"test accuracy {acc:.4f}")
-    return 0
 
 
-def _cmd_boundary(args) -> int:
-    out = _out_dir(args)
+def _cmd_boundary(args, out: Path) -> None:
     train_set = reports.load_dataset_csv(args.train)
-    model = _load_model(args.model, train_set)
+    model = reports.load_model_json(args.model)
     kernel = parse_kernel(args.kernel)
     grid = boundary_grid(model, train_set, kernel, noise=_noise(args), **_given(side=args.side))
     with _stage("emit"):
         reports.write_grid_csv(out / "grid.csv", grid)
         reports.write_boundary_svg(out / "boundary.svg", grid, train_set)
     print(f"wrote {out / 'grid.csv'} and {out / 'boundary.svg'}")
-    return 0
 
 
-def _cmd_bench(args) -> int:
-    out = _out_dir(args)
+def _cmd_bench(args, out: Path) -> None:
     with _stage("config"):
         settings = _given(gamma=args.gamma, train_size=args.train_size, test_size=args.test_size,
                           grid_side=args.side, condition_policy=args.condition)
@@ -246,11 +224,9 @@ def _cmd_bench(args) -> int:
         f"{config.dataset} seed {config.seed} kernel {config.kernel.kernel_id()}: "
         f"train {report.train_accuracy:.3f}, test {report.test_accuracy:.3f}"
     )
-    return 0
 
 
-def _cmd_sweep(args) -> int:
-    out = _out_dir(args)
+def _cmd_sweep(args, out: Path) -> None:
     gammas = [float(v) for v in args.gammas.split(",") if v]
     if not args.kernels or not gammas:
         raise ValueError("need at least one kernel and one gamma")
@@ -266,17 +242,14 @@ def _cmd_sweep(args) -> int:
     for kernel_text, gamma, train_acc, test_acc in rows:
         print(f"{kernel_text} gamma={gamma:g}: train {train_acc:.3f}, test {test_acc:.3f}")
     print(f"wrote {path}")
-    return 0
 
 
-def _cmd_resolve(args) -> int:
-    out = _out_dir(args)
+def _cmd_resolve(args, out: Path) -> None:
     settings = _given(families=args.families, tsq_squeezing=args.tsq_zeta)
     rows = resolution_sweep(args.lengths, **settings)
     with _stage("emit"):
         reports.write_resolution_csv(out / "resolution.csv", rows)
     print(f"wrote {out / 'resolution.csv'} ({len(rows)} rows)")
-    return 0
 
 
 def _names(text: str) -> list[str]:
@@ -296,16 +269,18 @@ def _length_range(text: str) -> range:
     return lengths
 
 
-def _add_noise_flags(sub) -> None:
-    sub.add_argument("--events", type=int, help="shot-noise events per kernel value")
-    sub.add_argument("--fidelity", type=float, help="measurement fidelity in (0, 1]")
-    sub.add_argument("--noise-seed", type=int, help="shot-noise stream seed")
+def _family(*flags) -> argparse.ArgumentParser:
+    """A parent parser: flags shared by several subcommands, declared once for all of them."""
+    family = argparse.ArgumentParser(add_help=False)
+    for flag, options in flags:
+        family.add_argument(flag, **options)
+    return family
 
 
-def _add_subcommand(subs, fn, summary: str) -> argparse.ArgumentParser:
-    """Subcommand ``<name>``, run by ``_cmd_<name>``; every subcommand writes into --out."""
-    sub = subs.add_parser(fn.__name__.removeprefix("_cmd_"), help=summary)
-    sub.add_argument("--out", required=True)
+def _add_subcommand(subs, fn, summary: str, *families) -> argparse.ArgumentParser:
+    """Subcommand ``<name>``, run as ``_cmd_<name>(args, out)``: each writes into --out."""
+    sub = subs.add_parser(fn.__name__.removeprefix("_cmd_"), help=summary, parents=families)
+    sub.add_argument("--out", type=Path, required=True)
     sub.set_defaults(fn=fn)
     return sub
 
@@ -317,18 +292,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Kernel pipelines over finite feature maps: data, Gram, SVM, boundaries.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    data = _family(("--dataset", {}), ("--seed", {"type": int}))
+    sizes = _family(("--train-size", {"type": int}), ("--test-size", {"type": int}))
+    kernel = _family(("--kernel", {}))
+    noise = _family(("--events", {"type": int, "help": "shot-noise events per kernel value"}),
+                    ("--fidelity", {"type": float, "help": "measurement fidelity in (0, 1]"}),
+                    ("--noise-seed", {"type": int, "help": "shot-noise stream seed"}))
+    model = _family(("--model", {"required": True}), ("--train", {"required": True}))
 
-    gen = _add_subcommand(subs, _cmd_gen, "generate a benchmark dataset")
-    gen.add_argument("--dataset")
-    gen.add_argument("--seed", type=int)
-    gen.add_argument("--train-size", type=int)
-    gen.add_argument("--test-size", type=int)
+    gen = _add_subcommand(subs, _cmd_gen, "generate a benchmark dataset", data, sizes)
     gen.add_argument("--kernel", help="fixes the input convention")
 
-    gram = _add_subcommand(subs, _cmd_gram, "compute a Gram matrix from a dataset CSV")
+    gram = _add_subcommand(subs, _cmd_gram, "compute a Gram matrix from a dataset CSV",
+                           kernel, noise)
     gram.add_argument("--train", required=True, help="dataset CSV")
-    gram.add_argument("--kernel")
-    _add_noise_flags(gram)
 
     train_p = _add_subcommand(subs, _cmd_train, "train on a Gram CSV plus labels")
     train_p.add_argument("--gram", required=True)
@@ -336,38 +313,24 @@ def build_parser() -> argparse.ArgumentParser:
     train_p.add_argument("--gamma", type=float, default=BenchmarkConfig.gamma)
     train_p.add_argument("--condition", choices=CONDITION_POLICIES)
 
-    eval_p = _add_subcommand(subs, _cmd_eval, "evaluate a model on a test CSV")
-    eval_p.add_argument("--model", required=True)
-    eval_p.add_argument("--train", required=True)
+    eval_p = _add_subcommand(subs, _cmd_eval, "evaluate a model on a test CSV",
+                             model, kernel, noise)
     eval_p.add_argument("--test", required=True)
-    eval_p.add_argument("--kernel")
-    _add_noise_flags(eval_p)
 
-    boundary = _add_subcommand(subs, _cmd_boundary, "decision scores on a grid")
-    boundary.add_argument("--model", required=True)
-    boundary.add_argument("--train", required=True)
-    boundary.add_argument("--kernel")
+    boundary = _add_subcommand(subs, _cmd_boundary, "decision scores on a grid",
+                               model, kernel, noise)
     boundary.add_argument("--side", type=int)
-    _add_noise_flags(boundary)
 
-    bench = _add_subcommand(subs, _cmd_bench, "full pipeline, optionally from a config file")
+    bench = _add_subcommand(subs, _cmd_bench, "full pipeline, optionally from a config file",
+                            data, sizes, kernel, noise)
     bench.add_argument("--config", help="INI config file")
-    bench.add_argument("--dataset")
-    bench.add_argument("--seed", type=int)
-    bench.add_argument("--train-size", type=int)
-    bench.add_argument("--test-size", type=int)
-    bench.add_argument("--kernel")
     bench.add_argument("--gamma", type=float)
     bench.add_argument("--condition", choices=CONDITION_POLICIES)
     bench.add_argument("--side", type=int)
-    _add_noise_flags(bench)
 
-    sweep = _add_subcommand(subs, _cmd_sweep, "kernel x gamma accuracy table")
-    sweep.add_argument("--dataset")
-    sweep.add_argument("--seed", type=int)
+    sweep = _add_subcommand(subs, _cmd_sweep, "kernel x gamma accuracy table", data, noise)
     sweep.add_argument("--kernels", type=_names, default="cosine:0.5,cosine:1,cosine:2")
     sweep.add_argument("--gammas", default="0.1,1,10")
-    _add_noise_flags(sweep)
 
     resolve = _add_subcommand(subs, _cmd_resolve, "resolution sweep over profile families")
     resolve.add_argument("--lengths", type=_length_range, default="2:32", help="inclusive lo:hi")
@@ -381,11 +344,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _fill_unset(args)
-        return args.fn(args)
+        args.out.mkdir(parents=True, exist_ok=True)
+        args.fn(args, args.out)
     except Exception as exc:
         tagged = exc if isinstance(exc, StageError) else StageError(args.command, exc)
         print(f"finitekernels: {tagged}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -112,7 +112,8 @@ def qubit_count(power: int, scheme: str = "compact") -> int:
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-_KINDS = ("profile", "cosine_power", "fractional_cosine")
+# the one parameter each kind takes, and must be the only one set
+_KIND_PARAMETER = {"profile": "profile", "cosine_power": "power", "fractional_cosine": "exponent"}
 
 # Cap on the separations (times profile modes) one block of KernelSpec.matrix
 # holds at once: about 1 MB of temporaries per block.
@@ -141,18 +142,12 @@ class KernelSpec:
     label: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if self.kind not in _KIND_PARAMETER:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         object.__setattr__(self, "dimension", _as_int(self.dimension, "dimension", 1))
-        needs_profile = self.kind == "profile"
-        needs_power = self.kind == "cosine_power"
-        needs_exponent = self.kind == "fractional_cosine"
-        if needs_profile != (self.profile is not None):
-            raise ValueError("profile must be set exactly for kind='profile'")
-        if needs_power != (self.power is not None):
-            raise ValueError("power must be set exactly for kind='cosine_power'")
-        if needs_exponent != (self.exponent is not None):
-            raise ValueError("exponent must be set exactly for kind='fractional_cosine'")
+        for kind, parameter in _KIND_PARAMETER.items():
+            if (self.kind == kind) != (getattr(self, parameter) is not None):
+                raise ValueError(f"{parameter} must be set exactly for kind={kind!r}")
         if self.power is not None:
             object.__setattr__(self, "power", _as_int(self.power, "power", 1))
         if self.exponent is not None:
@@ -178,10 +173,7 @@ class KernelSpec:
             d = _paired_diffs(x, xp)
             if d.size != self.dimension:
                 raise ValueError("point dimension does not match this kernel spec")
-            out = 1.0
-            for dd in d:
-                out *= kernel_profile(float(dd), self.profile)
-            return float(_clip_unit(out))
+            return float(_clip_unit(np.prod(kernel_profile(d, self.profile))))
         a, b = as_coords(x), as_coords(xp)
         if a.size != self.dimension or b.size != self.dimension:
             raise ValueError("point dimension does not match this kernel spec")

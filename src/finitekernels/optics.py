@@ -218,12 +218,12 @@ class ShotNoiseConfig:
         # above 2**53 a count is no longer exact as a double, and numpy's estimates divide by one
         if not _is_int(self.events_per_point) or not 1 <= self.events_per_point <= _MAX_EVENTS:
             raise ValueError("events_per_point must be an integer in [1, 2**53]")
-        if not (0.0 < self.fidelity <= 1.0):
+        if isinstance(self.fidelity, bool) or not (0.0 < self.fidelity <= 1.0):
             raise ValueError("fidelity must lie in (0, 1]")
         # Philox would take a 64-bit seed; the 32-bit bound keeps the accepted CLI and INI seeds
         if not _is_int(self.seed) or not 0 <= self.seed <= _MASK32:
             raise ValueError("seed must be an integer in [0, 2**32 - 1]")
-        if not (0.0 <= self.background <= 1.0):
+        if isinstance(self.background, bool) or not (0.0 <= self.background <= 1.0):
             raise ValueError("background must lie in [0, 1]")
         for name, kind in (("events_per_point", int), ("fidelity", float), ("seed", int),
                            ("background", float)):

@@ -162,8 +162,15 @@ def write_model_json(path, model: TrainedModel) -> None:
 
 
 def load_model_json(path) -> TrainedModel:
+    """A model as ``write_model_json`` writes it; no bool or string is taken for a number."""
     data = json.loads(Path(path).read_text())
-    return TrainedModel(np.asarray(data["a"], dtype=float), float(data["gamma"]),
+    for key, kind in (("a", "a list of numbers"), ("gamma", "a number")):
+        if not isinstance(data, dict) or key not in data:
+            raise ValueError(f"model JSON {path} has no {key!r} key")
+        values = data[key] if key == "a" else [data[key]]
+        if not isinstance(values, list) or not all(type(v) in (int, float) for v in values):
+            raise ValueError(f"model JSON {path}: {key!r} must be {kind}, got {data[key]!r}")
+    return TrainedModel(np.asarray(data["a"], dtype=float), data["gamma"],
                         str(data.get("train_id", "")))
 
 

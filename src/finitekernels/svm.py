@@ -126,6 +126,13 @@ def _check_labels(labels, size: int) -> np.ndarray:
     return y
 
 
+def _check_size(model: TrainedModel, size: int) -> None:
+    """Refuse a model unless it holds one coefficient per point of a ``size``-point training set."""
+    if model.coefficients.size != size:
+        raise ValueError(f"model has {model.coefficients.size} coefficients "
+                         f"but the training set has {size} points")
+
+
 def training_objective(gram, labels, gamma: float, coefficients) -> float:
     """Primal objective sum a^2 + gamma * sum hinge(1 - y f) at given coefficients."""
     g = _as_gram(gram).values
@@ -332,8 +339,7 @@ def accuracy(model: TrainedModel, kernel_rows, labels) -> float:
         raise ValueError("kernel_rows must be a nonempty matrix")
     if not np.all(np.isfinite(rows)):
         raise ValueError("kernel_rows must be finite")
-    if rows.shape[1] != model.coefficients.size:
-        raise ValueError("kernel row length must match the coefficient count")
+    _check_size(model, rows.shape[1])
     return _accuracy(model.coefficients, rows, _check_labels(labels, rows.shape[0]))
 
 

@@ -535,6 +535,21 @@ class TestFailureModes:
         assert f"error in stage '{command}'" in err and message in err
         assert not list(out.glob("*"))
 
+    @pytest.mark.parametrize("command", ["eval", "boundary"])
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            pytest.param('{"a": [true, false, 1.0], "gamma": 1.0}', "'a' must be a list of numbers",
+                         id="bool-coefficient"),
+            pytest.param('{"a": [0.5, 0.25, -0.75], "gamma": "2"}', "'gamma' must be a number",
+                         id="string-gamma"),
+            pytest.param('{"gamma": 1.0}', "has no 'a' key", id="missing-a"),
+        ],
+    )
+    def test_unwritable_model_rejected_at_load(self, command, payload, message, tmp_path, capsys):
+        # a model write_model_json cannot write fails at load like a bad one: tagged, nothing written
+        self.test_bad_model_rejected_at_load(command, payload, message, tmp_path, capsys)
+
     def test_bench_write_failure_tagged_emit(self, tmp_path, capsys):
         (tmp_path / "o" / "report.json").mkdir(parents=True)  # a directory where a file goes
         assert main(["bench", "--side", "2", "--out", str(tmp_path / "o")]) == 1

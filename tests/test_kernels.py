@@ -407,10 +407,19 @@ KERNEL_TEXTS = st.one_of(
 )
 
 
+# the kinds with an embedding: cosine:N, msi:L, tsq:L:zeta and opt:L
+EMBEDDED_TEXTS = st.one_of(
+    st.integers(1, 4).map(lambda n: f"cosine:{n}"),
+    st.integers(2, 8).map(lambda n: f"msi:{n}"),
+    st.tuples(st.integers(1, 8), st.floats(0.05, 3.0)).map(lambda t: f"tsq:{t[0]}:{t[1]!r}"),
+    st.integers(2, 8).map(lambda n: f"opt:{n}"),
+)
+
+
 @st.composite
-def kernel_point_sets(draw):
-    """A kernel of any kind in D = 1 or 2, and up to 8 points of its domain."""
-    spec = parse_kernel(draw(KERNEL_TEXTS), draw(st.integers(1, 2)))
+def kernel_point_sets(draw, texts=KERNEL_TEXTS):
+    """A kernel drawn from ``texts`` in D = 1 or 2, and up to 8 points of its domain."""
+    spec = parse_kernel(draw(texts), draw(st.integers(1, 2)))
     size = draw(st.integers(1, 8)) * spec.dimension
     units = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=size, max_size=size))
     lo, hi = DOMAINS[spec.convention]
@@ -426,3 +435,19 @@ class TestKernelMatrixProperties:
         assert np.array_equal(k, k.T)
         assert np.all((k >= 0.0) & (k <= 1.0))
         assert np.all(np.diag(k) == 1.0)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(kernel_point_sets(EMBEDDED_TEXTS))
+    def test_overlap_of_embeddings_equals_matrix(self, case):
+        # a cosine state holds every coordinate as a tensor product; a profile
+        # state holds one coordinate, so in D = 2 its overlaps multiply
+        spec, pts = case
+        if spec.kind == "cosine_power":
+            states = [embed_cosine(p, spec.power) for p in pts]
+            overlaps = np.array([[overlap_kernel(a, b) for b in states] for a in states])
+        else:
+            overlaps = np.ones((len(pts), len(pts)))
+            for d in range(spec.dimension):
+                states = [embed_interference(p, spec.profile) for p in pts[:, d]]
+                overlaps *= [[overlap_kernel(a, b) for b in states] for a in states]
+        np.testing.assert_allclose(spec.matrix(pts, pts), overlaps, rtol=0.0, atol=1e-12)

@@ -113,6 +113,14 @@ class TestFeatureCircuit:
             xp = rng.uniform(-math.pi / 2, math.pi / 2, 1)
             assert abs(kernel_circuit(x, xp, power=1) - kernel_cosine(x, xp, power=1)) < 1e-12
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.sampled_from([1, 3]), st.integers(1, 2).flatmap(lambda dim: st.lists(
+        st.floats(-math.pi / 2, math.pi / 2, exclude_max=True), min_size=2 * dim, max_size=2 * dim)))
+    def test_circuit_equals_cosine_power_at_random_coordinates(self, power, coords):
+        x, xp = np.array(coords).reshape(2, -1)
+        closed = math.prod(math.cos(a - b) ** (2 * power) for a, b in zip(x, xp))
+        assert kernel_circuit(x, xp, power=power) == pytest.approx(closed, abs=1e-10)
+
     def test_self_kernel_is_one(self):
         x = np.array([0.37, -1.1])
         assert kernel_circuit(x, x, power=3) == pytest.approx(1.0, abs=1e-12)
@@ -182,6 +190,17 @@ class TestShotNoise:
     def test_non_integer_or_aliasing_values_rejected(self, field, value):
         # a seed of 2**32 or more is split into several uint32 words and aliases other streams
         with pytest.raises(ValueError):
+            ShotNoiseConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("fidelity", True, r"fidelity must lie in \(0, 1\]"),
+         ("background", False, r"background must lie in \[0, 1\]")],
+        ids=["fidelity", "background"],
+    )
+    def test_bool_probability_rejected(self, field, value, message):
+        # True would run as fidelity 1.0 and False as background 0.0
+        with pytest.raises(ValueError, match=message):
             ShotNoiseConfig(**{field: value})
 
     def test_numbers_stored_as_python_scalars(self):

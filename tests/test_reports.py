@@ -249,6 +249,27 @@ class TestJson:
         assert back.gamma == 1.5
         assert back.train_id == "t"
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            pytest.param('{"a": [true, false, 1.0], "gamma": 1.0}', "'a' must be a list of numbers",
+                         id="bool-coefficient"),
+            pytest.param('{"a": [1.0, 2.0], "gamma": true}', "'gamma' must be a number",
+                         id="bool-gamma"),
+            pytest.param('{"a": ["1", "2"], "gamma": 2.0}', "'a' must be a list of numbers",
+                         id="string-coefficient"),
+            pytest.param('{"a": [1.0, 2.0], "gamma": "2"}', "'gamma' must be a number",
+                         id="string-gamma"),
+            pytest.param('{"gamma": 1.0}', "has no 'a' key", id="missing-a"),
+            pytest.param('{"a": [1.0, 2.0]}', "has no 'gamma' key", id="missing-gamma"),
+        ],
+    )
+    def test_model_refused_unless_write_model_json_could_write_it(self, tmp_path, payload, message):
+        path = tmp_path / "model.json"
+        path.write_text(payload + "\n")
+        with pytest.raises(ValueError, match=message):
+            load_model_json(path)
+
     def test_report_json_sorted_and_loadable(self, tmp_path):
         config = BenchmarkConfig(
             dataset="concentric", seed=7, kernel=KERNEL_N1, gamma=1.0, grid_side=3
