@@ -4,8 +4,8 @@ The package covers four layers that compose into one pipeline:
 
 - amplitude profiles and feature embeddings (``states``), with closed-form
   kernels for each family (``kernels``);
-- kernel resolution as a Rayleigh quotient, closed forms, quadrature, and
-  the optimal profile as the resolution matrix's ground eigenvector
+- kernel resolution as a Rayleigh quotient, its closed forms, and the
+  optimal profile as the resolution matrix's ground eigenvector
   (``resolution``);
 - a two-photon optical circuit realizing the cosine-power kernel, with
   shot-noise sampling of coincidence rates (``optics``);

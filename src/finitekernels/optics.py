@@ -17,13 +17,12 @@ draws from its own counter-based Philox4x64 stream (Salmon et al., SC 2011):
 a key of up to 6 entries k0..k5 in [0, 2**32 - 1] selects Philox key
 (seed, len(key)) and counter (0, k0 | k1 << 32, k2 | k3 << 32, k4 | k5 << 32),
 missing entries 0, so sampled Gram matrices do not depend on evaluation
-order.  ``sample_kernel`` measures one value with numpy's generator.
-``sample_kernels`` measures a batch bit for bit equal to it, in arrays: it
-computes the first Philox block of every stream and on it repeats numpy's
-binomial draw, by inversion or by BTPE (Kachitvichyanukul & Schmeiser,
-CACM 31, 1988), with libm's log and exp.  numpy's generator itself draws
-the few entries that need more than that block's four uniforms, and every
-entry of a batch too small to repay the arrays' fixed cost.
+order.  A count is drawn on the stream's uniforms, with r = min(p, 1 - p):
+by inversion of the first where r * events <= 30, and elsewhere by
+transformed rejection with squeeze on successive pairs (BTRS; Hörmann,
+J. Stat. Comput. Simul. 46, 1993).  ``sample_kernel`` draws one value on
+the uniforms of numpy's Philox generator; ``sample_kernels`` draws a batch
+in arrays, computing the Philox blocks itself, bit for bit equal to it.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DataPoint, _as_int, _as_positive, _is_int
+from .states import _BOOLS, DataPoint, _as_int, _as_positive, _is_int
 
 _HT, _HB, _VB, _VT = range(4)
 
@@ -218,12 +217,12 @@ class ShotNoiseConfig:
         # above 2**53 a count is no longer exact as a double, and numpy's estimates divide by one
         if not _is_int(self.events_per_point) or not 1 <= self.events_per_point <= _MAX_EVENTS:
             raise ValueError("events_per_point must be an integer in [1, 2**53]")
-        if isinstance(self.fidelity, bool) or not (0.0 < self.fidelity <= 1.0):
+        if isinstance(self.fidelity, _BOOLS) or not (0.0 < self.fidelity <= 1.0):
             raise ValueError("fidelity must lie in (0, 1]")
         # Philox would take a 64-bit seed; the 32-bit bound keeps the accepted CLI and INI seeds
         if not _is_int(self.seed) or not 0 <= self.seed <= _MASK32:
             raise ValueError("seed must be an integer in [0, 2**32 - 1]")
-        if isinstance(self.background, bool) or not (0.0 <= self.background <= 1.0):
+        if isinstance(self.background, _BOOLS) or not (0.0 <= self.background <= 1.0):
             raise ValueError("background must lie in [0, 1]")
         for name, kind in (("events_per_point", int), ("fidelity", float), ("seed", int),
                            ("background", float)):
@@ -234,20 +233,17 @@ _MASK32 = (1 << 32) - 1
 _MAX_EVENTS = 1 << 53
 # three 64-bit Philox counter words, two 32-bit key entries each
 _KEY_WIDTH = 6
-# below this batch size numpy's draw per entry beats the fixed cost of the array code
-_ARRAY_BATCH = 1024
-# entries drawn per pass of the array code; bounds its temporaries whatever the batch size
-_SAMPLE_BLOCK = 4096
+# entries drawn per pass of the array code: bounds its temporaries whatever the batch size,
+# yet leaves a pass's fixed cost small beside its work
+_SAMPLE_BLOCK = 16384
 # Philox4x64-10 (Random123): the multipliers of counter words 0 and 2, the key's Weyl increments
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 _MASK64 = (1 << 64) - 1
 _LOW32, _SHIFT32 = np.uint64(_MASK32), np.uint64(32)
-# step 50 forms f(y) / f(m) for counts within 20 of the mode: one table of factors holds most
-_RATIO_STEPS = 20
-# BTPE tries made in arrays: two spend exactly the four uniforms of a stream's first block
-_BTPE_TRIES = 2
+# a count with min(p, 1 - p) * events at most this is drawn by inversion, a larger one by BTRS
+_INVERSION_MEAN = 30.0
 
 
 def _check_stream_keys(keys: np.ndarray) -> None:
@@ -291,169 +287,114 @@ def _philox_block(counters: np.ndarray, key) -> np.ndarray:
     return np.stack([c0, c1, c2, c3])
 
 
-def _log(values: np.ndarray) -> np.ndarray:
-    """C's log of each value, through ``math``: numpy's SIMD log can differ in the last bit.
-
-    As in C, log(0) is -inf and the log of a negative value is NaN.
-    """
-    return np.array(
-        [math.log(x) if x > 0.0 else -math.inf if x == 0.0 else math.nan for x in values.tolist()],
-        dtype=float,
-    )
-
-
-def _inversion(n: int, p: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """numpy's binomial inversion (p <= 0.5, n p <= 30) of one uniform per entry.
-
-    The search ``U -= px`` steps every entry at once; -1 marks an entry whose
-    search passes its bound, where numpy starts again with a new uniform.
-    """
-    q = 1.0 - p
-    px = np.array([math.exp(n * math.log(x)) for x in q.tolist()], dtype=float)
-    mean = n * p
-    bound = np.minimum(n, mean + 10.0 * np.sqrt(mean * q + 1)).astype(np.int64)
-    counts = np.zeros(p.size, dtype=np.int64)
-    live = u > px
-    # an entry's u and px are not read again once it stops; past its bound it only has to stop
-    for x in range(1, int(bound.max(initial=0)) + 2):
-        if not live.any():
-            break
-        counts += live
-        u = u - px
-        px = (n - x + 1) * p * px / (x * q)
-        live &= u > px
-    counts[counts > bound] = -1
-    return counts
-
-
-def _stirling(z: np.ndarray) -> np.ndarray:
-    """Step 52's Stirling correction term of one factorial argument."""
-    z2 = z * z
-    return (13680. - (462. - (132. - (99. - 140. / z2) / z2) / z2) / z2) / z / 166320.
-
-
-def _btpe(n: int, r: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """One BTPE try (Kachitvichyanukul & Schmeiser, CACM 31, 1988) per entry, as numpy makes it.
-
-    Takes r <= 0.5 with n r > 30 and the try's two uniforms; -1 marks a
-    rejected try.  Every step keeps the operation order of numpy's C code.
-    """
-    q = 1.0 - r
-    fm = n * r + r
-    m = np.floor(fm).astype(np.int64)
-    nrq = n * r * q
-    p1 = np.floor(2.195 * np.sqrt(nrq) - 4.6 * q) + 0.5
-    xm = m + 0.5
-    xl, xr = xm - p1, xm + p1
-    c = 0.134 + 20.5 / (15.3 + m)
-    a = (fm - xl) / (fm - xl * r)
-    laml = a * (1.0 + a / 2.0)
-    a = (xr - fm) / (xr * q)
-    lamr = a * (1.0 + a / 2.0)
-    p2 = p1 * (1.0 + 2.0 * c)
-    p3 = p2 + c / laml
-    p4 = p3 + c / lamr
-    # steps 10 to 40: the triangle, the parallelogram and the left and right exponential tails
-    u = u * p4
-    region = (u > p1).astype(np.intp) + (u > p2) + (u > p3)
-    tail = region >= 2
-    log_v = np.zeros_like(v)
-    log_v[tail] = _log(v[tail])
-    x = xl + (u - p1) / c
-    y = np.choose(region, [np.floor(xm - p1 * v + u), np.floor(x),
-                           np.floor(xl + log_v / laml), np.floor(xr - log_v / lamr)]).astype(np.int64)
-    reject = tail & (v == 0.0)
-    v = np.choose(region, [v, v * c + 1.0 - np.abs(m - x + 0.5) / p1,
-                           v * (u - p2) * laml, v * (u - p3) * lamr])
-    reject |= np.choose(region, [False, v > 1.0, y < 0, y > n])
-    # step 50 for counts near the mode or narrow hats, step 52 for the rest
-    accept = region == 0
-    test = np.flatnonzero(~accept & ~reject)
-    k = np.abs(y[test] - m[test])
-    squeeze = (k > 20) & (k < nrq[test] / 2.0 - 1)
-    near, far = test[~squeeze], test[squeeze]
-    accept[near] = ~(v[near] > _mass_ratio(n, r[near], q[near], m[near], y[near]))
-    k = k[squeeze]
-    rho = (k / nrq[far]) * ((k * (k / 3.0 + 0.625) + 0.16666666666666666) / nrq[far] + 0.5)
-    t = -k * k / (2 * nrq[far])
-    log_v = _log(v[far])
-    accept[far] = log_v < t - rho
-    bounded = ~accept[far] & ~(log_v > t + rho)
-    i, log_v = far[bounded], log_v[bounded]
-    x1, f1 = (y[i] + 1).astype(float), (m[i] + 1).astype(float)
-    z, w = (n + 1 - m[i]).astype(float), (n - y[i] + 1).astype(float)
-    bound = (xm[i] * _log(f1 / x1) + (n - m[i] + 0.5) * _log(z / w)
-             + (y[i] - m[i]) * _log(w * r[i] / (x1 * q[i]))
-             + _stirling(f1) + _stirling(z) + _stirling(x1) + _stirling(w))
-    accept[i] = ~(log_v > bound)
-    return np.where(accept, y, -1)
-
-
-def _mass_ratio(n: int, r: np.ndarray, q: np.ndarray, m: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Step 50's f(y) / f(m), numpy's running product over the counts between m and y.
-
-    Count i contributes a / i - s, multiplied in for y > m and divided out for
-    y < m, in ascending i.  The product runs over tables of _RATIO_STEPS
-    factors per entry, each an ``accumulate`` from the product so far.
-    """
-    k = np.abs(y - m)
-    order = np.argsort(-k, kind="stable")  # longest products first: the running ones form a prefix
-    k, r, q, m, y = k[order], r[order], q[order], m[order], y[order]
-    s = (r / q)[:, None]
-    a = s * (n + 1)
-    start, up = np.minimum(m, y)[:, None], m < y
-    ratio = np.ones(y.size)
-    for first in range(1, int(k.max(initial=0)) + 1, _RATIO_STEPS):
-        live = int(np.count_nonzero(k >= first))
-        steps = np.arange(first, first + _RATIO_STEPS)
-        # a factor of 1 past the end of a product leaves it as it is
-        factors = np.where(steps <= k[:live, None], a[:live] / (start[:live] + steps) - s[:live], 1.0)
-        table = np.hstack([ratio[:live, None], factors])
-        for running, lanes in ((np.multiply, up[:live]), (np.divide, ~up[:live])):
-            ratio[:live][lanes] = running.accumulate(table[lanes], axis=1)[:, -1]
-    ratio[order] = ratio.copy()
-    return ratio
-
-
-def _first_uniforms(keys: np.ndarray, key) -> np.ndarray:
-    """The four uniforms numpy's Philox draws first from each key row's stream, as (4, rows)."""
-    counters = _counters(keys)
-    counters[:, 0] = 1  # numpy's Philox steps word 0 before it makes a block
+def _uniforms(counters: np.ndarray, key) -> np.ndarray:
+    """The four uniforms numpy's ``random()`` makes of each counter row's block, as (4, rows)."""
     return (_philox_block(counters, key) >> np.uint64(11)) * 2.0**-53
 
 
-def _btpe_tries(n: int, r: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """BTPE on each entry's first four uniforms; -1 where every try rejects."""
-    counts = np.full(r.size, -1, dtype=np.int64)
-    pending = np.arange(r.size)
-    for t in range(_BTPE_TRIES):
-        if pending.size:
-            counts[pending] = _btpe(n, r[pending], uniforms[2 * t, pending], uniforms[2 * t + 1, pending])
-            pending = pending[counts[pending] < 0]
+def _stirling(z):
+    """Stirling's series for lgamma(z) - (z - 1/2) log z + z - log(2 pi) / 2, z >= 1."""
+    z2 = z * z
+    return (13860. - (462. - (132. - (99. - 140. / z2) / z2) / z2) / z2) / z / 166320.
+
+
+def _btrs_setup(n: int, r):
+    """BTRS's a, b, c, alpha and v_r for binomial(n, r), r <= 1/2; of a scalar or elementwise."""
+    spq = np.sqrt(n * r * (1.0 - r))
+    b = 1.15 + 2.53 * spq
+    return -0.0873 + 0.0248 * b + 0.01 * r, b, n * r + 0.5, (2.83 + 5.1 / b) * spq, 0.92 - 4.2 / b
+
+
+def _log_mass_ratio(n: int, r, k):
+    """log(f(k) / f(m)) of binomial(n, r) at its mode m, of a scalar or elementwise.
+
+    Stirling's formula for the four factorials, written in d = k - m: no term
+    is much larger than the result, which keeps it accurate up to 2**53
+    events, where log k! alone has an ulp of 64.
+    """
+    m = np.floor((n + 1.0) * r)
+    d = k - m
+    return (-(k + 0.5) * np.log1p(d / (m + 1.0)) - (n - k + 0.5) * np.log1p(-d / (n - m + 1.0))
+            + d * (np.log(n - m + 1.0) - np.log(m + 1.0) + np.log(r / (1.0 - r)))
+            + _stirling(m + 1.0) + _stirling(n - m + 1.0) - _stirling(k + 1.0) - _stirling(n - k + 1.0))
+
+
+def _binomial(n: int, p: float, uniform) -> int:
+    """One binomial(n, p) count from the uniforms ``uniform()`` returns in turn.
+
+    The scalar copy of ``_block_counts``: with r = min(p, 1 - p), inversion of
+    the first uniform where n r <= 30, BTRS tries on successive pairs elsewhere,
+    and n minus the count where p > 1/2.
+    """
+    r = min(p, 1.0 - p)
+    if n * r <= _INVERSION_MEAN:
+        count, pmf, s, u = 0, np.exp(n * np.log1p(-r)), r / (1.0 - r), uniform()
+        while u > pmf:
+            u -= pmf
+            pmf = pmf * (n - count) / (count + 1) * s
+            if not pmf > 0.0:
+                break
+            count += 1
+    else:
+        a, b, c, alpha, v_r = _btrs_setup(n, r)
+        while True:
+            u, v = uniform() - 0.5, uniform()
+            us = 0.5 - abs(u)
+            k = np.floor((2.0 * a / us + b) * u + c)
+            if 0.0 <= k <= n and (us >= 0.07 and v <= v_r or np.log(v * alpha / (a / (us * us) + b))
+                                  <= _log_mass_ratio(n, r, k)):
+                break
+        count = int(k)
+    return n - count if p > 0.5 else count
+
+
+def _inversion(n: int, r: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Counts by inversion of one uniform each: a search up from 0 that stops where
+    the uniform is spent, or where the pmf underflows to 0."""
+    u, pmf, s = u.copy(), np.exp(n * np.log1p(-r)), r / (1.0 - r)
+    counts = np.zeros(r.size)
+    i = np.flatnonzero(u > pmf)
+    while i.size:
+        u[i] -= pmf[i]
+        pmf[i] = pmf[i] * (n - counts[i]) / (counts[i] + 1.0) * s[i]
+        i = i[pmf[i] > 0.0]
+        counts[i] += 1.0
+        i = i[u[i] > pmf[i]]
     return counts
 
 
-def _array_counts(events: int, p: np.ndarray, keys: np.ndarray, key) -> np.ndarray:
-    """numpy's ``binomial(events, p)`` of each key row's stream, drawn in arrays; -1 where
-    a draw needs more than the four uniforms of the stream's first block."""
-    # numpy draws with r = min(p, 1 - p), flipping the count where p > 0.5, by inversion if r * events <= 30
-    flip, r = p > 0.5, np.minimum(p, 1.0 - p)
-    inversion = r * events <= 30.0
-    counts = np.empty(p.size, dtype=np.int64)
-    first = np.empty(p.size)
-    for start in range(0, p.size, _SAMPLE_BLOCK):
-        uniforms = _first_uniforms(keys[start : start + _SAMPLE_BLOCK], key)
-        first[start : start + uniforms.shape[1]] = uniforms[0]
-        btpe = np.flatnonzero(~inversion[start : start + _SAMPLE_BLOCK])
-        counts[start + btpe] = _btpe_tries(events, r[start + btpe], uniforms[:, btpe])
-    # inversion steps every entry at once, so it runs over whole blocks of inversion entries
-    inverted = np.flatnonzero(inversion)
-    for start in range(0, inverted.size, _SAMPLE_BLOCK):
-        i = inverted[start : start + _SAMPLE_BLOCK]
-        counts[i] = _inversion(events, r[i], first[i])
-    flip &= counts >= 0
-    counts[flip] = events - counts[flip]
-    return counts
+def _block_counts(n: int, p: np.ndarray, keys: np.ndarray, key) -> np.ndarray:
+    """binomial(n, p) of each key row's stream, drawn as ``_binomial`` draws it, in arrays.
+
+    BTRS tries the pairs of each stream's first block, then makes block 2, 3,
+    ... for the entries still drawing.
+    """
+    r = np.minimum(p, 1.0 - p)
+    counters = _counters(keys)
+    counters[:, 0] = 1  # numpy's Philox steps word 0 before it makes a block
+    uniforms = _uniforms(counters, key)
+    counts = np.empty(p.size)
+    small = r * n <= _INVERSION_MEAN
+    counts[small] = _inversion(n, r[small], uniforms[0, small])
+    pending = np.flatnonzero(~small)
+    r, uniforms = r[pending], uniforms[:, pending]
+    a, b, c, alpha, v_r = _btrs_setup(n, r)
+    while pending.size:
+        for pair in (0, 2):
+            u, v = uniforms[pair] - 0.5, uniforms[pair + 1]
+            us = 0.5 - np.abs(u)
+            k = np.floor((2.0 * a / us + b) * u + c)
+            fits = (k >= 0.0) & (k <= n)
+            done = fits & (us >= 0.07) & (v <= v_r)
+            i = np.flatnonzero(fits & ~done)
+            done[i] = (np.log(v[i] * alpha[i] / (a[i] / (us[i] * us[i]) + b[i]))
+                       <= _log_mass_ratio(n, r[i], k[i]))
+            counts[pending[done]] = k[done]
+            pending, r, uniforms, a, b, c, alpha, v_r = (
+                x[..., ~done] for x in (pending, r, uniforms, a, b, c, alpha, v_r))
+        counters[pending, 0] += 1
+        uniforms = _uniforms(counters[pending], key)
+    return np.where(p > 0.5, n - counts, counts)
 
 
 def sample_kernel(
@@ -464,9 +405,11 @@ def sample_kernel(
     ``key`` (at most 6 entries in [0, 2**32 - 1], e.g. the Gram indices of the
     entry) selects the stream: Philox4x64 with key ``(seed, len(key))`` and
     counter ``(0, k0 | k1 << 32, k2 | k3 << 32, k4 | k5 << 32)``, missing
-    entries 0.  The signal count is one ``binomial(events, p)`` draw from it;
-    the estimate, count / events, is unbiased at fidelity 1 with standard
-    deviation sqrt(kappa (1 - kappa) / events).
+    entries 0.  The signal count is one binomial(events, p) draw on the
+    uniforms numpy's generator takes from it: with r = min(p, 1 - p),
+    inversion of the first where r * events <= 30, BTRS tries on successive
+    pairs elsewhere.  The estimate, count / events, is unbiased at fidelity 1
+    with standard deviation sqrt(kappa (1 - kappa) / events).
     """
     if not (0.0 <= true_kappa <= 1.0):
         raise ValueError("true_kappa must lie in [0, 1]")
@@ -476,7 +419,7 @@ def sample_kernel(
     _check_stream_keys(keys)
     p = config.fidelity * true_kappa + (1.0 - config.fidelity) * config.background
     bit_generator = np.random.Philox(counter=_counters(keys)[0], key=[config.seed, keys.shape[1]])
-    signal = int(np.random.Generator(bit_generator).binomial(config.events_per_point, p))
+    signal = _binomial(config.events_per_point, p, np.random.Generator(bit_generator).random)
     return signal / config.events_per_point, signal
 
 
@@ -484,14 +427,12 @@ def sample_kernels(true_kappas, config: ShotNoiseConfig, keys) -> np.ndarray:
     """Estimates of many kernel values, each from its own keyed stream.
 
     Entry k equals ``sample_kernel(true_kappas[k], config, key=keys[k])[0]``
-    bit for bit.  ``keys`` holds one row of at most 6 stream-key entries per
-    kappa, each in [0, 2**32 - 1].  A batch of 1,024 entries or more is
-    drawn in arrays, at most 4,096 entries at a time: Philox4x64-10 gives
-    each stream's first four uniforms, and numpy's binomial algorithm runs on
-    them, inversion where min(p, 1 - p) * events <= 30 and otherwise two BTPE
-    tries.  numpy's generator, set to each entry's own counter, draws the
-    entries that need a fifth uniform (about 3% at 2,500 events) and every
-    entry of a smaller batch.
+    bit for bit, whatever else the batch holds.  ``keys`` holds one row of at
+    most 6 stream-key entries per kappa, each in [0, 2**32 - 1].  The batch is
+    drawn in arrays, 16,384 entries at a time: Philox4x64-10 gives each
+    stream's blocks of four uniforms, and the counts are drawn on them by
+    inversion or BTRS, with numpy's ``log``, ``log1p``, ``exp`` and ``sqrt``
+    as the scalar draw calls them.
     """
     kappas = np.asarray(true_kappas, dtype=float)
     keys = np.asarray(keys)
@@ -502,20 +443,10 @@ def sample_kernels(true_kappas, config: ShotNoiseConfig, keys) -> np.ndarray:
     _check_stream_keys(keys)
     p = config.fidelity * kappas + (1.0 - config.fidelity) * config.background
     events, key = config.events_per_point, [config.seed, keys.shape[1]]
-    if kappas.size >= _ARRAY_BATCH:
-        counts = _array_counts(events, p, keys, key)
-    else:
-        counts = np.full(kappas.size, -1, dtype=np.int64)
-    # numpy's generator draws the rest from each entry's own counter: neither
-    # algorithm carries anything past a rejected try, so it ends where the arrays would
-    generator = np.random.Generator(np.random.Philox(key=key))
-    stream = {"counter": [0, 0, 0, 0], "key": key}
-    state = {"bit_generator": "Philox", "state": stream, "buffer": [0, 0, 0, 0],
-             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    undecided = np.flatnonzero(counts < 0)
-    for k, stream["counter"] in zip(undecided.tolist(), _counters(keys[undecided]).tolist()):
-        generator.bit_generator.state = state
-        counts[k] = generator.binomial(events, p[k])
+    counts = np.empty(p.size)
+    for start in range(0, p.size, _SAMPLE_BLOCK):
+        block = slice(start, start + _SAMPLE_BLOCK)
+        counts[block] = _block_counts(events, p[block], keys[block], key)
     return counts / events
 
 

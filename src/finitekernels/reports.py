@@ -162,7 +162,8 @@ def write_model_json(path, model: TrainedModel) -> None:
 
 
 def load_model_json(path) -> TrainedModel:
-    """A model as ``write_model_json`` writes it; no bool or string is taken for a number."""
+    """A model as ``write_model_json`` writes it; no bool or string is taken for a number,
+    and no other value for the ``train_id`` string."""
     data = json.loads(Path(path).read_text())
     for key, kind in (("a", "a list of numbers"), ("gamma", "a number")):
         if not isinstance(data, dict) or key not in data:
@@ -170,8 +171,10 @@ def load_model_json(path) -> TrainedModel:
         values = data[key] if key == "a" else [data[key]]
         if not isinstance(values, list) or not all(type(v) in (int, float) for v in values):
             raise ValueError(f"model JSON {path}: {key!r} must be {kind}, got {data[key]!r}")
-    return TrainedModel(np.asarray(data["a"], dtype=float), data["gamma"],
-                        str(data.get("train_id", "")))
+    train_id = data.get("train_id", "")
+    if not isinstance(train_id, str):
+        raise ValueError(f"model JSON {path}: 'train_id' must be a string, got {train_id!r}")
+    return TrainedModel(np.asarray(data["a"], dtype=float), data["gamma"], train_id)
 
 
 def write_json(path, payload: dict) -> None:

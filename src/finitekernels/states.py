@@ -29,6 +29,10 @@ DOMAINS = {
 }
 
 
+# Python's bool and numpy's: a number check refuses both, or True would run as 1
+_BOOLS = (bool, np.bool_)
+
+
 def _is_int(value) -> bool:
     """An integer that is not a bool: ``True`` would read as 1."""
     return isinstance(value, Integral) and not isinstance(value, bool)
@@ -45,7 +49,7 @@ def _as_int(value, what: str, minimum: int) -> int:
 
 def _as_positive(value, what: str) -> float:
     """``value`` as a float, if it is a finite positive real and not a bool."""
-    if isinstance(value, bool) or not math.isfinite(value) or value <= 0.0:
+    if isinstance(value, _BOOLS) or not math.isfinite(value) or value <= 0.0:
         raise ValueError(f"{what} must be a finite positive real")
     return float(value)
 

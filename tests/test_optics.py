@@ -195,11 +195,13 @@ class TestShotNoise:
     @pytest.mark.parametrize(
         "field, value, message",
         [("fidelity", True, r"fidelity must lie in \(0, 1\]"),
-         ("background", False, r"background must lie in \[0, 1\]")],
-        ids=["fidelity", "background"],
+         ("background", False, r"background must lie in \[0, 1\]"),
+         ("fidelity", np.True_, r"fidelity must lie in \(0, 1\]"),
+         ("background", np.False_, r"background must lie in \[0, 1\]")],
+        ids=["fidelity", "background", "fidelity-numpy", "background-numpy"],
     )
     def test_bool_probability_rejected(self, field, value, message):
-        # True would run as fidelity 1.0 and False as background 0.0
+        # True, Python's or numpy's, would run as fidelity 1.0 and False as background 0.0
         with pytest.raises(ValueError, match=message):
             ShotNoiseConfig(**{field: value})
 
@@ -299,14 +301,28 @@ def scalar_sampling_loop(kappas, config, keys):
 class TestSampleKernels:
     @BATCH_PROPERTY
     @given(sampling_batches())
-    # n * p < 30 draws by inversion, n * p >= 30 by BTPE; repeats reuse the set-up
+    # inversion where min(p, 1 - p) * events <= 30, BTRS above; repeats reuse the set-up
     @example((ShotNoiseConfig(10, 1.0, 0), [0.3, 0.3, 0.3], [[1], [2], [3]]))
     @example((ShotNoiseConfig(10_000, 0.98, 2**32 - 1), [0.5] * 3 + [0.2] * 2, [[2**32 - 1, 0]] * 5))
+    # n r = 29.7, 30 and 30.3 for p below 1/2, then 29.7 and 30.3 for p above it
+    @example((ShotNoiseConfig(3000, 1.0, 5), [0.0099, 0.01, 0.0101, 0.9901, 0.9899], [[k] for k in range(5)]))
+    @example((ShotNoiseConfig(2**53, 1.0, 2), [0.0, 1e-15, 4e-15, 0.3, 0.5, 1.0], [[k] for k in range(6)]))
     def test_equals_scalar_loop_bitwise(self, batch):
         config, kappas, keys = batch
         keys = np.array(keys, dtype=np.int64)
         batched = sample_kernels(kappas, config, keys)
         assert np.array_equal(batched, scalar_sampling_loop(kappas, config, keys))
+
+    @BATCH_PROPERTY
+    @given(sampling_batches(), st.data())
+    def test_entry_independent_of_its_batch(self, batch, data):
+        config, kappas, keys = batch
+        kappas, keys = np.array(kappas), np.array(keys, dtype=np.int64)
+        order = data.draw(st.permutations(range(kappas.size)))
+        subset = data.draw(st.lists(st.integers(0, kappas.size - 1), min_size=1, max_size=8))
+        batched = sample_kernels(kappas, config, keys)
+        assert np.array_equal(sample_kernels(kappas[order], config, keys[order]), batched[order])
+        assert np.array_equal(sample_kernels(kappas[subset], config, keys[subset]), batched[subset])
 
     def test_many_blocks_equal_scalar_loop(self):
         config = ShotNoiseConfig(events_per_point=2500, seed=9)
@@ -317,14 +333,11 @@ class TestSampleKernels:
         assert np.array_equal(batched, scalar_sampling_loop(kappas, config, keys))
 
     def test_golden_stream_pins(self):
-        # signal counts fixed by the Philox stream contract itself
+        # signal counts fixed by the Philox stream contract and the draw together
         config = ShotNoiseConfig(2500, 0.98, 0)
-        pins = [(0.5, (0, 1, 2), 1271), (1.0, (0, 3, 3), 2483), (0.0, (2, 7, 11), 30)]
-        for kappa, (s, i, j), signal in pins:
-            assert sample_kernel(kappa, config, key=(s, i, j))[1] == signal
-            p = config.fidelity * kappa + (1.0 - config.fidelity) * config.background
-            stream = np.random.Philox(key=[config.seed, 3], counter=[0, s | i << 32, j, 0])
-            assert np.random.Generator(stream).binomial(2500, p) == signal
+        pins = [(0.5, (0, 1, 2), 1246), (1.0, (0, 3, 3), 2483), (0.0, (2, 7, 11), 30)]
+        for kappa, key, signal in pins:
+            assert sample_kernel(kappa, config, key=key)[1] == signal
         kappas, keys, signals = zip(*pins)
         batched = sample_kernels(kappas, config, np.array(keys))
         assert np.array_equal(batched, np.array(signals) / 2500)
@@ -367,55 +380,6 @@ class TestSampleKernels:
         assert len(estimates) == len(keys)
 
 
-def numpy_sampling_loop(kappas, config, keys):
-    """sample_kernel's draws without its per-call set-up: one numpy generator set to each counter."""
-    key = [config.seed, keys.shape[1]]
-    generator = np.random.Generator(np.random.Philox(key=key))
-    counts = []
-    for kappa, counter in zip(np.asarray(kappas).tolist(), optics._counters(keys).tolist()):
-        generator.bit_generator.state = {
-            "bit_generator": "Philox", "state": {"counter": counter, "key": key},
-            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-        }
-        p = config.fidelity * kappa + (1.0 - config.fidelity) * config.background
-        counts.append(generator.binomial(config.events_per_point, p))
-    return np.array(counts) / config.events_per_point
-
-
-def numpy_binomial_on_words(n, p, words):
-    """numpy's binomial(n, p) reading its first uniforms from the given 64-bit words."""
-    bit_generator = np.random.Philox(key=[0, 0])
-    state = bit_generator.state
-    state["buffer"], state["buffer_pos"] = np.array(words, dtype=np.uint64), 0
-    bit_generator.state = state
-    return int(np.random.Generator(bit_generator).binomial(n, p))
-
-
-def first_uniforms(words):
-    return (np.array(words, dtype=np.uint64).reshape(4, -1) >> np.uint64(11)) * 2.0**-53
-
-
-# (n, p, the four words of a stream's first block) at which a BTPE try sits on a knife edge,
-# found by scanning the v words next to a threshold; numpy accepts or rejects each as its own
-# arithmetic decides, and the second try (u = 0) always accepts
-KNIFE_EDGES = {
-    # step 50's v against f(y) / f(m): the product formed in descending order decides the other way
-    "step 50 order": [
-        (8334, float.fromhex("0x1.94289dbbe0be3p-5"), [15739586697136705536, 13058562402216642560, 0, 0]),
-        (19857, float.fromhex("0x1.dbedbfe5e16fep-6"), [14569573253462396928, 13758823269819619328, 0, 0]),
-        (11208, float.fromhex("0x1.519371052633bp-2"), [15524420965309386752, 9167881831581630464, 0, 0]),
-        (13879, float.fromhex("0x1.8d9a211f55575p-2"), [15966366178783250432, 12167438119733919744, 0, 0]),
-    ],
-    # step 52's log(v) against its bound: a log one ulp off libm's, as numpy's SIMD log can be, decides the other way
-    "step 52 bound": [
-        (23145, float.fromhex("0x1.ddab9a246d9ecp-3"), [17219049824206860288, 4351126433167132672, 0, 0]),
-        (49438, float.fromhex("0x1.cd7375a7761aep-3"), [16026240513226901504, 13185499869720160256, 0, 0]),
-        (196123, float.fromhex("0x1.c2b37e0411a28p-2"), [14100382449268242432, 6506497595555784704, 0, 0]),
-        (33013, float.fromhex("0x1.25bdd2e3c536ap-2"), [16366641281251104768, 14250333012650819584, 0, 0]),
-    ],
-}
-
-
 def large_kappa_batch(rng, size):
     """Runs of kappas at 0, at 1, near 0, near 1 and anywhere in between."""
     pool = np.stack([np.zeros(size), np.ones(size), rng.uniform(0.0, 1e-3, size),
@@ -424,8 +388,20 @@ def large_kappa_batch(rng, size):
     return pool[kinds, np.arange(size)]
 
 
+def binomial_pmf(n, p):
+    """binomial(n, p)'s pmf at 0..n, from math.lgamma."""
+    return np.array([math.exp(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                              + k * math.log(p) + (n - k) * math.log1p(-p)) for k in range(n + 1)])
+
+
+def sampled_counts(events, p, draws, seed):
+    """``draws`` signal counts at success probability p, one per key (0,), (1), ..."""
+    config = ShotNoiseConfig(events_per_point=events, fidelity=1.0, seed=seed)
+    return np.rint(sample_kernels(np.full(draws, p), config, np.arange(draws)[:, None]) * events)
+
+
 class TestArraySampler:
-    """The array code behind sample_kernels against numpy's own Philox and binomial."""
+    """The array code behind sample_kernels: its Philox blocks, its counts' law, and 2**53 events."""
 
     @pytest.mark.parametrize("width", range(7))
     def test_philox_block_equals_numpy(self, width):
@@ -442,71 +418,51 @@ class TestArraySampler:
                         for c in counters]
             assert np.array_equal(optics._philox_block(rows, key).T, np.array(expected))
 
-    def test_log_is_libm(self):
-        values = np.random.default_rng(1).random(100_000)
-        values[:3] = 0.0, -1.0, 1.0
-        expected = [-math.inf, math.nan, 0.0] + [math.log(v) for v in values[3:].tolist()]
-        np.testing.assert_array_equal(optics._log(values), expected)
-
-    @pytest.mark.parametrize("edge", KNIFE_EDGES)
-    def test_btpe_knife_edges_equal_numpy(self, edge):
-        for n, p, words in KNIFE_EDGES[edge]:
-            expected = numpy_binomial_on_words(n, p, words)
-            assert optics._btpe_tries(n, np.array([p]), first_uniforms(words))[0] == expected
-
-    def test_btpe_tries_equal_numpy_on_random_words(self):
-        rng = np.random.default_rng(2)
-        for n in (62, 100, 2500, 10_000, 2**40):
-            p = np.concatenate([[0.5], rng.uniform(31 / n, 0.5, 299)])
-            words = rng.integers(0, 2**64 - 1, (4, p.size), dtype=np.uint64, endpoint=True)
-            counts = optics._btpe_tries(n, p, first_uniforms(words))
-            decided = np.flatnonzero(counts >= 0)
-            assert decided.size > 0.8 * p.size
-            expected = [numpy_binomial_on_words(n, p[k], words[:, k].tolist()) for k in decided]
-            assert counts[decided].tolist() == expected
-
-    @BATCH_PROPERTY
-    @given(sampling_batches())
-    def test_array_path_equals_scalar_loop_bitwise(self, batch):
-        config, kappas, keys = batch
-        keys = np.array(keys, dtype=np.int64)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(optics, "_ARRAY_BATCH", 0)  # small batches take the array path too
-            batched = sample_kernels(kappas, config, keys)
-        assert np.array_equal(batched, scalar_sampling_loop(kappas, config, keys))
-
-    def test_every_entry_through_numpy(self, monkeypatch):
-        # with no try made in arrays, each entry is drawn again by numpy from its own counter
-        monkeypatch.setattr(optics, "_ARRAY_BATCH", 0)
-        monkeypatch.setattr(optics, "_BTPE_TRIES", 0)
-        monkeypatch.setattr(optics, "_inversion", lambda n, p, u: np.full(p.size, -1))
-        rng = np.random.default_rng(3)
-        for events in (10, 2500):
-            config = ShotNoiseConfig(events_per_point=events, seed=11)
-            kappas = large_kappa_batch(rng, 600)
-            keys = rng.integers(0, 2**32, (600, 3))
-            batched = sample_kernels(kappas, config, keys)
-            assert np.array_equal(batched, scalar_sampling_loop(kappas, config, keys))
-
     @pytest.mark.parametrize("events", [1, 30, 31, 2500, 10_000])
-    def test_large_batches_equal_numpy(self, events):
+    def test_large_batches_equal_scalar_loop(self, events):
+        # wider than one pass of the array code: checked where the passes meet and at random
         rng = np.random.default_rng(events)
+        size, edge = optics._SAMPLE_BLOCK + 2000, optics._SAMPLE_BLOCK
+        checked = np.concatenate([np.arange(edge - 100, edge + 100), rng.choice(size, 200, replace=False)])
         for fidelity in (1.0, 0.98, 0.5):
             config = ShotNoiseConfig(events_per_point=events, fidelity=fidelity, seed=events % 7)
-            kappas = large_kappa_batch(rng, 50_000)
-            keys = rng.integers(0, 2**32, (50_000, 3))
-            batched = sample_kernels(kappas, config, keys)
-            reference = numpy_sampling_loop(kappas, config, keys)
-            assert np.array_equal(batched, reference)
-            assert np.array_equal(reference[:500], scalar_sampling_loop(kappas[:500], config, keys[:500]))
+            kappas = large_kappa_batch(rng, size)
+            keys = rng.integers(0, 2**32, (size, 3))
+            batched = sample_kernels(kappas, config, keys)[checked]
+            assert np.array_equal(batched, scalar_sampling_loop(kappas[checked], config, keys[checked]))
 
-    @pytest.mark.parametrize("array_batch", [0, optics._ARRAY_BATCH], ids=["arrays", "numpy"])
-    def test_events_up_to_two_to_the_53(self, array_batch, monkeypatch):
-        monkeypatch.setattr(optics, "_ARRAY_BATCH", array_batch)
-        config = ShotNoiseConfig(events_per_point=2**53, seed=2)
-        kappas, keys = [0.0, 1e-15, 0.3, 0.5, 1.0], [[0], [1], [2], [3], [4]]
-        batched = sample_kernels(kappas, config, keys)
-        assert np.array_equal(batched, scalar_sampling_loop(kappas, config, np.array(keys)))
+    def test_events_up_to_two_to_the_53(self):
+        kappas, keys = [0.0, 1e-15, 4e-15, 0.3, 0.5, 1.0 - 4e-15, 1.0], [[k] for k in range(7)]
+        for fidelity in (1.0, 0.98):
+            config = ShotNoiseConfig(events_per_point=2**53, fidelity=fidelity, seed=2)
+            batched = sample_kernels(kappas, config, keys)
+            assert np.array_equal(batched, scalar_sampling_loop(kappas, config, np.array(keys)))
+
+    @pytest.mark.parametrize("events, p", [(61, 0.5), (3000, 0.0101), (2500, 0.3), (31, 0.99)])
+    def test_counts_follow_the_binomial_pmf(self, events, p):
+        # BTRS at n r = 30.5, 30.3 and 750; inversion, then n minus the count, at 0.31
+        draws = 50_000
+        expected = draws * binomial_pmf(events, p)
+        # each tail pooled into the last bin that expects at least 5 draws
+        low, high = np.flatnonzero(expected >= 5.0)[[0, -1]]
+        counts = np.clip(sampled_counts(events, p, draws, seed=1).astype(int), low, high)
+        observed = np.bincount(counts - low, minlength=high - low + 1)
+        expected = np.concatenate([[expected[: low + 1].sum()], expected[low + 1 : high],
+                                   [expected[high:].sum()]])
+        chi2 = np.sum((observed - expected) ** 2 / expected)
+        # the chi-square quantile of tail 1e-6 (z = 4.75), by Wilson and Hilferty
+        df = observed.size - 1
+        assert chi2 < df * (1.0 - 2.0 / (9 * df) + 4.75 * math.sqrt(2.0 / (9 * df))) ** 3
+
+    @pytest.mark.parametrize("p", [4e-15, 0.3])
+    def test_moments_at_two_to_the_53(self, p):
+        # within 4.5 standard errors of the mean and of the variance: a bound in log k! instead
+        # of in k - m loses every digit there and lands outside
+        draws, events = 400_000, 2**53
+        counts = sampled_counts(events, p, draws, seed=4)
+        variance = events * p * (1.0 - p)
+        assert abs(counts.mean() - events * p) < 4.5 * math.sqrt(variance / draws)
+        assert abs(counts.var(ddof=1) / variance - 1.0) < 4.5 * math.sqrt(2.0 / draws)
 
     @pytest.mark.parametrize("events", [2**53 + 1, 2**63, 2**64])
     def test_events_above_two_to_the_53_rejected(self, events):

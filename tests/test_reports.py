@@ -262,6 +262,8 @@ class TestJson:
                          id="string-gamma"),
             pytest.param('{"gamma": 1.0}', "has no 'a' key", id="missing-a"),
             pytest.param('{"a": [1.0, 2.0]}', "has no 'gamma' key", id="missing-gamma"),
+            pytest.param('{"a": [1.0, 2.0], "gamma": 1.0, "train_id": null}',
+                         "'train_id' must be a string, got None", id="null-train-id"),
         ],
     )
     def test_model_refused_unless_write_model_json_could_write_it(self, tmp_path, payload, message):

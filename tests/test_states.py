@@ -314,12 +314,15 @@ def test_bool_or_non_integer_rejected(case):
         call()
 
 
-# (call, the argument name the error must give): each passes True where the
-# library takes a finite positive real, which would otherwise run as 1.0
+# (call, the argument name the error must give): each passes True, Python's or
+# numpy's, where the library takes a finite positive real, which would otherwise run as 1.0
 POSITIVE_REAL_BOOLS = {
     "BenchmarkConfig-gamma": (lambda: BenchmarkConfig("moons", 1, _SPEC, gamma=True), "gamma"),
     "TrainedModel-gamma": (lambda: TrainedModel([1.0], gamma=True), "gamma"),
     "tsq_profile-squeezing": (lambda: tsq_profile(3, True), "squeezing"),
+    "BenchmarkConfig-gamma-numpy": (lambda: BenchmarkConfig("moons", 1, _SPEC, gamma=np.True_), "gamma"),
+    "TrainedModel-gamma-numpy": (lambda: TrainedModel([1.0], gamma=np.True_), "gamma"),
+    "tsq_profile-squeezing-numpy": (lambda: tsq_profile(3, np.True_), "squeezing"),
 }
 
 

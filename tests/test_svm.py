@@ -443,9 +443,9 @@ BENCHMARK_FITS += [(ds, seed, "cosine:1", 100, True, 1.0) for ds, seed in PINNED
 )
 def test_benchmark_fit_matches_cyclic_reference(dataset, seed, kernel, m, noisy, gamma):
     gram, labels = benchmark_problem(dataset, seed, kernel, m, noisy)
-    # guards only the reference's own convergence: the noisy moons/1 fit takes 3,392 sweeps
-    ref_a, _, sweeps = cyclic_reference(gram.values, labels, gamma, max_sweeps=4000)
-    assert sweeps < 4000
+    # guards only the reference's own convergence: the noisy moons/1 fit takes 4,336 sweeps
+    ref_a, _, sweeps = cyclic_reference(gram.values, labels, gamma, max_sweeps=6000)
+    assert sweeps < 6000
     model = train(gram, labels, gamma)
     assert model.diagnostics.kkt_residual < 1e-8
     ref = training_objective(gram, labels, gamma, ref_a)
