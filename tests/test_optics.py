@@ -418,6 +418,16 @@ class TestArraySampler:
                         for c in counters]
             assert np.array_equal(optics._philox_block(rows, key).T, np.array(expected))
 
+    @BATCH_PROPERTY
+    @given(sampling_batches(), st.integers(1, 4))
+    def test_array_path_equals_scalar_loop_bitwise(self, batch, block):
+        config, kappas, keys = batch
+        keys = np.array(keys, dtype=np.int64)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(optics, "_SAMPLE_BLOCK", block)  # small batches span several passes too
+            batched = sample_kernels(kappas, config, keys)
+        assert np.array_equal(batched, scalar_sampling_loop(kappas, config, keys))
+
     @pytest.mark.parametrize("events", [1, 30, 31, 2500, 10_000])
     def test_large_batches_equal_scalar_loop(self, events):
         # wider than one pass of the array code: checked where the passes meet and at random
