@@ -11,8 +11,10 @@ off it.  Smaller variance means a sharper kernel.  The sharpest profile of
 a given length is the ground eigenvector of K, which is entrywise positive.
 
 K is symmetric Toeplitz, so the matrix of length L is the leading L x L
-block of any larger one.  A family sweep therefore builds K once, at its
-longest length, and evaluates and optimizes every length on that block.
+block of any larger one, and the tsq log-weights of length L are the first
+L entries of any longer table.  A family sweep therefore builds one K and
+one tsq table, both at its longest length, and evaluates and optimizes
+every length on its leading block and prefix.
 K also commutes with index reversal, so its ground eigenvector is
 palindromic (Cantoni & Butler, Linear Algebra Appl. 13, 1976).
 """
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import AmplitudeProfile, _as_int, msi_profile, tsq_profile
+from .states import _BOOLS, AmplitudeProfile, _as_int, _as_positive, _tsq_log_weights
 
 RESOLUTION_DIAGONAL = 1.0 / 12.0
 
@@ -48,12 +50,14 @@ def rayleigh_quotient(weights, matrix: np.ndarray | None = None) -> float:
     w = np.asarray(weights, dtype=float)
     if not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite")
-    denom = float(w @ w)
-    if denom <= 0.0:
+    if float(w @ w) <= 0.0:
         raise ValueError("weights must be a nonzero vector")
-    if matrix is None:
-        matrix = build_resolution_matrix(w.size)
-    return float(w @ matrix @ w) / denom
+    return _quotient(w, build_resolution_matrix(w.size) if matrix is None else matrix)
+
+
+def _quotient(w: np.ndarray, matrix: np.ndarray) -> float:
+    """``rayleigh_quotient`` on unchecked weights, in the one operation order."""
+    return float(w @ matrix @ w) / float(w @ w)
 
 
 @dataclass(frozen=True)
@@ -75,19 +79,9 @@ class ResolutionReport:
 
 def resolution_quadratic(profile: AmplitudeProfile) -> ResolutionReport:
     """Variance via the mode-space quadratic form."""
-    return _quadratic_report(profile, build_resolution_matrix(profile.weights.size))
-
-
-def _quadratic_report(profile: AmplitudeProfile, matrix: np.ndarray) -> ResolutionReport:
-    """``resolution_quadratic`` on a given matrix of the profile's length."""
     w = profile.weights
-    variance = rayleigh_quotient(w, matrix)
-    return ResolutionReport(
-        variance=variance,
-        resolution=math.sqrt(variance),
-        renorm=float(w @ w),
-        profile=profile,
-    )
+    variance = rayleigh_quotient(w)
+    return ResolutionReport(variance, math.sqrt(variance), float(w @ w), profile)
 
 
 def msi_variance_closed_form(n_terms: int) -> float:
@@ -121,11 +115,11 @@ def optimize_profile(length: int) -> AmplitudeProfile:
     ``eigh``.  The returned profile is palindromic by construction.
     """
     length = _as_int(length, "optimization length", 2)
-    return _ground_profile(build_resolution_matrix(length))
+    return AmplitudeProfile(_ground_profile(build_resolution_matrix(length)))
 
 
-def _ground_profile(matrix: np.ndarray) -> AmplitudeProfile:
-    """``optimize_profile`` on a given resolution matrix of the wanted length.
+def _ground_profile(matrix: np.ndarray) -> np.ndarray:
+    """``optimize_profile``'s normalized weights on a given resolution matrix.
 
     A palindrome r = (u, reversed u), its middle entry shared for odd L,
     has r^T K r = 2 u^T D^2 S D^2 u and r^T r = 2 u^T D^2 u, with
@@ -145,7 +139,7 @@ def _ground_profile(matrix: np.ndarray) -> AmplitudeProfile:
         raise RuntimeError(
             f"ground eigenvector of the {r.size}-mode resolution matrix is not positive"
         )
-    return AmplitudeProfile.from_unnormalized(r)
+    return r / float(r.sum())
 
 
 # ---------- family sweep ----------
@@ -166,6 +160,9 @@ class SweepPoint:
         if self.family not in SWEEP_FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         object.__setattr__(self, "length", _as_int(self.length, "sweep length", 2))
+        for name, value in (("variance", self.variance), ("resolution", self.resolution)):
+            if isinstance(value, _BOOLS) or not 0.0 <= value < math.inf:  # so NaN fails too
+                raise ValueError(f"sweep {name} must be a finite non-negative real, got {value!r}")
 
 
 def resolution_sweep(
@@ -180,7 +177,10 @@ def resolution_sweep(
     longest length; each row's variance, and the optimized family's ground
     eigenvector, come from its leading block, which equals the matrix
     ``resolution_quadratic`` and ``optimize_profile`` build at that length.
+    The tsq weights, likewise, are a prefix of one table, renormalized, so
+    each row equals ``resolution_quadratic`` of its own profile bit for bit.
     """
+    tsq_squeezing = _as_positive(tsq_squeezing, "tsq squeezing")
     lens = [_as_int(v, "sweep length", 2) for v in lengths]
     if not lens:
         raise ValueError("lengths must be nonempty")
@@ -191,24 +191,19 @@ def resolution_sweep(
     if unknown:
         raise ValueError(f"unknown families: {sorted(unknown)}")
 
-    full = build_resolution_matrix(max(lens))
+    longest = max(lens)
+    full = build_resolution_matrix(longest)
+    tsq = np.exp(_tsq_log_weights(longest, tsq_squeezing)) if "tsq" in fams else None
     rows: list[SweepPoint] = []
     for family in fams:
         for length in lens:
             block = full[:length, :length]
             if family == "msi":
-                profile = msi_profile(length)
+                w = np.full(length, 1.0 / length)
             elif family == "tsq":
-                profile = tsq_profile(length, tsq_squeezing)
+                w = tsq[:length] / float(tsq[:length].sum())
             else:
-                profile = _ground_profile(block)
-            report = _quadratic_report(profile, block)
-            rows.append(
-                SweepPoint(
-                    family=family,
-                    length=length,
-                    variance=report.variance,
-                    resolution=report.resolution,
-                )
-            )
+                w = _ground_profile(block)
+            variance = _quotient(w, block)
+            rows.append(SweepPoint(family, length, variance, math.sqrt(variance)))
     return rows

@@ -188,20 +188,24 @@ def tsq_profile(n_terms: int, squeezing: float) -> AmplitudeProfile:
     The n-th weight is proportional to (2n)! tanh^(2n)(z) / (4^n (n!)^2),
     n = 0..L-1.  Factorials are evaluated in log space; the ratio of
     consecutive weights is ((2n+1)/(2n+2)) tanh^2(z) < 1, so the weights
-    decrease strictly for any positive squeezing.
+    decrease strictly for any positive squeezing.  Each log-weight depends
+    on n alone, so the profile of length L is exp of the first L entries of
+    any longer table over their sum, as ``resolution_sweep`` takes it.
     """
     n_terms = _as_int(n_terms, "n_terms", 1)
     squeezing = _as_positive(squeezing, "squeezing")
+    return AmplitudeProfile.from_unnormalized(np.exp(_tsq_log_weights(n_terms, squeezing)))
+
+
+def _tsq_log_weights(n_terms: int, squeezing: float) -> np.ndarray:
+    """``tsq_profile``'s log-weights on checked arguments: exactly 0.0 at n = 0, then negative."""
     n = np.arange(n_terms, dtype=float)
-    log_tanh = math.log(math.tanh(squeezing))
     # lgamma(2n+1) - 2 lgamma(n+1) - n log 4 + 2n log tanh(z); cosh cancels on renormalization
-    log_w = (
+    return (
         np.array([math.lgamma(2 * k + 1) - 2 * math.lgamma(k + 1) for k in range(n_terms)])
         - n * math.log(4.0)
-        + 2.0 * n * log_tanh
+        + 2.0 * n * math.log(math.tanh(squeezing))
     )
-    log_w -= log_w.max()
-    return AmplitudeProfile.from_unnormalized(np.exp(log_w))
 
 
 # ---------- embeddings ----------

@@ -557,6 +557,16 @@ class TestFailureModes:
         # all or nothing: the artifacts written before the failure are removed again
         assert [p.name for p in (tmp_path / "o").iterdir()] == ["report.json"]
 
+    @pytest.mark.parametrize("families", ["msi", "optimized"])
+    def test_bad_tsq_zeta_rejected_whatever_the_families(self, families, tmp_path, capsys):
+        out = tmp_path / "r"
+        argv = ["resolve", "--lengths", "2:3", "--families", families, "--tsq-zeta", "-1"]
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error in stage 'resolve'" in err
+        assert "tsq squeezing must be a finite positive real" in err
+        assert not (out / "resolution.csv").exists()
+
     @pytest.mark.parametrize("lengths", ["5", "5:", "a:b", "6:5"])
     def test_bad_resolve_range_is_usage_error(self, lengths, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

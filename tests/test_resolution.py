@@ -4,7 +4,7 @@ import re
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from finitekernels import (
     AmplitudeProfile,
@@ -18,6 +18,7 @@ from finitekernels import (
     resolution,
     resolution_quadratic,
     resolution_sweep,
+    states,
     tsq_profile,
 )
 
@@ -301,6 +302,19 @@ class TestSweep:
         with pytest.raises(ValueError, match="sweep length"):
             SweepPoint(family="msi", length=1.5, variance=0.1, resolution=0.3)
 
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, -1e-300, math.inf, True])
+    @pytest.mark.parametrize("field", ["variance", "resolution"])
+    def test_point_refuses_bad_values(self, field, bad):
+        values = {"variance": 0.1, "resolution": 0.3, field: bad}
+        with pytest.raises(ValueError, match=f"sweep {field} must be a finite non-negative real"):
+            SweepPoint(family="msi", length=3, **values)
+
+    @pytest.mark.parametrize("zeta", [math.nan, -1.0, 0.0, math.inf, True])
+    @pytest.mark.parametrize("families", [("msi",), ("optimized",), ("tsq",)])
+    def test_bad_tsq_squeezing_rejected_whatever_the_families(self, families, zeta):
+        with pytest.raises(ValueError, match="tsq squeezing must be a finite positive real"):
+            resolution_sweep([2, 3], families, tsq_squeezing=zeta)
+
     def test_short_lengths_rejected(self):
         with pytest.raises(ValueError):
             resolution_sweep([1, 2])
@@ -328,6 +342,19 @@ class TestSweep:
         resolution_sweep([5, 2, 9, 5])
         assert sizes == [9]
 
+    def test_builds_the_tsq_table_once(self, monkeypatch):
+        calls = []
+
+        def counting(n_terms, squeezing):
+            calls.append((n_terms, squeezing))
+            return states._tsq_log_weights(n_terms, squeezing)
+
+        monkeypatch.setattr(resolution, "_tsq_log_weights", counting)
+        resolution_sweep([5, 2, 9, 5], tsq_squeezing=2.5)
+        assert calls == [(9, 2.5)]
+        resolution_sweep([5, 2, 9], families=("msi", "optimized"))
+        assert calls == [(9, 2.5)]  # no tsq row, no table
+
 
 SWEEP_ORACLE = {
     "msi": lambda length, zeta: msi_profile(length),
@@ -344,6 +371,9 @@ class TestSweepProperties:
         count=st.integers(min_value=1, max_value=3),
         zeta=st.floats(min_value=0.5, max_value=4.0),
     )
+    # tanh(1e-3)^2n underflows to subnormals, then 0, within 128 terms; tanh(20) == 1.0
+    @example(lengths=[2, 128, 60, 3], families=["tsq", "optimized", "msi"], count=3, zeta=1e-3)
+    @example(lengths=[97, 2, 128], families=["tsq", "msi", "optimized"], count=3, zeta=20.0)
     def test_rows_equal_per_row_oracle(self, lengths, families, count, zeta):
         # lengths come unsorted and may repeat; each row must equal its
         # profile's own resolution_quadratic, bit for bit
