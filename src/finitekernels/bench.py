@@ -4,6 +4,12 @@ Kernel measurements are instrumented (each Gram build counts its kernel
 determinations) and shot-noise streams are keyed per entry by
 ``(stream, i, j)``, so a sampled pipeline is reproducible no matter how its
 evaluations are ordered, batched or parallelized.
+
+An exact run of a finite kind evaluates each of its M(M-1)/2 Gram pairs
+once and no other kernel value: it scores test points and grid nodes in the
+kind's finite feature space, through the w x w weights of
+``_feature_weights``.  Noisy and fractional runs need every kernel value and
+score through ``kernel_rows``.
 """
 
 from __future__ import annotations
@@ -53,8 +59,10 @@ def compute_gram(
 ) -> GramMatrix:
     """Kernel matrix over one point set, bitwise symmetric with a unit diagonal.
 
-    Exact path: ``KernelSpec.matrix``, symmetric and 1 on the diagonal by
-    construction, counted as M(M-1)/2 kernel evaluations.  For a finite
+    Both paths start from ``KernelSpec.matrix(points)``, which evaluates each
+    pair i <= j once.  Exact path: that matrix, symmetric and 1 on the
+    diagonal by construction, counted as its M(M-1)/2 off-diagonal kernel
+    evaluations.  For a finite
     kind (one with ``coordinate_features``) it is Phi Phi^T up to roundoff,
     with Phi of width w^D, and the Gram records that ``rank_bound``.
     Sampled path: each upper-triangle entry is measured once with a stream
@@ -63,7 +71,7 @@ def compute_gram(
     """
     pts = _coords(points)
     m = pts.shape[0]
-    values = kernel.matrix(pts, pts)
+    values = kernel.matrix(pts)
     evaluations = m * (m - 1) // 2
     # (0, w) for a finite kind, whose exact Gram then has rank at most w^D
     features = kernel.coordinate_features(np.empty(0)) if noise is None else None
@@ -94,6 +102,54 @@ def kernel_rows(
         keys = _stream_keys(stream, np.arange(rows.shape[0])[:, None], np.arange(rows.shape[1]))
         rows = sample_kernels(rows.ravel(), noise, keys).reshape(rows.shape)
     return rows
+
+
+def _in_feature_space(kernel: KernelSpec, noise: ShotNoiseConfig | None) -> bool:
+    """Whether scores are taken in feature space: an exact run of a finite kind.
+
+    A noisy run or a fractional kind needs every kernel value.
+    """
+    return noise is None and kernel.coordinate_features(np.empty(0)) is not None
+
+
+def _plane_features(points, kernel: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """``F(x_1)`` and ``F(x_2)`` of 2-D points, F the kernel's ``coordinate_features``."""
+    pts = _coords(points)
+    if kernel.dimension != 2 or pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError("point dimension does not match this kernel spec")
+    return kernel.coordinate_features(pts[:, 0]), kernel.coordinate_features(pts[:, 1])
+
+
+def _feature_weights(model: TrainedModel, train_points, kernel: KernelSpec) -> np.ndarray:
+    """The w x w weights W = (F(t_1) * a)^T F(t_2) of an exact finite-kind model.
+
+    t_1 and t_2 are the training coordinates and a the coefficients, so the
+    score sum_m a_m k(x, t_m) of a 2-D point x is F(x_1) W F(x_2)^T, equal to
+    its closed-form row times a up to roundoff.
+    """
+    first, second = _plane_features(train_points, kernel)
+    return (first * model.coefficients[:, None]).T @ second
+
+
+def _test_rows(test_points, train_points, kernel: KernelSpec, noise) -> np.ndarray | None:
+    """The test points' ``kernel_rows``; None where they are scored in feature space."""
+    if _in_feature_space(kernel, noise):
+        return None
+    return kernel_rows(test_points, train_points, kernel, noise=noise)
+
+
+def _test_scores(model: TrainedModel, test_points, train_points, kernel: KernelSpec,
+                 rows: np.ndarray | None) -> np.ndarray:
+    """Decision scores of the test points from ``_test_rows``' result ``rows``.
+
+    rows @ a, or, where ``rows`` is None, the feature-space scores
+    ((F(x_1) W) * F(x_2)).sum(axis=1) with W from ``_feature_weights``.
+    """
+    _check_size(model, len(_coords(train_points)))
+    if rows is not None:
+        return rows @ model.coefficients
+    first, second = _plane_features(test_points, kernel)
+    return ((first @ _feature_weights(model, train_points, kernel)) * second).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -137,31 +193,26 @@ def boundary_grid(
     """Decision scores on a side x side grid over the full convention domain.
 
     Grid nodes sample the half-open domain uniformly (endpoint excluded).
-    An exact grid of a finite kind is scored in its feature space: with
-    F the kernel's ``coordinate_features`` and a the coefficients,
-    W = (F(t_1) * a)^T F(t_2) over the training coordinates t_1, t_2 and
-    scores = F(axis) W F(axis)^T, equal to the closed-form rows up to
-    roundoff.  A noisy or fractional grid needs every kernel value, so
-    each node's kernel row is evaluated directly, side^2 rows total, and
-    scored as one 1 x m dot per row.
+    An exact grid of a finite kind is scored in its feature space as
+    F(axis) W F(axis)^T, with F the kernel's ``coordinate_features`` and W
+    the w x w weights of ``_feature_weights``, equal to the closed-form rows
+    up to roundoff; no kernel value is evaluated.  A noisy or fractional
+    grid needs every kernel value, so each node's kernel row is evaluated
+    directly, side^2 rows total, and scored as one 1 x m dot per row.
     """
     side = _as_int(side, "grid side", 2)
     pts = _coords(train_set)
     _check_size(model, len(pts))
     lo, hi = DOMAINS[kernel.convention]
     axis = np.linspace(lo, hi, side, endpoint=False)
-    features = None if noise is not None else kernel.coordinate_features(axis)
-    if features is None:
+    if _in_feature_space(kernel, noise):
+        features = kernel.coordinate_features(axis)
+        scores = features @ _feature_weights(model, pts, kernel) @ features.T
+    else:
         nodes = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
         rows = kernel_rows(nodes, pts, kernel, noise=noise, stream=STREAM_GRID)
         # a stack of 1 x m dots: a single matrix-vector product rounds differently
         scores = (rows[:, None, :] @ model.coefficients)[:, 0].reshape(side, side)
-    else:
-        if kernel.dimension != 2 or pts.ndim != 2 or pts.shape[1] != 2:
-            raise ValueError("point dimension does not match this kernel spec")
-        first, second = (kernel.coordinate_features(pts[:, d]) for d in (0, 1))
-        weights = (first * model.coefficients[:, None]).T @ second
-        scores = features @ weights @ features.T
     return BoundaryGrid(xs=axis, ys=axis, scores=scores)
 
 
@@ -227,13 +278,17 @@ class BenchReport:
 
 
 class _Prepared(NamedTuple):
-    """What a run computes before training, in ``BenchReport`` field order, plus the test rows."""
+    """What a run computes before training, in ``BenchReport`` field order, plus the test rows.
+
+    ``test_rows`` is None for an exact finite kind, whose test points are
+    scored in feature space once there is a model.
+    """
 
     train_set: LabeledSet
     test_set: LabeledSet
     gram: GramMatrix
     gram_conditioned: GramMatrix
-    test_rows: np.ndarray
+    test_rows: np.ndarray | None
 
 
 def _prepare(config: BenchmarkConfig) -> _Prepared:
@@ -248,7 +303,7 @@ def _prepare(config: BenchmarkConfig) -> _Prepared:
         train_set, config.kernel, noise=config.noise, pin_diagonal=config.pin_noisy_diagonal
     )
     conditioned = condition_gram(gram, config.condition_policy)
-    test_rows = kernel_rows(test_set, train_set, config.kernel, noise=config.noise)
+    test_rows = _test_rows(test_set, train_set, config.kernel, config.noise)
     return _Prepared(train_set, test_set, gram, conditioned, test_rows)
 
 
@@ -256,12 +311,12 @@ def _train_id(config: BenchmarkConfig) -> str:
     return f"{config.dataset}-seed{config.seed}-m{config.train_size}"
 
 
-def _accuracies(prepared: _Prepared, model: TrainedModel) -> tuple[float, float]:
+def _accuracies(prepared: _Prepared, model: TrainedModel,
+                kernel: KernelSpec) -> tuple[float, float]:
     """The train and test accuracies of ``model``, from arrays the run built and checked."""
     train_set, test_set, _, conditioned, test_rows = prepared
-    a = model.coefficients
-    return (_accuracy(a, conditioned.values, train_set.labels),
-            _accuracy(a, test_rows, test_set.labels))
+    return (_accuracy(conditioned.values @ model.coefficients, train_set.labels),
+            _accuracy(_test_scores(model, test_set, train_set, kernel, test_rows), test_set.labels))
 
 
 def run_benchmark(config: BenchmarkConfig) -> BenchReport:
@@ -270,7 +325,8 @@ def run_benchmark(config: BenchmarkConfig) -> BenchReport:
     labels = prepared.train_set.labels
     model = train(prepared.gram_conditioned, labels, config.gamma, train_id=_train_id(config))
     grid = boundary_grid(model, prepared.train_set, config.kernel, config.grid_side, config.noise)
-    return BenchReport(config, *prepared[:4], model, *_accuracies(prepared, model), grid)
+    accuracies = _accuracies(prepared, model, config.kernel)
+    return BenchReport(config, *prepared[:4], model, *accuracies, grid)
 
 
 def gamma_sweep(config: BenchmarkConfig, gammas) -> list[tuple[float, float]]:
@@ -278,6 +334,8 @@ def gamma_sweep(config: BenchmarkConfig, gammas) -> list[tuple[float, float]]:
 
     Only training depends on gamma, so the data, Gram, conditioning and test
     rows are built once, after every gamma is validated; no grid is mapped.
+    An exact run of a finite kind builds no test rows: each model scores the
+    test points in feature space, as ``run_benchmark`` does.
     The models come from one ``svm.train_path``, which fits the gammas in
     descending order, each warm-started from the last.  Its coefficients
     equal ``train``'s up to roundoff, so the accuracies equal
@@ -287,4 +345,4 @@ def gamma_sweep(config: BenchmarkConfig, gammas) -> list[tuple[float, float]]:
     prepared = _prepare(config)
     labels = prepared.train_set.labels
     models = train_path(prepared.gram_conditioned, labels, gammas, train_id=_train_id(config))
-    return [_accuracies(prepared, model) for model in models]
+    return [_accuracies(prepared, model, config.kernel) for model in models]

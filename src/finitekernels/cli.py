@@ -5,7 +5,9 @@ Subcommands: gen, gram, train, eval, boundary, bench, sweep, resolve.
 see the README).  Each setting comes from its command-line flag, else from
 the config file, else from the library's default.  A flag shared by several
 subcommands (dataset and seed, sizes, kernel, shot noise, model and training
-set) is declared once and behaves the same in each.  ``eval`` and ``boundary``
+set) is declared once and behaves the same in each.  ``train`` takes a Gram's
+provenance from the ``gram.json`` that ``gram`` writes beside it.  ``eval``
+scores its test points as ``bench`` does.  ``eval`` and ``boundary``
 refuse a model whose coefficient count differs from the training set's size,
 a rule ``svm`` owns.  Every failure exits nonzero with a stage-tagged message
 on stderr.
@@ -20,15 +22,15 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .bench import BenchmarkConfig, boundary_grid, compute_gram, gamma_sweep, kernel_rows
-from .bench import run_benchmark
+from .bench import BenchmarkConfig, boundary_grid, compute_gram, gamma_sweep, run_benchmark
+from .bench import _test_rows, _test_scores
 from .datasets import generate_dataset
 from .kernels import KernelSpec
 from .optics import ShotNoiseConfig
 from .resolution import optimize_profile, resolution_sweep
 from .states import msi_profile, tsq_profile
-from .svm import CONDITION_POLICIES, accuracy as model_accuracy, condition_gram
-from .svm import train as train_model
+from .svm import CONDITION_POLICIES, GramMatrix, _accuracy, accuracy as model_accuracy
+from .svm import condition_gram, train as train_model
 from . import reports
 
 # the settings the library has no default for
@@ -171,16 +173,34 @@ def _cmd_gram(args, out: Path) -> None:
     kernel = parse_kernel(args.kernel)
     gram = compute_gram(dataset, kernel, noise=_noise(args))
     meta = {"provenance": gram.provenance, "seed": gram.seed, "size": gram.size,
-            "n_evaluations": gram.n_evaluations, "kernel": kernel.kernel_id()}
+            "n_evaluations": gram.n_evaluations, "rank_bound": gram.rank_bound,
+            "kernel": kernel.kernel_id()}
     with _stage("emit"):
         reports.write_gram_csv(out / "gram.csv", gram)
         reports.write_json(out / "gram.json", meta)
     print(f"wrote {out / 'gram.csv'} ({gram.n_evaluations} evaluations)")
 
 
+def _load_gram(path) -> GramMatrix:
+    """A ``gram.csv`` with the provenance recorded in the ``gram.json`` beside it, if there is one.
+
+    Without that file the Gram claims nothing, so ``condition_gram`` repairs it.
+    """
+    gram = reports.load_gram_csv(path)
+    meta_path = Path(path).with_name("gram.json")
+    if not meta_path.exists():
+        return gram
+    meta = reports.load_report_json(meta_path)
+    if meta.get("size") != gram.size:
+        raise ValueError(f"{meta_path} records a Gram of size {meta.get('size')}, "
+                         f"but {path} holds {gram.size} rows")
+    return GramMatrix(gram.values, provenance=meta.get("provenance"), seed=meta.get("seed"),
+                      n_evaluations=meta.get("n_evaluations", 0), rank_bound=meta.get("rank_bound"))
+
+
 def _cmd_train(args, out: Path) -> None:
     dataset = reports.load_dataset_csv(args.dataset)
-    conditioned = condition_gram(reports.load_gram_csv(args.gram), **_given(policy=args.condition))
+    conditioned = condition_gram(_load_gram(args.gram), **_given(policy=args.condition))
     model = train_model(conditioned, dataset.labels, args.gamma, train_id=Path(args.dataset).stem)
     with _stage("emit"):
         reports.write_model_json(out / "model.json", model)
@@ -193,8 +213,8 @@ def _cmd_eval(args, out: Path) -> None:
     model = reports.load_model_json(args.model)
     test_set = reports.load_dataset_csv(args.test)
     kernel = parse_kernel(args.kernel)
-    rows = kernel_rows(test_set, train_set, kernel, noise=_noise(args))
-    acc = model_accuracy(model, rows, test_set.labels)
+    rows = _test_rows(test_set, train_set, kernel, _noise(args))
+    acc = _accuracy(_test_scores(model, test_set, train_set, kernel, rows), test_set.labels)
     with _stage("emit"):
         reports.write_json(out / "eval.json", {"accuracy": acc, "kernel": kernel.kernel_id()})
     print(f"test accuracy {acc:.4f}")

@@ -181,27 +181,39 @@ class KernelSpec:
             return kernel_cosine(a, b, self.power)
         return kernel_fractional(a, b, self.exponent)
 
-    def matrix(self, A, B) -> np.ndarray:
+    def matrix(self, A, B=None) -> np.ndarray:
         """Kernel values ``K[i, j] == evaluate(A[i], B[j])``, bit for bit.
 
         ``A`` and ``B`` are (n, dimension) coordinate arrays.  The separations
         |B[j] - A[i]| are broadcast over blocks of rows of ``A`` and passed
-        through the same closed form as :meth:`evaluate`.
+        through the same closed form as :meth:`evaluate`.  With ``B`` omitted
+        the result is ``matrix(A, A)``: each block evaluates only its pairs
+        i <= j and mirrors them, which is exact since |a - b| == |b - a| in
+        IEEE arithmetic.
         """
-        a, b = self._coord_rows(A), self._coord_rows(B)
+        a = self._coord_rows(A)
+        b = a if B is None else self._coord_rows(B)
         width = len(self.profile) if self.kind == "profile" else 1
         step = max(1, _BLOCK_ELEMENTS // max(1, b.shape[0] * self.dimension * width))
         out = np.empty((a.shape[0], b.shape[0]))
         for start in range(0, a.shape[0], step):
-            d = np.abs(b[None, :, :] - a[start : start + step, None, :])
-            if self.kind == "profile":
-                factors = kernel_profile(d, self.profile)
-            elif self.kind == "cosine_power":
-                factors = np.cos(d) ** (2 * self.power)
+            rows = a[start : start + step]
+            if B is None:
+                i, j = np.triu_indices(rows.shape[0], start, b.shape[0])
+                out[i + start, j] = out[j, i + start] = self._closed_form(np.abs(b[j] - rows[i]))
             else:
-                factors = np.abs(np.cos(d)) ** (2.0 * self.exponent)
-            out[start : start + step] = _clip_unit(np.prod(factors, axis=-1))
+                out[start : start + step] = self._closed_form(np.abs(b[None] - rows[:, None]))
         return out
+
+    def _closed_form(self, d) -> np.ndarray:
+        """Kernel values of separations ``d``, whose last axis holds the coordinates."""
+        if self.kind == "profile":
+            factors = kernel_profile(d, self.profile)
+        elif self.kind == "cosine_power":
+            factors = np.cos(d) ** (2 * self.power)
+        else:
+            factors = np.abs(np.cos(d)) ** (2.0 * self.exponent)
+        return _clip_unit(np.prod(factors, axis=-1))
 
     def coordinate_features(self, x) -> np.ndarray | None:
         """Real features of n values of one coordinate, an (n, w) array.

@@ -181,25 +181,29 @@ class _Solution(NamedTuple):
     iterations: int
 
 
-def _solve(g, y, gamma: float, alpha: np.ndarray, budget: int) -> _Solution:
+def _solve(g, y, gamma: float, alpha: np.ndarray, budget: int,
+           solved_start: bool = False) -> _Solution:
     """Active-set iterations from a start ``alpha`` in the box [0, gamma].
 
     Coordinates strictly inside the box start free, the rest pinned at
     their bound; from alpha = 0 nothing is free, which is the cold start.
+    ``solved_start`` says the start is already optimal on its face, as a
+    previous fit's dual is when clipping it into this box moved nothing.
     ``alpha`` is updated in place.  Stops on the KKT tolerance, on a solved
     face with no violating bound coordinate, or after ``budget`` iterations.
-    The residual is computed only where it can end the fit: at the start
-    (a warm start at the optimum stops there), on a solved face and at the
-    budget.
+    The residual is computed only where it can end the fit: on a solved
+    face (a solved start at the optimum stops at iteration 0) and at the
+    budget.  A start with free coordinates on an unsolved face solves that
+    face first, since a small residual there need not mean a small error.
     """
     free = (alpha > 0.0) & (alpha < gamma)
-    face_solved = not free.any()
+    face_solved = solved_start or not free.any()
     c = g * (0.5 * y)  # C = G diag(y) / 2
     for iterations in range(budget + 1):
         a = c @ alpha
         scores = g @ a
         grad = 1.0 - y * scores  # 1 - 2 Q alpha
-        if face_solved or iterations in (0, budget):
+        if face_solved or iterations == budget:
             residual = _slackness(grad, alpha, gamma)
             if residual < KKT_TOL or iterations == budget:
                 break
@@ -306,8 +310,10 @@ def train_path(gram, labels, gammas, train_id: str = "") -> list[TrainedModel]:
     start pinned there, interior ones start free and zeros stay pinned.  A
     warm start gets as many active-set iterations as there are training
     points and is kept only below ``KKT_TOL``; otherwise that gamma is
-    refitted cold.  A start can cost time but cannot change the optimum:
-    the coefficients are unique, so warm and cold fits agree to roundoff.
+    refitted cold.  It may stop at iteration 0 only when the clip moved no
+    coordinate, so that its face is the previous fit's solved face.  A start
+    can cost time but cannot change the optimum: the coefficients are
+    unique, so warm and cold fits agree to roundoff.
     """
     g = _as_gram(gram).values
     y = _check_labels(labels, g.shape[0])
@@ -317,7 +323,9 @@ def train_path(gram, labels, gammas, train_id: str = "") -> list[TrainedModel]:
     for k in sorted(range(len(gammas)), key=lambda k: -gammas[k]):
         gamma = gammas[k]
         if solution is not None:
-            solution = _solve(g, y, gamma, np.clip(solution.alpha, 0.0, gamma), y.size)
+            start = np.clip(solution.alpha, 0.0, gamma)
+            solved = np.array_equal(start, solution.alpha)
+            solution = _solve(g, y, gamma, start, y.size, solved)
         if solution is None or solution.residual >= KKT_TOL:
             solution = _solve(g, y, gamma, np.zeros(y.size), _MAX_ITERATIONS)
             if solution.residual > 1e-6:
@@ -340,12 +348,12 @@ def accuracy(model: TrainedModel, kernel_rows, labels) -> float:
     if not np.all(np.isfinite(rows)):
         raise ValueError("kernel_rows must be finite")
     _check_size(model, rows.shape[1])
-    return _accuracy(model.coefficients, rows, _check_labels(labels, rows.shape[0]))
+    return _accuracy(rows @ model.coefficients, _check_labels(labels, rows.shape[0]))
 
 
-def _accuracy(coefficients, rows, y) -> float:
-    """``accuracy`` on arrays already checked: finite rows, one per +1/-1 label."""
-    return float(np.mean(y * (rows @ coefficients) > 0.0))
+def _accuracy(scores, y) -> float:
+    """``accuracy`` from decision scores already checked: finite, one per +1/-1 label."""
+    return float(np.mean(y * scores > 0.0))
 
 
 def condition_gram(gram, policy: str = "clip") -> GramMatrix:

@@ -10,6 +10,7 @@ from finitekernels import (
     KernelSpec,
     ShotNoiseConfig,
     TrainedModel,
+    accuracy,
     boundary_grid,
     compute_gram,
     gamma_sweep,
@@ -18,7 +19,7 @@ from finitekernels import (
     run_benchmark,
     sample_kernel,
 )
-from finitekernels.bench import STREAM_GRAM, STREAM_GRID, STREAM_ROWS
+from finitekernels.bench import STREAM_GRAM, STREAM_GRID, STREAM_ROWS, _test_rows, _test_scores
 from finitekernels.cli import parse_kernel
 from finitekernels.states import DOMAINS, msi_profile, tsq_profile
 
@@ -227,14 +228,20 @@ class TestBoundaryGrid:
     )
     def test_feature_scores_match_closed_form_rows(self, text, m, side):
         kernel = parse_kernel(text)
-        train, _ = generate_dataset(
-            "moons", seed=1, train_size=m, test_size=10, convention=kernel.convention
+        train, test = generate_dataset(
+            "moons", seed=1, train_size=m, test_size=60, convention=kernel.convention
         )
         model = TrainedModel(coefficients=np.random.default_rng(m).normal(size=m), gamma=1.0)
         grid = boundary_grid(model, train, kernel, side=side)
         nodes = np.array([[x, y] for x in grid.xs for y in grid.ys])
         want = (kernel.matrix(nodes, train.points) @ model.coefficients).reshape(side, side)
         assert np.all(np.abs(grid.scores - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+        # scattered test points, scored in feature space as run_benchmark scores them
+        rows = _test_rows(test, train, kernel, None)
+        assert rows is None
+        scores = _test_scores(model, test, train, kernel, rows)
+        want = kernel_rows(test, train, kernel) @ model.coefficients
+        assert np.all(np.abs(scores - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
     @pytest.mark.parametrize("dimension", [1, 3])
     def test_feature_path_needs_two_dimensions(self, dimension):
@@ -317,6 +324,14 @@ class TestRunBenchmark:
         assert summary["kernel"] == "cosine:N=1:D=2"
         assert summary["train_id"] == "concentric-seed7-m40"
         assert summary["noise"] is None
+
+    @pytest.mark.parametrize("dataset, seed", [("concentric", 7), ("moons", 1), ("xor", 0)])
+    @pytest.mark.parametrize("text", ["cosine:1", "cosine:3", "msi:4", "opt:4"])
+    def test_feature_space_test_accuracy_equals_closed_form_rows(self, dataset, seed, text):
+        config = BenchmarkConfig(dataset, seed, parse_kernel(text), grid_side=2)
+        report = run_benchmark(config)
+        rows = kernel_rows(report.test_set, report.train_set, config.kernel)
+        assert report.test_accuracy == accuracy(report.model, rows, report.test_set.labels)
 
     def test_repeat_runs_identical(self):
         config = BenchmarkConfig(

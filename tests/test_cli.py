@@ -8,11 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from finitekernels import TrainedModel, bench
+from finitekernels import BenchmarkConfig, TrainedModel, bench, cli, run_benchmark
 from finitekernels.cli import main, parse_kernel
 from finitekernels.kernels import KernelSpec
 from finitekernels.optics import ShotNoiseConfig
-from finitekernels.reports import write_model_json
+from finitekernels.reports import load_model_json, write_model_json
 from finitekernels.resolution import optimize_profile
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -170,6 +170,19 @@ class TestPipelineSubcommands:
         assert len((b / "grid.csv").read_text().splitlines()) == 37
         assert (b / "boundary.svg").exists()
 
+    @pytest.mark.parametrize("kernel, noise", [("msi:4", []), ("cosine:3", []),
+                                               ("cosine:0.5", []), ("cosine:1", ["--events", "200"])])
+    def test_eval_prints_the_bench_test_accuracy(self, kernel, noise, tmp_path, capsys):
+        run, e = tmp_path / "run", tmp_path / "eval"
+        common = ["--kernel", kernel, *noise]
+        assert main(["bench", "--dataset", "moons", "--seed", "1", "--side", "2", *common,
+                     "--out", str(run)]) == 0
+        assert main(["eval", "--model", str(run / "model.json"), "--train", str(run / "train.csv"),
+                     "--test", str(run / "test.csv"), *common, "--out", str(e)]) == 0
+        want = json.loads((run / "report.json").read_text())["test_accuracy"]
+        assert json.loads((e / "eval.json").read_text())["accuracy"] == want
+        assert capsys.readouterr().out.endswith(f"test accuracy {want:.4f}\n")
+
     def test_bench_repeat_runs_byte_identical(self, tmp_path):
         args = [
             "bench",
@@ -286,6 +299,65 @@ class TestPipelineSubcommands:
         assert main(base + ["--out", str(tmp_path / "b")]) == 0
         assert json.loads((tmp_path / "a" / "report.json").read_text())["gamma"] == 5.0
         assert json.loads((tmp_path / "b" / "report.json").read_text())["gamma"] == 1.0
+
+
+class TestTrainReadsGramJson:
+    @staticmethod
+    def gram(tmp_path, *flags):
+        d, g = tmp_path / "data", tmp_path / "gram"
+        assert main(["gen", "--dataset", "xor", "--seed", "0", "--out", str(d)]) == 0
+        assert main(["gram", "--train", str(d / "train.csv"), "--kernel", "cosine:1", *flags,
+                     "--out", str(g)]) == 0
+        return d, g
+
+    @staticmethod
+    def train(d, g, out, monkeypatch):
+        """Run ``train``; returns the Gram it passed to ``condition_gram`` and what came back."""
+        seen, original = [], cli.condition_gram
+
+        def recorded(gram, *args, **kwargs):
+            seen.append((gram, original(gram, *args, **kwargs)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(cli, "condition_gram", recorded)
+        assert main(["train", "--gram", str(g / "gram.csv"), "--dataset", str(d / "train.csv"),
+                     "--out", str(out)]) == 0
+        return seen[0]
+
+    def test_exact_finite_gram_trains_unrepaired_as_bench_does(self, tmp_path, monkeypatch):
+        d, g = self.gram(tmp_path)
+        assert json.loads((g / "gram.json").read_text())["rank_bound"] == 9
+        loaded, conditioned = self.train(d, g, tmp_path / "m", monkeypatch)
+        assert (loaded.provenance, loaded.n_evaluations, loaded.rank_bound) == ("exact", 780, 9)
+        assert conditioned is loaded
+        report = run_benchmark(BenchmarkConfig("xor", 0, parse_kernel("cosine:1")))
+        model = load_model_json(tmp_path / "m" / "model.json")
+        assert np.array_equal(model.coefficients, report.model.coefficients)
+
+    def test_sampled_gram_keeps_its_provenance_and_is_repaired(self, tmp_path, monkeypatch):
+        d, g = self.gram(tmp_path, "--events", "200", "--noise-seed", "3")
+        assert json.loads((g / "gram.json").read_text())["rank_bound"] is None
+        loaded, conditioned = self.train(d, g, tmp_path / "m", monkeypatch)
+        assert (loaded.provenance, loaded.seed, loaded.n_evaluations) == ("sampled", 3, 820)
+        assert conditioned is not loaded
+
+    def test_without_gram_json_the_gram_claims_nothing(self, tmp_path, monkeypatch):
+        d, g = self.gram(tmp_path)
+        (g / "gram.json").unlink()
+        loaded, conditioned = self.train(d, g, tmp_path / "m", monkeypatch)
+        assert (loaded.provenance, loaded.rank_bound) == ("exact", None)
+        assert conditioned is not loaded
+
+    def test_size_mismatch_refused(self, tmp_path, capsys):
+        d, g = self.gram(tmp_path)
+        meta = json.loads((g / "gram.json").read_text())
+        (g / "gram.json").write_text(json.dumps({**meta, "size": 39}))
+        out = tmp_path / "m"
+        assert main(["train", "--gram", str(g / "gram.csv"), "--dataset", str(d / "train.csv"),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error in stage 'train'" in err and "records a Gram of size 39" in err
+        assert not list(out.glob("*"))
 
 
 class TestConfigFile:

@@ -288,20 +288,30 @@ class TestKernelMatrix:
                 assert np.array_equal(spec.matrix(a, b), evaluate_loop(spec, a, b)), (
                     spec.kernel_id()
                 )
+                # the one-argument form, on a set that holds a point twice
+                a = np.vstack([a, a[:1]])
+                assert np.array_equal(spec.matrix(a), evaluate_loop(spec, a, a)), spec.kernel_id()
 
     @pytest.mark.parametrize("cap", [1, 24, 40])
     def test_multi_block_equals_evaluate_loop(self, monkeypatch, cap):
         # a small cap splits the rows into many blocks, the last one short
         monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", cap)
         rng = np.random.default_rng(cap)
-        for spec in matrix_specs(2):
+        for spec in matrix_specs(1) + matrix_specs(2) + matrix_specs(3):
             a, b = random_points(rng, spec, 11), random_points(rng, spec, 4)
             assert np.array_equal(spec.matrix(a, b), evaluate_loop(spec, a, b))
+            a[7] = a[2]
+            assert np.array_equal(spec.matrix(a), evaluate_loop(spec, a, a))
+            # evaluate refuses non-finite points; the two-argument form is the reference
+            a[4, 0], a[9, -1] = math.nan, math.inf
+            with np.errstate(invalid="ignore"):
+                assert np.array_equal(spec.matrix(a), spec.matrix(a, a), equal_nan=True)
 
     def test_empty_side(self):
         spec = KernelSpec(kind="cosine_power", dimension=2, power=1)
         assert spec.matrix(np.zeros((0, 2)), np.zeros((3, 2))).shape == (0, 3)
         assert spec.matrix(np.zeros((3, 2)), np.zeros((0, 2))).shape == (3, 0)
+        assert spec.matrix(np.zeros((0, 2))).shape == (0, 0)
 
     @pytest.mark.parametrize("bad", [np.zeros((3, 3)), np.zeros(2), np.zeros((1, 2, 2))])
     def test_dimension_mismatch_rejected(self, bad):
