@@ -120,36 +120,39 @@ def _plane_features(points, kernel: KernelSpec) -> tuple[np.ndarray, np.ndarray]
     return kernel.coordinate_features(pts[:, 0]), kernel.coordinate_features(pts[:, 1])
 
 
-def _feature_weights(model: TrainedModel, train_points, kernel: KernelSpec) -> np.ndarray:
+def _feature_weights(model: TrainedModel, first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """The w x w weights W = (F(t_1) * a)^T F(t_2) of an exact finite-kind model.
 
-    t_1 and t_2 are the training coordinates and a the coefficients, so the
-    score sum_m a_m k(x, t_m) of a 2-D point x is F(x_1) W F(x_2)^T, equal to
-    its closed-form row times a up to roundoff.
+    ``first`` and ``second`` are the training points' ``_plane_features``
+    F(t_1) and F(t_2), and a the coefficients, so the score
+    sum_m a_m k(x, t_m) of a 2-D point x is F(x_1) W F(x_2)^T, equal to its
+    closed-form row times a up to roundoff.
     """
-    first, second = _plane_features(train_points, kernel)
     return (first * model.coefficients[:, None]).T @ second
 
 
-def _test_rows(test_points, train_points, kernel: KernelSpec, noise) -> np.ndarray | None:
-    """The test points' ``kernel_rows``; None where they are scored in feature space."""
+def _test_rows(test_points, train_points, kernel: KernelSpec,
+               noise) -> np.ndarray | tuple[np.ndarray, ...]:
+    """What the test points are scored from: their ``kernel_rows``, or, where they are
+    scored in feature space, the tuple F(t_1), F(t_2), F(x_1), F(x_2) of the training
+    and the test points' ``_plane_features``."""
     if _in_feature_space(kernel, noise):
-        return None
+        return _plane_features(train_points, kernel) + _plane_features(test_points, kernel)
     return kernel_rows(test_points, train_points, kernel, noise=noise)
 
 
-def _test_scores(model: TrainedModel, test_points, train_points, kernel: KernelSpec,
-                 rows: np.ndarray | None) -> np.ndarray:
+def _test_scores(model: TrainedModel, rows: np.ndarray | tuple[np.ndarray, ...]) -> np.ndarray:
     """Decision scores of the test points from ``_test_rows``' result ``rows``.
 
-    rows @ a, or, where ``rows`` is None, the feature-space scores
-    ((F(x_1) W) * F(x_2)).sum(axis=1) with W from ``_feature_weights``.
+    rows @ a, or, from the feature tuple, ((F(x_1) W) * F(x_2)).sum(axis=1)
+    with W from ``_feature_weights``.
     """
-    _check_size(model, len(_coords(train_points)))
-    if rows is not None:
-        return rows @ model.coefficients
-    first, second = _plane_features(test_points, kernel)
-    return ((first @ _feature_weights(model, train_points, kernel)) * second).sum(axis=1)
+    if isinstance(rows, tuple):
+        train_first, train_second, first, second = rows
+        _check_size(model, len(train_first))
+        return ((first @ _feature_weights(model, train_first, train_second)) * second).sum(axis=1)
+    _check_size(model, rows.shape[1])
+    return rows @ model.coefficients
 
 
 @dataclass(frozen=True)
@@ -207,7 +210,7 @@ def boundary_grid(
     axis = np.linspace(lo, hi, side, endpoint=False)
     if _in_feature_space(kernel, noise):
         features = kernel.coordinate_features(axis)
-        scores = features @ _feature_weights(model, pts, kernel) @ features.T
+        scores = features @ _feature_weights(model, *_plane_features(pts, kernel)) @ features.T
     else:
         nodes = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
         rows = kernel_rows(nodes, pts, kernel, noise=noise, stream=STREAM_GRID)
@@ -280,15 +283,16 @@ class BenchReport:
 class _Prepared(NamedTuple):
     """What a run computes before training, in ``BenchReport`` field order, plus the test rows.
 
-    ``test_rows`` is None for an exact finite kind, whose test points are
-    scored in feature space once there is a model.
+    ``test_rows`` is ``_test_rows``' result: for an exact finite kind the
+    training and test points' plane features, which score the test points
+    in feature space once there is a model.
     """
 
     train_set: LabeledSet
     test_set: LabeledSet
     gram: GramMatrix
     gram_conditioned: GramMatrix
-    test_rows: np.ndarray | None
+    test_rows: np.ndarray | tuple[np.ndarray, ...]
 
 
 def _prepare(config: BenchmarkConfig) -> _Prepared:
@@ -311,12 +315,11 @@ def _train_id(config: BenchmarkConfig) -> str:
     return f"{config.dataset}-seed{config.seed}-m{config.train_size}"
 
 
-def _accuracies(prepared: _Prepared, model: TrainedModel,
-                kernel: KernelSpec) -> tuple[float, float]:
+def _accuracies(prepared: _Prepared, model: TrainedModel) -> tuple[float, float]:
     """The train and test accuracies of ``model``, from arrays the run built and checked."""
     train_set, test_set, _, conditioned, test_rows = prepared
     return (_accuracy(conditioned.values @ model.coefficients, train_set.labels),
-            _accuracy(_test_scores(model, test_set, train_set, kernel, test_rows), test_set.labels))
+            _accuracy(_test_scores(model, test_rows), test_set.labels))
 
 
 def run_benchmark(config: BenchmarkConfig) -> BenchReport:
@@ -325,7 +328,7 @@ def run_benchmark(config: BenchmarkConfig) -> BenchReport:
     labels = prepared.train_set.labels
     model = train(prepared.gram_conditioned, labels, config.gamma, train_id=_train_id(config))
     grid = boundary_grid(model, prepared.train_set, config.kernel, config.grid_side, config.noise)
-    accuracies = _accuracies(prepared, model, config.kernel)
+    accuracies = _accuracies(prepared, model)
     return BenchReport(config, *prepared[:4], model, *accuracies, grid)
 
 
@@ -334,8 +337,9 @@ def gamma_sweep(config: BenchmarkConfig, gammas) -> list[tuple[float, float]]:
 
     Only training depends on gamma, so the data, Gram, conditioning and test
     rows are built once, after every gamma is validated; no grid is mapped.
-    An exact run of a finite kind builds no test rows: each model scores the
-    test points in feature space, as ``run_benchmark`` does.
+    An exact run of a finite kind builds no test rows but the plane features
+    of the training and test points, once: each model scores the test points
+    in feature space from them, as ``run_benchmark`` does.
     The models come from one ``svm.train_path``, which fits the gammas in
     descending order, each warm-started from the last.  Its coefficients
     equal ``train``'s up to roundoff, so the accuracies equal
@@ -345,4 +349,4 @@ def gamma_sweep(config: BenchmarkConfig, gammas) -> list[tuple[float, float]]:
     prepared = _prepare(config)
     labels = prepared.train_set.labels
     models = train_path(prepared.gram_conditioned, labels, gammas, train_id=_train_id(config))
-    return [_accuracies(prepared, model, config.kernel) for model in models]
+    return [_accuracies(prepared, model) for model in models]

@@ -214,7 +214,7 @@ def _cmd_eval(args, out: Path) -> None:
     test_set = reports.load_dataset_csv(args.test)
     kernel = parse_kernel(args.kernel)
     rows = _test_rows(test_set, train_set, kernel, _noise(args))
-    acc = _accuracy(_test_scores(model, test_set, train_set, kernel, rows), test_set.labels)
+    acc = _accuracy(_test_scores(model, rows), test_set.labels)
     with _stage("emit"):
         reports.write_json(out / "eval.json", {"accuracy": acc, "kernel": kernel.kernel_id()})
     print(f"test accuracy {acc:.4f}")

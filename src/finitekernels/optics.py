@@ -236,6 +236,10 @@ _KEY_WIDTH = 6
 # entries drawn per pass of the array code: bounds its temporaries whatever the batch size,
 # yet leaves a pass's fixed cost small beside its work
 _SAMPLE_BLOCK = 16384
+# blocks drawn in one Philox pass for the streams that reject both BTRS pairs of their first
+# block: about 2% of streams, and about 2% of those again reject each later block, so a
+# 16,384-entry pass needs a second tail pass about once in 20,000
+_TAIL_BLOCKS = 4
 # Philox4x64-10 (Random123): the multipliers of counter words 0 and 2, the key's Weyl increments
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
@@ -350,24 +354,48 @@ def _binomial(n: int, p: float, uniform) -> int:
 
 def _inversion(n: int, r: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Counts by inversion of one uniform each: a search up from 0 that stops where
-    the uniform is spent, or where the pmf underflows to 0."""
-    u, pmf, s = u.copy(), np.exp(n * np.log1p(-r)), r / (1.0 - r)
+    the uniform is spent, or where the pmf underflows to 0.
+
+    Every entry still searching at step k has count k, so each step scales the
+    pmf by the scalars n - k and k + 1, on arrays of the searching entries alone.
+    """
+    pmf, s = np.exp(n * np.log1p(-r)), r / (1.0 - r)
     counts = np.zeros(r.size)
     i = np.flatnonzero(u > pmf)
+    u, pmf, s = u[i], pmf[i], s[i]
+    k = 0
     while i.size:
-        u[i] -= pmf[i]
-        pmf[i] = pmf[i] * (n - counts[i]) / (counts[i] + 1.0) * s[i]
-        i = i[pmf[i] > 0.0]
-        counts[i] += 1.0
-        i = i[u[i] > pmf[i]]
+        u -= pmf
+        pmf *= float(n - k)
+        pmf /= float(k + 1)
+        pmf *= s
+        k += 1
+        more = u > pmf
+        counts[i[~more]] = k
+        live = pmf > 0.0
+        if not live.all():  # a pmf that underflowed ends the search at count k - 1
+            counts[i[~live]] = k - 1
+            more &= live
+        more = np.flatnonzero(more)
+        i, u, pmf, s = i[more], u[more], pmf[more], s[more]
     return counts
+
+
+def _tail_uniforms(counters: np.ndarray, first: int, key) -> np.ndarray:
+    """Blocks ``first`` to ``first + _TAIL_BLOCKS - 1`` of each counter row's stream in one
+    Philox pass, as (4 * _TAIL_BLOCKS, rows): block first + t in rows 4t to 4t + 3."""
+    tail = np.repeat(counters[None], _TAIL_BLOCKS, axis=0)
+    tail[..., 0] = np.arange(first, first + _TAIL_BLOCKS, dtype=np.uint64)[:, None]
+    uniforms = _uniforms(tail.reshape(-1, 4), key).reshape(4, _TAIL_BLOCKS, -1)
+    return uniforms.transpose(1, 0, 2).reshape(4 * _TAIL_BLOCKS, -1)
 
 
 def _block_counts(n: int, p: np.ndarray, keys: np.ndarray, key) -> np.ndarray:
     """binomial(n, p) of each key row's stream, drawn as ``_binomial`` draws it, in arrays.
 
-    BTRS tries the pairs of each stream's first block, then makes block 2, 3,
-    ... for the entries still drawing.
+    BTRS tries the pairs of each stream's first block.  The streams still
+    drawing then get their next ``_TAIL_BLOCKS`` blocks in one Philox pass and
+    try those pairs in turn, as many passes as some stream still draws.
     """
     r = np.minimum(p, 1.0 - p)
     counters = _counters(keys)
@@ -379,8 +407,9 @@ def _block_counts(n: int, p: np.ndarray, keys: np.ndarray, key) -> np.ndarray:
     pending = np.flatnonzero(~small)
     r, uniforms = r[pending], uniforms[:, pending]
     a, b, c, alpha, v_r = _btrs_setup(n, r)
+    blocks = 1  # blocks drawn so far, the same for every stream still drawing
     while pending.size:
-        for pair in (0, 2):
+        for pair in range(0, len(uniforms), 2):
             u, v = uniforms[pair] - 0.5, uniforms[pair + 1]
             us = 0.5 - np.abs(u)
             k = np.floor((2.0 * a / us + b) * u + c)
@@ -392,8 +421,11 @@ def _block_counts(n: int, p: np.ndarray, keys: np.ndarray, key) -> np.ndarray:
             counts[pending[done]] = k[done]
             pending, r, uniforms, a, b, c, alpha, v_r = (
                 x[..., ~done] for x in (pending, r, uniforms, a, b, c, alpha, v_r))
-        counters[pending, 0] += 1
-        uniforms = _uniforms(counters[pending], key)
+            if not pending.size:
+                break
+        else:
+            uniforms = _tail_uniforms(counters[pending], blocks + 1, key)
+            blocks += _TAIL_BLOCKS
     return np.where(p > 0.5, n - counts, counts)
 
 

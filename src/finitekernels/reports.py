@@ -11,8 +11,10 @@ Each artifact is formatted in one pass: its numbers are computed as arrays,
 and each kind of element is written by one ``%`` over a repeated template.
 Every CSV table is written by ``_csv`` (``\r\n`` line ends, ``\n`` for
 ``sweep.csv``), its fields never quoted, and read back by ``_read_table``.
-A table that is symmetric bit for bit (the Gram matrices the pipelines build)
-formats each mirrored pair of cells once and writes the same string twice.
+A float table formats each distinct bit pattern once and writes its string
+into every cell that holds it; a table that is symmetric bit for bit (the
+Gram matrices the pipelines build) takes the patterns of its upper triangle
+alone.  A sampled Gram repeats few values: at most events + 1 of them.
 """
 
 from __future__ import annotations
@@ -48,21 +50,23 @@ def _csv(header: list[str], spec: str, count: int, values: tuple, end: str = "\r
 def _table(header: list[str], rows: np.ndarray) -> str:
     """CSV text of a float table (CRLF ends), every value ``%.17g``.
 
-    A square table that is symmetric bit for bit formats its upper triangle
-    alone and reuses each string for the mirror cell; comparing bit patterns
-    keeps ``0.0`` and ``-0.0`` apart.
+    Each distinct bit pattern is formatted once, so ``0.0`` and ``-0.0`` keep
+    their own strings.  A square table that is symmetric bit for bit takes
+    its patterns from the upper triangle alone, each cell's mirror reading
+    the same string.
     """
     values = np.ascontiguousarray(rows, dtype=float)
     bits = values.view(np.uint64)
+    # np.unique gets 1-D input: numpy 2 would shape the inverse of a 2-D one like its input
     if values.shape[0] == values.shape[1] and np.array_equal(bits, bits.T):
         upper = np.triu_indices(len(values))
-        cells = np.empty(values.shape, dtype=object)
-        cells[upper] = _strings(values[upper], "%.17g")
-        cells.T[upper] = cells[upper]
-        spec = "%s"
+        distinct, inverse = np.unique(bits[upper], return_inverse=True)
+        cells = np.empty(values.shape, dtype=np.intp)  # each cell's index into ``distinct``
+        cells[upper] = cells.T[upper] = inverse
     else:
-        cells, spec = values, "%.17g"
-    return _csv(header, ",".join([spec] * len(header)), len(values), tuple(cells.ravel().tolist()))
+        distinct, cells = np.unique(bits.ravel(), return_inverse=True)
+    cells = _strings(distinct.view(float), "%.17g")[cells.ravel()]
+    return _csv(header, ",".join(["%s"] * len(header)), len(values), tuple(cells.tolist()))
 
 
 def _read_table(path) -> tuple[list[str], np.ndarray]:

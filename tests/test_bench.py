@@ -238,8 +238,8 @@ class TestBoundaryGrid:
         assert np.all(np.abs(grid.scores - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
         # scattered test points, scored in feature space as run_benchmark scores them
         rows = _test_rows(test, train, kernel, None)
-        assert rows is None
-        scores = _test_scores(model, test, train, kernel, rows)
+        assert isinstance(rows, tuple)
+        scores = _test_scores(model, rows)
         want = kernel_rows(test, train, kernel) @ model.coefficients
         assert np.all(np.abs(scores - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 

@@ -294,6 +294,9 @@ def sampling_batches(draw):
     return config, kappas, keys
 
 
+philox = optics._philox_block
+
+
 def scalar_sampling_loop(kappas, config, keys):
     return np.array([sample_kernel(k, config, key=tuple(row))[0] for k, row in zip(kappas, keys)])
 
@@ -440,6 +443,43 @@ class TestArraySampler:
             keys = rng.integers(0, 2**32, (size, 3))
             batched = sample_kernels(kappas, config, keys)[checked]
             assert np.array_equal(batched, scalar_sampling_loop(kappas[checked], config, keys[checked]))
+
+    @pytest.mark.parametrize("events", [2500, 10**6, 2**53])
+    def test_streams_past_the_batched_tail_equal_scalar_loop(self, events):
+        # one block per tail pass: about 1 in 2,500 BTRS streams rejects the pairs of its
+        # first two blocks and so needs a third Philox pass
+        rng = np.random.default_rng(events % 1009)
+        kappas, keys = rng.uniform(0.05, 0.95, 8000), rng.integers(0, 2**32, (8000, 2))
+        config = ShotNoiseConfig(events_per_point=events, fidelity=0.98, seed=3)
+        passes = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(optics, "_TAIL_BLOCKS", 1)
+            patch.setattr(optics, "_philox_block",
+                          lambda counters, key: passes.append(len(counters)) or philox(counters, key))
+            batched = sample_kernels(kappas, config, keys)
+        assert len(passes) >= 3 and passes[0] == 8000 and 0 not in passes
+        assert np.array_equal(batched, scalar_sampling_loop(kappas, config, keys))
+
+    @pytest.mark.parametrize("events, kappas", [(30, [0.0, 0.3, 0.7, 1.0]), (2500, [0.5])])
+    def test_batch_done_in_its_first_block_makes_one_philox_pass(self, events, kappas):
+        # inversion alone, and one BTRS stream accepted on its first pair (a pinned stream)
+        passes = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(optics, "_philox_block",
+                          lambda counters, key: passes.append(len(counters)) or philox(counters, key))
+            sample_kernels(kappas, ShotNoiseConfig(events, 0.98, 0), [[0, 1, 2]] * len(kappas))
+        assert passes == [len(kappas)]
+
+    def test_inversion_that_spends_every_count(self):
+        # a uniform just below 1 outlasts the rounded pmf sum, so the search reaches
+        # count n, where the pmf becomes 0, and stops there as the scalar draw does
+        u = 1.0 - 2.0**-53
+        for events in (31, 100, 2500, 2**53):
+            r = np.linspace(0.5, 30.0, 60) / events
+            r = r[r <= 0.5]
+            for uniform in (u, 0.999999, 0.5):
+                want = [optics._binomial(events, float(x), lambda: uniform) for x in r]
+                assert np.array_equal(optics._inversion(events, r, np.full(r.size, uniform)), want)
 
     def test_events_up_to_two_to_the_53(self):
         kappas, keys = [0.0, 1e-15, 4e-15, 0.3, 0.5, 1.0 - 4e-15, 1.0], [[k] for k in range(7)]

@@ -555,12 +555,17 @@ def marker_sets(draw):
 
 @st.composite
 def tables(draw):
-    """(header, rows): free shapes, symmetric squares, one ulp off, a mirrored 0.0 / -0.0."""
-    kind = draw(st.sampled_from(["free", "symmetric", "ulp", "zero-pair"]))
-    n = draw(st.integers(1 if kind in ("free", "symmetric") else 2, 8))
-    k = draw(st.integers(1, 8)) if kind == "free" else n
-    rows = np.array(draw(st.lists(CELL, min_size=n * k, max_size=n * k))).reshape(n, k)
-    if kind != "free":
+    """(header, rows): free shapes, symmetric squares, one ulp off, a mirrored 0.0 / -0.0, and
+    pooled tables of either shape whose cells repeat at most 4 values, 0.0 and -0.0 among them."""
+    kind = draw(st.sampled_from(["free", "symmetric", "ulp", "zero-pair", "pooled"]))
+    square = kind != "free" and (kind != "pooled" or draw(st.booleans()))
+    n = draw(st.integers(1 if kind in ("free", "symmetric", "pooled") else 2, 8))
+    k = n if square else draw(st.integers(1, 8))
+    cell = CELL
+    if kind == "pooled":
+        cell = st.sampled_from([0.0, -0.0] + draw(st.lists(CELL, min_size=0, max_size=2)))
+    rows = np.array(draw(st.lists(cell, min_size=n * k, max_size=n * k))).reshape(n, k)
+    if square:
         i, j = np.tril_indices(n, -1)
         rows[i, j] = rows[j, i]
     if kind in ("ulp", "zero-pair"):
@@ -607,6 +612,9 @@ class TestByteOracle:
     @example((["x1", "x2", "label"], np.array([[1.0 / 3.0, -0.25, 1.0]])))
     @example((["c1", "c2"], np.array([[1.0, 0.0], [-0.0, 1.0]])))
     @example((["c1", "c2"], np.array([[1.0, 0.1], [np.nextafter(0.1, 1.0), 1.0]])))
+    # a repeated value, 0.0 and -0.0 each formatted once and read back by many cells
+    @example((["c1", "c2", "c3"], np.array([[0.0, -0.0, 0.5], [-0.0, 0.0, -0.0], [0.5, -0.0, 0.0]])))
+    @example((["x1", "x2", "label"], np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, 1.0]])))
     def test_table_equals_loop(self, table):
         header, rows = table
         assert _table(header, rows) == loop_table(header, rows)
