@@ -10,9 +10,10 @@ dual with a primal active-set method, solving each face of the box exactly
 through an eigendecomposition, and terminates on the KKT residual.  The
 dual's m x m quadratic form Q = (1/4) diag(y) G^2 diag(y) is never formed:
 its gradient 1 - 2 Q alpha is 1 - y * scores, and a face block Q_FF comes
-from the free columns of C = G diag(y) / 2, formed once per solve.  The
-solver reads G and C through two products a = C alpha, scores = G a and
-one column slice of C per iteration.
+from the free columns of C = G diag(y) / 2, formed once per ``train_path``.
+The solver reads G and C through two products a = C alpha, scores = G a and
+one column slice of C per iteration; a one-coordinate face is solved in
+Python floats with ``eigh``'s bits.
 
 The KKT residual is complementary slackness read off that gradient: where
 1 - y * scores > 0 the point has that slack and gamma - alpha must vanish,
@@ -133,12 +134,20 @@ def _check_size(model: TrainedModel, size: int) -> None:
                          f"but the training set has {size} points")
 
 
+def _check_vector(values, size: int, what: str) -> np.ndarray:
+    """``values`` as a float array, if it is a finite vector of length ``size``."""
+    v = _frozen_array(values, float, what)
+    if v.shape != (size,):
+        raise ValueError(f"{what} must be a vector of length {size}, got shape {v.shape}")
+    return v
+
+
 def training_objective(gram, labels, gamma: float, coefficients) -> float:
     """Primal objective sum a^2 + gamma * sum hinge(1 - y f) at given coefficients."""
     g = _as_gram(gram).values
     y = _check_labels(labels, g.shape[0])
     gamma = _as_positive(gamma, "gamma")
-    a = np.asarray(coefficients, dtype=float)
+    a = _check_vector(coefficients, g.shape[0], "coefficients")
     scores = g @ a
     slack = np.maximum(0.0, 1.0 - y * scores)
     return float(a @ a + gamma * slack.sum())
@@ -166,8 +175,8 @@ def kkt_residual(gram, labels, gamma: float, coefficients, dual) -> float:
     g = _as_gram(gram).values
     y = _check_labels(labels, g.shape[0])
     gamma = _as_positive(gamma, "gamma")
-    a = np.asarray(coefficients, dtype=float)
-    alpha = np.asarray(dual, dtype=float)
+    a = _check_vector(coefficients, g.shape[0], "coefficients")
+    alpha = _check_vector(dual, g.shape[0], "dual")
     stationarity = float(np.max(np.abs(2.0 * a - g @ (y * alpha))))
     dual_box = float(max(0.0, -alpha.min(), alpha.max() - gamma))
     return max(stationarity, dual_box, _slackness(1.0 - y * (g @ a), alpha, gamma))
@@ -181,10 +190,61 @@ class _Solution(NamedTuple):
     iterations: int
 
 
-def _solve(g, y, gamma: float, alpha: np.ndarray, budget: int,
+def _face_step(q_ff, grad_f, alpha_f, gamma: float):
+    """Step on the face ``q_ff``: new duals, mask of those pinned at a bound, face solved."""
+    w, v = np.linalg.eigh(q_ff)
+    limit = 1.0
+    # on a full-rank face the null part is roundoff, which at large gamma
+    # can exceed any absolute bar, so it is not formed; otherwise a null
+    # part this small cannot lift the KKT residual to KKT_TOL.  eigh sorts
+    # w ascending, so the face is full rank when w[0] is kept.
+    if w[0] > _RCOND * w[-1]:
+        newton = True
+        step = v @ ((v.T @ grad_f) / (2.0 * w))
+    else:
+        keep = w > _RCOND * w[-1]
+        basis = v[:, keep]
+        coef = basis.T @ grad_f
+        null = grad_f - basis @ coef
+        newton = gamma * np.abs(null).max() <= 0.1 * KKT_TOL
+        if newton:
+            step = basis @ (coef / (2.0 * w[keep]))
+        else:
+            # the dual is linear along the null part: follow it to a bound,
+            # or to the line optimum if roundoff left it some curvature
+            step = null
+            curvature = step @ q_ff @ step
+            limit = (step @ step) / (2.0 * curvature) if curvature > 0.0 else math.inf
+    # step length at which each coordinate reaches its bound; one that stays never does
+    room = np.where(step > 0.0, gamma - alpha_f, alpha_f)
+    reach = np.divide(room, np.abs(step), out=np.full(step.size, math.inf), where=step != 0.0)
+    first = float(reach.min())
+    t = min(limit, first)
+    hit = reach <= t
+    alpha_f = np.minimum(np.maximum(alpha_f + t * step, 0.0), gamma)
+    if first <= limit:  # exactly when hit is nonempty
+        alpha_f[hit] = np.where(step[hit] > 0.0, gamma, 0.0)
+    return alpha_f, hit, newton and first > limit
+
+
+def _scalar_face_step(q: float, g: float, alpha: float, gamma: float) -> tuple[float, bool]:
+    """``_face_step`` bit for bit on a one-coordinate face with q > 0: new dual, pinned.
+
+    ``eigh([[q]])`` is exactly (q, [[1.0]]), so the Newton step is g / (2q);
+    reach, clip and pin repeat the general step's operations.  The face ends solved.
+    """
+    step = g / (2.0 * q)
+    reach = (gamma - alpha if step > 0.0 else alpha) / abs(step) if step != 0.0 else math.inf
+    if reach <= 1.0:
+        return (gamma if step > 0.0 else 0.0), True
+    return min(max(alpha + step, 0.0), gamma), False
+
+
+def _solve(g, c, y, gamma: float, alpha: np.ndarray, budget: int,
            solved_start: bool = False) -> _Solution:
     """Active-set iterations from a start ``alpha`` in the box [0, gamma].
 
+    ``c`` is C = G diag(y) / 2 of the Gram ``g`` and labels ``y``.
     Coordinates strictly inside the box start free, the rest pinned at
     their bound; from alpha = 0 nothing is free, which is the cold start.
     ``solved_start`` says the start is already optimal on its face, as a
@@ -198,7 +258,6 @@ def _solve(g, y, gamma: float, alpha: np.ndarray, budget: int,
     """
     free = (alpha > 0.0) & (alpha < gamma)
     face_solved = solved_start or not free.any()
-    c = g * (0.5 * y)  # C = G diag(y) / 2
     for iterations in range(budget + 1):
         a = c @ alpha
         scores = g @ a
@@ -217,35 +276,18 @@ def _solve(g, y, gamma: float, alpha: np.ndarray, budget: int,
         idx = free.nonzero()[0]
         columns = c[:, idx]  # Q_FF = C_F' C_F
         q_ff = columns.T @ columns
-        alpha_f, grad_f = alpha[idx], grad[idx]
-        w, v = np.linalg.eigh(q_ff)
-        keep = w > _RCOND * w[-1]
-        # on a full-rank face the null part is roundoff, which at large gamma
-        # can exceed any absolute bar, so it is not formed; otherwise a null
-        # part this small cannot lift the KKT residual to KKT_TOL
-        full_rank = keep.all()
-        basis = v if full_rank else v[:, keep]
-        coef = basis.T @ grad_f
-        null = None if full_rank else grad_f - basis @ coef
-        newton = full_rank or gamma * np.abs(null).max() <= 0.1 * KKT_TOL
-        if newton:
-            step, limit = basis @ (coef / (2.0 * w[keep])), 1.0
+        if idx.size == 1 and q_ff[0, 0] > 0.0:
+            i = idx[0]
+            alpha[i], pinned = _scalar_face_step(
+                float(q_ff[0, 0]), float(grad[i]), float(alpha[i]), gamma)
+            free[i] = not pinned
+            face_solved = True
         else:
-            # the dual is linear along the null part: follow it to a bound,
-            # or to the line optimum if roundoff left it some curvature
-            step = null
-            curvature = step @ q_ff @ step
-            limit = (step @ step) / (2.0 * curvature) if curvature > 0.0 else math.inf
-        # step length at which each coordinate reaches its bound; one that stays never does
-        room = np.where(step > 0.0, gamma - alpha_f, alpha_f)
-        reach = np.divide(room, np.abs(step), out=np.full(idx.size, math.inf), where=step != 0.0)
-        t = min(limit, float(reach.min()))
-        hit = reach <= t
-        alpha_f = np.minimum(np.maximum(alpha_f + t * step, 0.0), gamma)
-        alpha_f[hit] = np.where(step[hit] > 0.0, gamma, 0.0)
-        alpha[idx] = alpha_f
-        free[idx[hit]] = False
-        face_solved = (newton and not hit.any()) or not free.any()
+            alpha_f, hit, solved = _face_step(q_ff, grad[idx], alpha[idx], gamma)
+            alpha[idx] = alpha_f
+            if not solved:  # a solved face pinned nothing
+                free[idx[hit]] = False
+            face_solved = solved or not free.any()
     return _Solution(alpha, a, scores, residual, iterations)
 
 
@@ -294,8 +336,10 @@ def train(gram, labels, gamma: float, train_id: str = "") -> TrainedModel:
     a solved face the bound coordinate with the largest KKT violation is
     freed.  Primal recovery is a = G (y * alpha) / 2.  Q itself is never
     formed: the gradient 1 - 2 Q alpha is 1 - y * (G a), and Q_FF is
-    C_F'C_F for the free columns of C = G diag(y) / 2.  A fit that ends
-    above a KKT residual of 1e-6 raises ``RuntimeError``.
+    C_F'C_F for the free columns of C = G diag(y) / 2, formed once per
+    ``train_path``; a one-coordinate face is solved in Python floats with
+    ``eigh``'s bits.  A fit that ends above a KKT residual of 1e-6 raises
+    ``RuntimeError``.
     """
     return train_path(gram, labels, [gamma], train_id)[0]
 
@@ -318,6 +362,7 @@ def train_path(gram, labels, gammas, train_id: str = "") -> list[TrainedModel]:
     g = _as_gram(gram).values
     y = _check_labels(labels, g.shape[0])
     gammas = [_as_positive(gamma, "gamma") for gamma in gammas]
+    c = g * (0.5 * y)  # C = G diag(y) / 2, shared by every solve
     models: list[TrainedModel | None] = [None] * len(gammas)
     solution = None
     for k in sorted(range(len(gammas)), key=lambda k: -gammas[k]):
@@ -325,9 +370,9 @@ def train_path(gram, labels, gammas, train_id: str = "") -> list[TrainedModel]:
         if solution is not None:
             start = np.clip(solution.alpha, 0.0, gamma)
             solved = np.array_equal(start, solution.alpha)
-            solution = _solve(g, y, gamma, start, y.size, solved)
+            solution = _solve(g, c, y, gamma, start, y.size, solved)
         if solution is None or solution.residual >= KKT_TOL:
-            solution = _solve(g, y, gamma, np.zeros(y.size), _MAX_ITERATIONS)
+            solution = _solve(g, c, y, gamma, np.zeros(y.size), _MAX_ITERATIONS)
             if solution.residual > 1e-6:
                 raise RuntimeError(
                     f"QP solver stalled at KKT residual {solution.residual:.3e} after "

@@ -192,6 +192,22 @@ class TestObjectiveAndResidual:
         with pytest.raises(ValueError, match="gamma must be a finite positive real"):
             kkt_residual(gram, labels, gamma, np.zeros(2), np.zeros(2))
 
+    @pytest.mark.parametrize("coefficients, dual, what", [
+        ([0.0, 0.0, 0.0], [0.5], "dual"),
+        ([0.0, 0.0, 0.0], [[0.0], [0.0], [0.0]], "dual"),
+        ([0.5], [0.0, 0.0, 0.0], "coefficients"),
+        ([0.0, np.nan, 0.0], [0.0, 0.0, 0.0], "coefficients"),
+        ([0.0, 0.0, 0.0], [0.0, np.inf, 0.0], "dual"),
+    ])
+    def test_residual_refuses_malformed_vectors(self, coefficients, dual, what):
+        with pytest.raises(ValueError, match=f"^{what} must be"):
+            kkt_residual(np.eye(3), [1.0, 1.0, -1.0], 1.0, coefficients, dual)
+
+    @pytest.mark.parametrize("coefficients", [[0.5], [[0.0], [0.0], [0.0]], [0.0, np.nan, 0.0]])
+    def test_objective_refuses_malformed_coefficients(self, coefficients):
+        with pytest.raises(ValueError, match="^coefficients must be"):
+            training_objective(np.eye(3), [1.0, 1.0, -1.0], 1.0, coefficients)
+
 
 class TestDecide:
     def test_accuracy_counts_strict_side(self):
@@ -554,6 +570,38 @@ class TestActiveSetProperties:
         assert new <= ref + 1e-10 * max(1.0, abs(new))
 
 
+@st.composite
+def scalar_faces(draw):
+    """q > 0, a face gradient g, gamma and a dual in [0, gamma] of a one-coordinate face."""
+    gamma = draw(st.floats(-3.0, 5.0).map(lambda e: 10.0**e))
+    q = draw(st.floats(-12.0, 6.0).map(lambda e: 10.0**e))
+    # a dual gradient 1 - y * score is exactly 0 or at least about 1e-16 in size
+    size = st.floats(-17.0, 3.0).map(lambda e: 10.0**e)
+    g = draw(st.one_of(st.just(0.0), size, size.map(lambda x: -x)))
+    alpha = draw(st.one_of(st.sampled_from([0.0, gamma]), st.floats(0.0, 1.0).map(lambda u: u * gamma)))
+    return q, g, alpha, gamma
+
+
+class TestScalarFace:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(scalar_faces())
+    @example((2.0, 0.0, 0.0, 1.0))  # step 0 at a bound
+    @example((2.0, 0.0, 0.5, 1.0))  # step 0 inside the box
+    @example((2.0, 3.0, 1.0, 1.0))  # pushing against gamma
+    @example((2.0, -3.0, 0.0, 1.0))  # pushing against 0
+    # reaches gamma at exactly the full step, where alpha + step rounds below gamma
+    @example((0.5, 2.5987218143688304, 1.1688623898400625, 3.767584204208893))
+    def test_equals_general_face_step_bitwise(self, face):
+        q, g, alpha, gamma = face
+        new, pinned = svm._scalar_face_step(q, g, alpha, gamma)
+        alpha_f, hit, solved = svm._face_step(np.array([[q]]), np.array([g]), np.array([alpha]), gamma)
+        assert np.float64(new).tobytes() == alpha_f[0].tobytes()
+        assert pinned == hit[0]
+        # _solve marks a scalar face solved; the general step leaves it solved
+        # when the step solved it or pinned its only coordinate
+        assert solved or hit[0]
+
+
 @functools.lru_cache(maxsize=None)
 def path_problem(dataset, seed, kernel_text, m, noisy):
     """Conditioned Gram and labels of one sweep fit, as ``bench`` prepares them, and the
@@ -616,10 +664,10 @@ class TestTrainPath:
         train_set, _, _, gram, _ = path_problem("moons", 1, "cosine:1", 40, False)
         solve, warm_residuals = svm._solve, []
 
-        def starved(g, y, gamma, alpha, budget, solved_start=False):
+        def starved(g, c, y, gamma, alpha, budget, solved_start=False):
             if not alpha.any():
-                return solve(g, y, gamma, alpha, budget, solved_start)
-            solution = solve(g, y, gamma, alpha, 0, solved_start)  # a warm start with no iterations
+                return solve(g, c, y, gamma, alpha, budget, solved_start)
+            solution = solve(g, c, y, gamma, alpha, 0, solved_start)  # a warm start with no iterations
             warm_residuals.append(solution.residual)
             return solution
 
@@ -648,7 +696,7 @@ class TestTrainPath:
         gram = condition_gram(compute_gram(train_set, kernel, noise=ShotNoiseConfig(500)), "clip")
         g, y = gram.values, train_set.labels
         start = train(gram, y, 1e4).diagnostics.dual
-        solution = svm._solve(g, y, 1e3, np.clip(start, 0.0, 1e3), y.size)
+        solution = svm._solve(g, g * (0.5 * y), y, 1e3, np.clip(start, 0.0, 1e3), y.size)
         assert solution.residual < svm.KKT_TOL
         cold = train(gram, y, 1e3).coefficients
         assert np.abs(solution.coefficients - cold).max() <= 1e-9 * np.abs(cold).max()
