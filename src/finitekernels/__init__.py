@@ -13,6 +13,8 @@ The package covers four layers that compose into one pipeline:
   orchestration (``bench``), and artifact emission (``reports``).
 """
 
+from types import ModuleType as _ModuleType
+
 from .states import (
     AmplitudeProfile,
     DataPoint,
@@ -82,57 +84,6 @@ from .bench import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmplitudeProfile",
-    "BenchReport",
-    "BenchmarkConfig",
-    "BoundaryGrid",
-    "DataPoint",
-    "FeatureState",
-    "GramMatrix",
-    "KernelSpec",
-    "LabeledSet",
-    "ResolutionReport",
-    "ShotNoiseConfig",
-    "SweepPoint",
-    "TrainedModel",
-    "accuracy",
-    "best_random_linear_accuracy",
-    "boundary_grid",
-    "build_feature_unitary",
-    "build_resolution_matrix",
-    "coincidence_rate_budget",
-    "compute_gram",
-    "condition_gram",
-    "embed_cosine",
-    "embed_interference",
-    "embed_phase_augmented",
-    "feature_plate_settings",
-    "gamma_sweep",
-    "generate_dataset",
-    "input_state",
-    "kernel_circuit",
-    "kernel_circuit_phase",
-    "kernel_cosine",
-    "kernel_fractional",
-    "kernel_phase_augmented",
-    "kernel_profile",
-    "kernel_rows",
-    "kkt_residual",
-    "msi_profile",
-    "msi_variance_closed_form",
-    "optimize_profile",
-    "overlap_kernel",
-    "qubit_count",
-    "rayleigh_quotient",
-    "rescale_dataset",
-    "resolution_quadratic",
-    "resolution_sweep",
-    "run_benchmark",
-    "sample_kernel",
-    "sample_kernels",
-    "train",
-    "train_path",
-    "training_objective",
-    "tsq_profile",
-]
+# every name the imports above bind, less the submodules they bind as a side effect
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -15,7 +15,7 @@ score through ``kernel_rows``.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -131,28 +131,29 @@ def _feature_weights(model: TrainedModel, first: np.ndarray, second: np.ndarray)
     return (first * model.coefficients[:, None]).T @ second
 
 
-def _test_rows(test_points, train_points, kernel: KernelSpec,
-               noise) -> np.ndarray | tuple[np.ndarray, ...]:
-    """What the test points are scored from: their ``kernel_rows``, or, where they are
-    scored in feature space, the tuple F(t_1), F(t_2), F(x_1), F(x_2) of the training
-    and the test points' ``_plane_features``."""
-    if _in_feature_space(kernel, noise):
-        return _plane_features(train_points, kernel) + _plane_features(test_points, kernel)
-    return kernel_rows(test_points, train_points, kernel, noise=noise)
+def _scorer(points, train_points, kernel: KernelSpec,
+            noise) -> Callable[[TrainedModel], np.ndarray]:
+    """The decision scores of ``points`` as a function of a model over ``train_points``.
 
-
-def _test_scores(model: TrainedModel, rows: np.ndarray | tuple[np.ndarray, ...]) -> np.ndarray:
-    """Decision scores of the test points from ``_test_rows``' result ``rows``.
-
-    rows @ a, or, from the feature tuple, ((F(x_1) W) * F(x_2)).sum(axis=1)
-    with W from ``_feature_weights``.
+    What the scores need is built once.  In feature space that is the
+    ``_plane_features`` of both point sets, and a model scores
+    ((F(x_1) W) * F(x_2)).sum(axis=1) with W from ``_feature_weights``.
+    Otherwise it is the points' ``kernel_rows``, and a model scores rows @ a.
     """
-    if isinstance(rows, tuple):
-        train_first, train_second, first, second = rows
-        _check_size(model, len(train_first))
-        return ((first @ _feature_weights(model, train_first, train_second)) * second).sum(axis=1)
-    _check_size(model, rows.shape[1])
-    return rows @ model.coefficients
+    if _in_feature_space(kernel, noise):
+        train_features = _plane_features(train_points, kernel)
+        first, second = _plane_features(points, kernel)
+
+        def scores(model: TrainedModel) -> np.ndarray:
+            _check_size(model, len(train_features[0]))
+            return ((first @ _feature_weights(model, *train_features)) * second).sum(axis=1)
+    else:
+        rows = kernel_rows(points, train_points, kernel, noise=noise)
+
+        def scores(model: TrainedModel) -> np.ndarray:
+            _check_size(model, rows.shape[1])
+            return rows @ model.coefficients
+    return scores
 
 
 @dataclass(frozen=True)
@@ -281,18 +282,14 @@ class BenchReport:
 
 
 class _Prepared(NamedTuple):
-    """What a run computes before training, in ``BenchReport`` field order, plus the test rows.
-
-    ``test_rows`` is ``_test_rows``' result: for an exact finite kind the
-    training and test points' plane features, which score the test points
-    in feature space once there is a model.
-    """
+    """What a run computes before training, in ``BenchReport`` field order, plus the
+    ``_scorer`` of its test points."""
 
     train_set: LabeledSet
     test_set: LabeledSet
     gram: GramMatrix
     gram_conditioned: GramMatrix
-    test_rows: np.ndarray | tuple[np.ndarray, ...]
+    test_scores: Callable[[TrainedModel], np.ndarray]
 
 
 def _prepare(config: BenchmarkConfig) -> _Prepared:
@@ -307,8 +304,8 @@ def _prepare(config: BenchmarkConfig) -> _Prepared:
         train_set, config.kernel, noise=config.noise, pin_diagonal=config.pin_noisy_diagonal
     )
     conditioned = condition_gram(gram, config.condition_policy)
-    test_rows = _test_rows(test_set, train_set, config.kernel, config.noise)
-    return _Prepared(train_set, test_set, gram, conditioned, test_rows)
+    test_scores = _scorer(test_set, train_set, config.kernel, config.noise)
+    return _Prepared(train_set, test_set, gram, conditioned, test_scores)
 
 
 def _train_id(config: BenchmarkConfig) -> str:
@@ -317,9 +314,9 @@ def _train_id(config: BenchmarkConfig) -> str:
 
 def _accuracies(prepared: _Prepared, model: TrainedModel) -> tuple[float, float]:
     """The train and test accuracies of ``model``, from arrays the run built and checked."""
-    train_set, test_set, _, conditioned, test_rows = prepared
+    train_set, test_set, _, conditioned, test_scores = prepared
     return (_accuracy(conditioned.values @ model.coefficients, train_set.labels),
-            _accuracy(_test_scores(model, test_rows), test_set.labels))
+            _accuracy(test_scores(model), test_set.labels))
 
 
 def run_benchmark(config: BenchmarkConfig) -> BenchReport:

@@ -22,8 +22,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .bench import BenchmarkConfig, boundary_grid, compute_gram, gamma_sweep, run_benchmark
-from .bench import _test_rows, _test_scores
+from .bench import BenchmarkConfig, _scorer, boundary_grid, compute_gram, gamma_sweep, run_benchmark
 from .datasets import generate_dataset
 from .kernels import KernelSpec
 from .optics import ShotNoiseConfig
@@ -191,6 +190,8 @@ def _load_gram(path) -> GramMatrix:
     if not meta_path.exists():
         return gram
     meta = reports.load_report_json(meta_path)
+    if not isinstance(meta, dict):
+        raise ValueError(f"{meta_path} must hold a JSON object, got {type(meta).__name__}")
     if meta.get("size") != gram.size:
         raise ValueError(f"{meta_path} records a Gram of size {meta.get('size')}, "
                          f"but {path} holds {gram.size} rows")
@@ -213,8 +214,7 @@ def _cmd_eval(args, out: Path) -> None:
     model = reports.load_model_json(args.model)
     test_set = reports.load_dataset_csv(args.test)
     kernel = parse_kernel(args.kernel)
-    rows = _test_rows(test_set, train_set, kernel, _noise(args))
-    acc = _accuracy(_test_scores(model, rows), test_set.labels)
+    acc = _accuracy(_scorer(test_set, train_set, kernel, _noise(args))(model), test_set.labels)
     with _stage("emit"):
         reports.write_json(out / "eval.json", {"accuracy": acc, "kernel": kernel.kernel_id()})
     print(f"test accuracy {acc:.4f}")

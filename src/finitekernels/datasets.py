@@ -12,9 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DOMAINS, _as_int, _check_signs, _frozen_array, rescale_dataset
+from .states import DOMAINS, _as_int, _check_labels, _frozen_array, rescale_dataset
 
 DATASET_NAMES = ("concentric", "moons", "xor")
+
+
+def _check_points(points, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only float copies of a finite nonempty 2-D point array and its +1/-1 labels."""
+    pts = _frozen_array(points, float, "points")
+    if pts.ndim != 2 or pts.shape[0] == 0:
+        raise ValueError("points must form a nonempty 2-D array")
+    return pts, _check_labels(labels, pts.shape[0])
 
 
 @dataclass(frozen=True)
@@ -25,13 +33,7 @@ class LabeledSet:
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        pts = _frozen_array(self.points, float, "points")
-        y = _frozen_array(self.labels, float)
-        if pts.ndim != 2 or pts.shape[0] == 0:
-            raise ValueError("points must form a nonempty 2-D array")
-        if y.shape != (pts.shape[0],):
-            raise ValueError("labels must match the number of points")
-        _check_signs(y)
+        pts, y = _check_points(self.points, self.labels)
         if not (np.any(y > 0) and np.any(y < 0)):
             raise ValueError("both classes must be nonempty")
         if np.any(np.diff(y) > 0):
@@ -129,10 +131,10 @@ def best_random_linear_accuracy(
     """Best accuracy over random affine classifiers (each taken with its flip).
 
     A Monte Carlo lower bound on the best linear separator, used to certify
-    that a dataset is not linearly separable to a given level.
+    that a dataset is not linearly separable to a given level.  The points
+    must form a finite nonempty 2-D array, with one +1/-1 label each.
     """
-    pts = np.asarray(points, dtype=float)
-    y = np.asarray(labels, dtype=float)
+    pts, y = _check_points(points, labels)
     trials = _as_int(trials, "trials", 1)
     rng = np.random.default_rng(_as_int(seed, "seed", 0))
     normals = rng.normal(size=(trials, pts.shape[1]))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import _BOOLS, AmplitudeProfile, _as_int, _as_positive, _tsq_log_weights
+from .states import _BOOLS, AmplitudeProfile, _as_int, _as_positive, _frozen_array, _tsq_log_weights
 
 RESOLUTION_DIAGONAL = 1.0 / 12.0
 
@@ -41,18 +41,16 @@ def build_resolution_matrix(size: int) -> np.ndarray:
     return matrix
 
 
-def rayleigh_quotient(weights, matrix: np.ndarray | None = None) -> float:
+def rayleigh_quotient(weights) -> float:
     """Raw quotient w K w / w w on any finite nonzero weight vector.
 
     Scale-invariant: rescaling the weights by any positive constant leaves
     the value unchanged, so it can be evaluated before renormalization.
     """
-    w = np.asarray(weights, dtype=float)
-    if not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite")
+    w = _frozen_array(weights, float, "weights")
     if float(w @ w) <= 0.0:
         raise ValueError("weights must be a nonzero vector")
-    return _quotient(w, build_resolution_matrix(w.size) if matrix is None else matrix)
+    return _quotient(w, build_resolution_matrix(w.size))
 
 
 def _quotient(w: np.ndarray, matrix: np.ndarray) -> float:

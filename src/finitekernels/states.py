@@ -69,6 +69,15 @@ def _frozen_array(values, dtype, what: str | None = None) -> np.ndarray:
     return arr
 
 
+def _check_labels(labels, size: int) -> np.ndarray:
+    """A read-only float copy of ``labels``, if it holds one +1 or -1 per point of ``size``."""
+    y = _frozen_array(labels, float)
+    if y.shape != (size,):
+        raise ValueError(f"need one label per point: {size} points, labels of shape {y.shape}")
+    _check_signs(y)
+    return y
+
+
 @dataclass(frozen=True)
 class AmplitudeProfile:
     """Nonnegative weights r_0..r_{L-1} of an interference feature map.

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import _as_int, _as_positive, _check_signs, _frozen_array
+from .states import _as_int, _as_positive, _check_labels, _frozen_array
 
 SYMMETRY_TOL = 1e-12
 KKT_TOL = 1e-8
@@ -48,7 +48,8 @@ class GramMatrix:
 
     ``provenance`` is ``"exact"`` for closed-form evaluation or ``"sampled"``
     for shot-noise estimates; ``n_evaluations`` counts the kernel
-    determinations that produced it.  ``rank_bound`` is set only on an exact
+    determinations that produced it.  It and a ``seed`` that is not ``None``
+    must be integers >= 0, not bools.  ``rank_bound`` is set only on an exact
     Gram of a finite kind: it is then Phi Phi^T for that kind's feature map
     Phi of width ``rank_bound`` (w^D, see ``kernels``), positive
     semidefinite by construction, and ``condition_gram`` returns it
@@ -70,11 +71,13 @@ class GramMatrix:
             raise ValueError("Gram matrix must be symmetric")
         if self.provenance not in ("exact", "sampled"):
             raise ValueError("provenance must be 'exact' or 'sampled'")
-        if self.rank_bound is not None:
-            if self.provenance != "exact":
-                raise ValueError("only an exact Gram carries a rank bound")
-            object.__setattr__(self, "rank_bound", _as_int(self.rank_bound, "rank_bound", 1))
+        if self.rank_bound is not None and self.provenance != "exact":
+            raise ValueError("only an exact Gram carries a rank bound")
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "n_evaluations", _as_int(self.n_evaluations, "n_evaluations", 0))
+        for name, minimum in (("seed", 0), ("rank_bound", 1)):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _as_int(getattr(self, name), name, minimum))
 
     @property
     def size(self) -> int:
@@ -119,14 +122,6 @@ def _as_gram(gram) -> GramMatrix:
     return gram if isinstance(gram, GramMatrix) else GramMatrix(gram)
 
 
-def _check_labels(labels, size: int) -> np.ndarray:
-    y = np.asarray(labels, dtype=float)
-    if y.shape != (size,):
-        raise ValueError("labels must match the Gram size")
-    _check_signs(y)
-    return y
-
-
 def _check_size(model: TrainedModel, size: int) -> None:
     """Refuse a model unless it holds one coefficient per point of a ``size``-point training set."""
     if model.coefficients.size != size:
@@ -142,12 +137,16 @@ def _check_vector(values, size: int, what: str) -> np.ndarray:
     return v
 
 
+def _fit_arguments(gram, labels, gamma, coefficients) -> tuple:
+    """The Gram values, labels, gamma and coefficients of a fit, each checked."""
+    g = _as_gram(gram).values
+    return (g, _check_labels(labels, g.shape[0]), _as_positive(gamma, "gamma"),
+            _check_vector(coefficients, g.shape[0], "coefficients"))
+
+
 def training_objective(gram, labels, gamma: float, coefficients) -> float:
     """Primal objective sum a^2 + gamma * sum hinge(1 - y f) at given coefficients."""
-    g = _as_gram(gram).values
-    y = _check_labels(labels, g.shape[0])
-    gamma = _as_positive(gamma, "gamma")
-    a = _check_vector(coefficients, g.shape[0], "coefficients")
+    g, y, gamma, a = _fit_arguments(gram, labels, gamma, coefficients)
     scores = g @ a
     slack = np.maximum(0.0, 1.0 - y * scores)
     return float(a @ a + gamma * slack.sum())
@@ -172,10 +171,7 @@ def kkt_residual(gram, labels, gamma: float, coefficients, dual) -> float:
     by gamma, the largest value alpha and gamma - alpha can take.  The
     stationarity term 2a - G (y * alpha) stays absolute.
     """
-    g = _as_gram(gram).values
-    y = _check_labels(labels, g.shape[0])
-    gamma = _as_positive(gamma, "gamma")
-    a = _check_vector(coefficients, g.shape[0], "coefficients")
+    g, y, gamma, a = _fit_arguments(gram, labels, gamma, coefficients)
     alpha = _check_vector(dual, g.shape[0], "dual")
     stationarity = float(np.max(np.abs(2.0 * a - g @ (y * alpha))))
     dual_box = float(max(0.0, -alpha.min(), alpha.max() - gamma))
@@ -387,11 +383,9 @@ def accuracy(model: TrainedModel, kernel_rows, labels) -> float:
 
     A score of exactly 0 counts as misclassified.
     """
-    rows = np.asarray(kernel_rows, dtype=float)
+    rows = _frozen_array(kernel_rows, float, "kernel_rows")
     if rows.ndim != 2 or rows.shape[0] == 0:
         raise ValueError("kernel_rows must be a nonempty matrix")
-    if not np.all(np.isfinite(rows)):
-        raise ValueError("kernel_rows must be finite")
     _check_size(model, rows.shape[1])
     return _accuracy(rows @ model.coefficients, _check_labels(labels, rows.shape[0]))
 

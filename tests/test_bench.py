@@ -1,5 +1,6 @@
+import inspect
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,13 +14,14 @@ from finitekernels import (
     accuracy,
     boundary_grid,
     compute_gram,
+    condition_gram,
     gamma_sweep,
     generate_dataset,
     kernel_rows,
     run_benchmark,
     sample_kernel,
 )
-from finitekernels.bench import STREAM_GRAM, STREAM_GRID, STREAM_ROWS, _test_rows, _test_scores
+from finitekernels.bench import STREAM_GRAM, STREAM_GRID, STREAM_ROWS, _scorer
 from finitekernels.cli import parse_kernel
 from finitekernels.states import DOMAINS, msi_profile, tsq_profile
 
@@ -226,7 +228,7 @@ class TestBoundaryGrid:
                                       "tsq:8:3", "msi:32")]
         + [("cosine:1", 1000, 35), ("msi:4", 1000, 35)],
     )
-    def test_feature_scores_match_closed_form_rows(self, text, m, side):
+    def test_feature_scores_match_closed_form_rows(self, text, m, side, monkeypatch):
         kernel = parse_kernel(text)
         train, test = generate_dataset(
             "moons", seed=1, train_size=m, test_size=60, convention=kernel.convention
@@ -236,10 +238,11 @@ class TestBoundaryGrid:
         nodes = np.array([[x, y] for x in grid.xs for y in grid.ys])
         want = (kernel.matrix(nodes, train.points) @ model.coefficients).reshape(side, side)
         assert np.all(np.abs(grid.scores - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
-        # scattered test points, scored in feature space as run_benchmark scores them
-        rows = _test_rows(test, train, kernel, None)
-        assert isinstance(rows, tuple)
-        scores = _test_scores(model, rows)
+        # scattered test points, scored in feature space as run_benchmark scores them:
+        # from no kernel row
+        with monkeypatch.context() as patch:
+            patch.setattr("finitekernels.bench.kernel_rows", None)
+            scores = _scorer(test, train, kernel, None)(model)
         want = kernel_rows(test, train, kernel) @ model.coefficients
         assert np.all(np.abs(scores - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
@@ -408,6 +411,17 @@ class TestRunBenchmark:
         fields = ("seed", "train_size", "test_size", "grid_side", "gamma")
         assert [type(getattr(config, f)) for f in fields] == [int, int, int, int, float]
         assert (config.seed, config.gamma) == (1, 2.0)
+
+    @pytest.mark.parametrize("field, function, parameter", [
+        ("train_size", generate_dataset, "train_size"),
+        ("test_size", generate_dataset, "test_size"),
+        ("grid_side", boundary_grid, "side"),
+        ("condition_policy", condition_gram, "policy"),
+    ])
+    def test_defaults_are_the_library_defaults(self, field, function, parameter):
+        # a default is written in both places; this keeps the two from drifting apart
+        default = {f.name: f.default for f in fields(BenchmarkConfig)}[field]
+        assert default == inspect.signature(function).parameters[parameter].default
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -359,6 +359,22 @@ class TestTrainReadsGramJson:
         assert "error in stage 'train'" in err and "records a Gram of size 39" in err
         assert not list(out.glob("*"))
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"n_evaluations": "many"}, "n_evaluations must be a non-negative integer, got 'many'"),
+        ({"seed": [1, 2]}, "seed must be a non-negative integer, got [1, 2]"),
+        (None, "gram.json must hold a JSON object, got list"),
+    ])
+    def test_bad_metadata_refused(self, tmp_path, capsys, edit, message):
+        d, g = self.gram(tmp_path)
+        meta = json.loads((g / "gram.json").read_text())
+        (g / "gram.json").write_text(json.dumps(list(meta) if edit is None else {**meta, **edit}))
+        out = tmp_path / "m"
+        assert main(["train", "--gram", str(g / "gram.csv"), "--dataset", str(d / "train.csv"),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error in stage 'train'" in err and message in err
+        assert not list(out.glob("*"))
+
 
 class TestConfigFile:
     def write_config(self, tmp_path):

@@ -112,3 +112,13 @@ class TestLinearBaseline:
         pts = rng.normal(size=(30, 2))
         labels = np.array([1.0] * 15 + [-1.0] * 15)
         assert best_random_linear_accuracy(pts, labels) >= 0.5
+
+    @pytest.mark.parametrize("points, labels, message", [
+        ([[0.0, 0.0], [1.0, 1.0]], [5.0, -1.0], r"labels must be \+1 or -1"),
+        ([[np.nan, 0.0], [1.0, 1.0]], [1.0, -1.0], "points must be finite"),
+        ([[0.0, 0.0], [1.0, 1.0]], [1.0, -1.0, 1.0], "one label per point"),
+        ([0.0, 1.0], [1.0, -1.0], "nonempty 2-D array"),
+    ])
+    def test_bad_input_refused(self, points, labels, message):
+        with pytest.raises(ValueError, match=message):
+            best_random_linear_accuracy(points, labels)

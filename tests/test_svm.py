@@ -253,6 +253,16 @@ class TestGramMatrix:
         with pytest.raises(ValueError, match="finite"):
             GramMatrix(values)
 
+    def test_seed_and_evaluation_count_validated(self):
+        for bad in ("x", -1, 1.5, True, [1, 2]):
+            with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+                GramMatrix(np.eye(2), seed=bad)
+        for bad in (-3.5, -1, 2.0, False, "many", None):
+            with pytest.raises(ValueError, match="n_evaluations must be a non-negative integer"):
+                GramMatrix(np.eye(2), n_evaluations=bad)
+        gram = GramMatrix(np.eye(2), seed=np.int64(3), n_evaluations=np.uint16(1))
+        assert [(type(v), v) for v in (gram.seed, gram.n_evaluations)] == [(int, 3), (int, 1)]
+
     def test_train_rejects_nan_array(self):
         # a raw array goes through the same validation as a GramMatrix
         values = np.array([[1.0, np.nan], [np.nan, 1.0]])
@@ -612,7 +622,7 @@ def path_problem(dataset, seed, kernel_text, m, noisy):
     )
     prepared = _prepare(config)
     rows = kernel_rows(prepared.test_set, prepared.train_set, config.kernel, noise=config.noise)
-    return prepared._replace(test_rows=rows)
+    return (*prepared[:4], rows)
 
 
 @st.composite
