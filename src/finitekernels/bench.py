@@ -5,11 +5,11 @@ determinations) and shot-noise streams are keyed per entry by
 ``(stream, i, j)``, so a sampled pipeline is reproducible no matter how its
 evaluations are ordered, batched or parallelized.
 
-An exact run of a finite kind evaluates each of its M(M-1)/2 Gram pairs
-once and no other kernel value: it scores test points and grid nodes in the
-kind's finite feature space, through the w x w weights of
-``_feature_weights``.  Noisy and fractional runs need every kernel value and
-score through ``kernel_rows``.
+Test points and grid nodes share one scorer, ``_scorer``.  An exact run of
+a finite kind (one with a ``KernelSpec.feature_dimension``) evaluates each
+of its M(M-1)/2 Gram pairs once and no other kernel value: it scores points
+in the kind's finite feature space.  Noisy and fractional runs need every
+kernel value and score through ``kernel_rows``.
 """
 
 from __future__ import annotations
@@ -62,9 +62,9 @@ def compute_gram(
     Both paths start from ``KernelSpec.matrix(points)``, which evaluates each
     pair i <= j once.  Exact path: that matrix, symmetric and 1 on the
     diagonal by construction, counted as its M(M-1)/2 off-diagonal kernel
-    evaluations.  For a finite
-    kind (one with ``coordinate_features``) it is Phi Phi^T up to roundoff,
-    with Phi of width w^D, and the Gram records that ``rank_bound``.
+    evaluations.  For a finite kind it is Phi Phi^T up to roundoff, with Phi
+    of width ``kernel.feature_dimension``, and the Gram records that width
+    as its ``rank_bound``.
     Sampled path: each upper-triangle entry is measured once with a stream
     keyed by its indices (i, j), i < j, and written to both halves; the
     diagonal is measured too unless ``pin_diagonal`` pins it to 1.
@@ -73,8 +73,6 @@ def compute_gram(
     m = pts.shape[0]
     values = kernel.matrix(pts)
     evaluations = m * (m - 1) // 2
-    # (0, w) for a finite kind, whose exact Gram then has rank at most w^D
-    features = kernel.coordinate_features(np.empty(0)) if noise is None else None
     if noise is not None:
         i, j = np.triu_indices(m, 1 if pin_diagonal else 0)
         keys = _stream_keys(STREAM_GRAM, i, j)
@@ -85,7 +83,7 @@ def compute_gram(
         provenance="exact" if noise is None else "sampled",
         seed=None if noise is None else noise.seed,
         n_evaluations=evaluations,
-        rank_bound=None if features is None else features.shape[1] ** kernel.dimension,
+        rank_bound=kernel.feature_dimension if noise is None else None,
     )
 
 
@@ -104,14 +102,6 @@ def kernel_rows(
     return rows
 
 
-def _in_feature_space(kernel: KernelSpec, noise: ShotNoiseConfig | None) -> bool:
-    """Whether scores are taken in feature space: an exact run of a finite kind.
-
-    A noisy run or a fractional kind needs every kernel value.
-    """
-    return noise is None and kernel.coordinate_features(np.empty(0)) is not None
-
-
 def _plane_features(points, kernel: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
     """``F(x_1)`` and ``F(x_2)`` of 2-D points, F the kernel's ``coordinate_features``."""
     pts = _coords(points)
@@ -120,39 +110,42 @@ def _plane_features(points, kernel: KernelSpec) -> tuple[np.ndarray, np.ndarray]
     return kernel.coordinate_features(pts[:, 0]), kernel.coordinate_features(pts[:, 1])
 
 
-def _feature_weights(model: TrainedModel, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """The w x w weights W = (F(t_1) * a)^T F(t_2) of an exact finite-kind model.
+def _dots(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``rows[k] @ cols[k]`` for each k (``cols`` 2-D) or ``rows[k] @ cols`` (``cols`` 1-D).
 
-    ``first`` and ``second`` are the training points' ``_plane_features``
-    F(t_1) and F(t_2), and a the coefficients, so the score
-    sum_m a_m k(x, t_m) of a 2-D point x is F(x_1) W F(x_2)^T, equal to its
-    closed-form row times a up to roundoff.
+    A stack of 1 x n dots: one formula for every point set, each entry equal
+    to the scalar oracle ``float(row @ a)`` bit for bit, where a single
+    matrix-vector product rounds differently.
     """
-    return (first * model.coefficients[:, None]).T @ second
+    return (rows[:, None, :] @ cols[..., None])[:, 0, 0]
 
 
-def _scorer(points, train_points, kernel: KernelSpec,
-            noise) -> Callable[[TrainedModel], np.ndarray]:
+def _scorer(points, train_points, kernel: KernelSpec, noise: ShotNoiseConfig | None,
+            stream: int = STREAM_ROWS) -> Callable[[TrainedModel], np.ndarray]:
     """The decision scores of ``points`` as a function of a model over ``train_points``.
 
-    What the scores need is built once.  In feature space that is the
-    ``_plane_features`` of both point sets, and a model scores
-    ((F(x_1) W) * F(x_2)).sum(axis=1) with W from ``_feature_weights``.
-    Otherwise it is the points' ``kernel_rows``, and a model scores rows @ a.
+    What the scores need is built once.  An exact run of a finite kind is
+    scored in feature space and evaluates no kernel value: from the
+    ``_plane_features`` of both point sets, a model with coefficients a
+    scores F(x_1) W . F(x_2), W = (F(t_1) * a)^T F(t_2) its w x w weights,
+    equal to its closed-form row times a up to roundoff.  A noisy run or a
+    fractional kind builds the points' ``kernel_rows`` in ``stream``, and a
+    model scores row . a.  Both score through ``_dots``.
     """
-    if _in_feature_space(kernel, noise):
-        train_features = _plane_features(train_points, kernel)
+    if noise is None and kernel.feature_dimension is not None:
+        train_first, train_second = _plane_features(train_points, kernel)
         first, second = _plane_features(points, kernel)
 
         def scores(model: TrainedModel) -> np.ndarray:
-            _check_size(model, len(train_features[0]))
-            return ((first @ _feature_weights(model, *train_features)) * second).sum(axis=1)
+            _check_size(model, len(train_first))
+            weights = (train_first * model.coefficients[:, None]).T @ train_second
+            return _dots(first @ weights, second)
     else:
-        rows = kernel_rows(points, train_points, kernel, noise=noise)
+        rows = kernel_rows(points, train_points, kernel, noise=noise, stream=stream)
 
         def scores(model: TrainedModel) -> np.ndarray:
             _check_size(model, rows.shape[1])
-            return rows @ model.coefficients
+            return _dots(rows, model.coefficients)
     return scores
 
 
@@ -196,28 +189,17 @@ def boundary_grid(
 ) -> BoundaryGrid:
     """Decision scores on a side x side grid over the full convention domain.
 
-    Grid nodes sample the half-open domain uniformly (endpoint excluded).
-    An exact grid of a finite kind is scored in its feature space as
-    F(axis) W F(axis)^T, with F the kernel's ``coordinate_features`` and W
-    the w x w weights of ``_feature_weights``, equal to the closed-form rows
-    up to roundoff; no kernel value is evaluated.  A noisy or fractional
-    grid needs every kernel value, so each node's kernel row is evaluated
-    directly, side^2 rows total, and scored as one 1 x m dot per row.
+    Grid nodes sample the half-open domain uniformly (endpoint excluded) and
+    are scored by ``_scorer`` in stream ``STREAM_GRID``, as test points are:
+    in feature space on an exact run of a finite kind, else from each node's
+    kernel row, side^2 rows total.
     """
     side = _as_int(side, "grid side", 2)
-    pts = _coords(train_set)
-    _check_size(model, len(pts))
     lo, hi = DOMAINS[kernel.convention]
     axis = np.linspace(lo, hi, side, endpoint=False)
-    if _in_feature_space(kernel, noise):
-        features = kernel.coordinate_features(axis)
-        scores = features @ _feature_weights(model, *_plane_features(pts, kernel)) @ features.T
-    else:
-        nodes = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-        rows = kernel_rows(nodes, pts, kernel, noise=noise, stream=STREAM_GRID)
-        # a stack of 1 x m dots: a single matrix-vector product rounds differently
-        scores = (rows[:, None, :] @ model.coefficients)[:, 0].reshape(side, side)
-    return BoundaryGrid(xs=axis, ys=axis, scores=scores)
+    nodes = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    scores = _scorer(nodes, train_set, kernel, noise, STREAM_GRID)(model)
+    return BoundaryGrid(xs=axis, ys=axis, scores=scores.reshape(side, side))
 
 
 @dataclass(frozen=True)
@@ -332,15 +314,12 @@ def run_benchmark(config: BenchmarkConfig) -> BenchReport:
 def gamma_sweep(config: BenchmarkConfig, gammas) -> list[tuple[float, float]]:
     """The (train, test) accuracies of ``run_benchmark(replace(config, gamma=g))``, each g.
 
-    Only training depends on gamma, so the data, Gram, conditioning and test
-    rows are built once, after every gamma is validated; no grid is mapped.
-    An exact run of a finite kind builds no test rows but the plane features
-    of the training and test points, once: each model scores the test points
-    in feature space from them, as ``run_benchmark`` does.
-    The models come from one ``svm.train_path``, which fits the gammas in
-    descending order, each warm-started from the last.  Its coefficients
-    equal ``train``'s up to roundoff, so the accuracies equal
-    ``run_benchmark``'s unless a score lies within roundoff of 0.
+    Only training depends on gamma, so the data, Gram, conditioning and the
+    test points' ``_scorer`` are built once, after every gamma is validated;
+    no grid is mapped.  The models come from one ``svm.train_path``, which
+    fits the gammas in descending order, each warm-started from the last.
+    Its coefficients equal ``train``'s up to roundoff, so the accuracies
+    equal ``run_benchmark``'s unless a score lies within roundoff of 0.
     """
     gammas = [_as_positive(gamma, "gamma") for gamma in gammas]
     prepared = _prepare(config)

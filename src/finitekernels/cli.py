@@ -6,11 +6,11 @@ see the README).  Each setting comes from its command-line flag, else from
 the config file, else from the library's default.  A flag shared by several
 subcommands (dataset and seed, sizes, kernel, shot noise, model and training
 set) is declared once and behaves the same in each.  ``train`` takes a Gram's
-provenance from the ``gram.json`` that ``gram`` writes beside it.  ``eval``
-scores its test points as ``bench`` does.  ``eval`` and ``boundary``
-refuse a model whose coefficient count differs from the training set's size,
-a rule ``svm`` owns.  Every failure exits nonzero with a stage-tagged message
-on stderr.
+provenance from the ``gram.json`` that ``gram`` writes beside it, and derives
+its rank bound from the kernel recorded there.  ``eval`` scores its test
+points as ``bench`` does.  ``eval`` and ``boundary`` refuse a model whose
+coefficient count differs from the training set's size, a rule ``svm`` owns.
+Every failure exits nonzero with a stage-tagged message on stderr.
 """
 
 from __future__ import annotations
@@ -184,6 +184,8 @@ def _load_gram(path) -> GramMatrix:
     """A ``gram.csv`` with the provenance recorded in the ``gram.json`` beside it, if there is one.
 
     Without that file the Gram claims nothing, so ``condition_gram`` repairs it.
+    The rank bound is the recorded kernel's ``feature_dimension`` on an exact
+    Gram, else none; a recorded ``rank_bound`` that differs is refused.
     """
     gram = reports.load_gram_csv(path)
     meta_path = Path(path).with_name("gram.json")
@@ -195,8 +197,15 @@ def _load_gram(path) -> GramMatrix:
     if meta.get("size") != gram.size:
         raise ValueError(f"{meta_path} records a Gram of size {meta.get('size')}, "
                          f"but {path} holds {gram.size} rows")
+    kernel = meta.get("kernel") if meta.get("provenance") == "exact" else None
+    if kernel is not None and not isinstance(kernel, str):
+        raise ValueError(f"{meta_path} must record its kernel as a string, got {kernel!r}")
+    rank_bound = None if kernel is None else parse_kernel(kernel).feature_dimension
+    if meta.get("rank_bound", rank_bound) != rank_bound:
+        raise ValueError(f"{meta_path} records a rank bound of {meta['rank_bound']}, "
+                         f"not the {rank_bound} its kernel and provenance give")
     return GramMatrix(gram.values, provenance=meta.get("provenance"), seed=meta.get("seed"),
-                      n_evaluations=meta.get("n_evaluations", 0), rank_bound=meta.get("rank_bound"))
+                      n_evaluations=meta.get("n_evaluations", 0), rank_bound=rank_bound)
 
 
 def _cmd_train(args, out: Path) -> None:

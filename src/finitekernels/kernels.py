@@ -158,6 +158,14 @@ class KernelSpec:
         """Input convention this kernel expects its data in."""
         return "interference" if self.kind == "profile" else "cosine"
 
+    @property
+    def feature_dimension(self) -> int | None:
+        """Width w^D of the ``coordinate_features`` map, ``None`` for ``fractional_cosine``."""
+        if self.kind == "fractional_cosine":
+            return None
+        width = 2 * self.power + 1 if self.kind == "cosine_power" else 2 * len(self.profile) - 1
+        return width**self.dimension
+
     def kernel_id(self) -> str:
         if self.label:
             return self.label

@@ -51,7 +51,7 @@ class GramMatrix:
     determinations that produced it.  It and a ``seed`` that is not ``None``
     must be integers >= 0, not bools.  ``rank_bound`` is set only on an exact
     Gram of a finite kind: it is then Phi Phi^T for that kind's feature map
-    Phi of width ``rank_bound`` (w^D, see ``kernels``), positive
+    Phi of width ``rank_bound`` (``KernelSpec.feature_dimension``), positive
     semidefinite by construction, and ``condition_gram`` returns it
     unchanged.  ``None``, as on sampled, fractional and loaded Grams,
     claims nothing.

@@ -106,6 +106,18 @@ class TestScalarLoopOracle:
         else:
             assert np.array_equal(grid.scores, want)
 
+    def test_scores(self, kernel, noise):
+        train, test = self.data(kernel)
+        model = TrainedModel(coefficients=np.random.default_rng(3).normal(size=9), gamma=1.0)
+        scores = _scorer(test, train, kernel, noise)(model)
+        rows = reference_rows(test.points, train.points, kernel, noise)
+        want = np.array([float(row @ model.coefficients) for row in rows])
+        if noise is None and kernel.kind != "fractional_cosine":
+            # scored in the finite feature space: equal up to roundoff
+            assert np.all(np.abs(scores - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+        else:
+            assert np.array_equal(scores, want)
+
 
 class TestComputeGram:
     def test_exact_counts_upper_triangle(self):

@@ -303,10 +303,10 @@ class TestPipelineSubcommands:
 
 class TestTrainReadsGramJson:
     @staticmethod
-    def gram(tmp_path, *flags):
+    def gram(tmp_path, *flags, dataset=("xor", "0"), kernel="cosine:1"):
         d, g = tmp_path / "data", tmp_path / "gram"
-        assert main(["gen", "--dataset", "xor", "--seed", "0", "--out", str(d)]) == 0
-        assert main(["gram", "--train", str(d / "train.csv"), "--kernel", "cosine:1", *flags,
+        assert main(["gen", "--dataset", dataset[0], "--seed", dataset[1], "--out", str(d)]) == 0
+        assert main(["gram", "--train", str(d / "train.csv"), "--kernel", kernel, *flags,
                      "--out", str(g)]) == 0
         return d, g
 
@@ -363,6 +363,9 @@ class TestTrainReadsGramJson:
         ({"n_evaluations": "many"}, "n_evaluations must be a non-negative integer, got 'many'"),
         ({"seed": [1, 2]}, "seed must be a non-negative integer, got [1, 2]"),
         (None, "gram.json must hold a JSON object, got list"),
+        ({"kernel": 5}, "gram.json must record its kernel as a string, got 5"),
+        ({"kernel": "cosine:2"}, "gram.json records a rank bound of 9, not the 25 its kernel"),
+        ({"provenance": "sampled"}, "gram.json records a rank bound of 9, not the None its kernel"),
     ])
     def test_bad_metadata_refused(self, tmp_path, capsys, edit, message):
         d, g = self.gram(tmp_path)
@@ -373,6 +376,20 @@ class TestTrainReadsGramJson:
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "error in stage 'train'" in err and message in err
+        assert not list(out.glob("*"))
+
+    def test_rank_bound_is_derived_from_the_kernel(self, tmp_path, capsys):
+        # fractional:0.5 has no finite feature map, so its exact Gram has no rank bound and is
+        # repaired; a hand-edited bound must not let train fit the indefinite Gram as it is
+        d, g = self.gram(tmp_path, dataset=("moons", "1"), kernel="fractional:0.5")
+        meta = json.loads((g / "gram.json").read_text())
+        assert (meta["provenance"], meta["rank_bound"]) == ("exact", None)
+        (g / "gram.json").write_text(json.dumps({**meta, "rank_bound": 3}))
+        out = tmp_path / "m"
+        assert main(["train", "--gram", str(g / "gram.csv"), "--dataset", str(d / "train.csv"),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error in stage 'train'" in err and "gram.json records a rank bound of 3" in err
         assert not list(out.glob("*"))
 
 

@@ -9,6 +9,7 @@ from finitekernels import (
     AmplitudeProfile,
     DataPoint,
     KernelSpec,
+    ShotNoiseConfig,
     compute_gram,
     embed_cosine,
     embed_interference,
@@ -389,6 +390,17 @@ class TestCoordinateFeatures:
     )
     def test_width(self, text, width):
         assert parse_kernel(text).coordinate_features(np.zeros(5)).shape == (5, width)
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    @pytest.mark.parametrize("text", FINITE_KERNELS + ["fractional:0.5"])
+    def test_feature_dimension_is_the_map_width(self, text, dimension):
+        spec = parse_kernel(text, dimension)
+        features = spec.coordinate_features(np.zeros(2))
+        want = None if features is None else features.shape[1] ** dimension
+        assert spec.feature_dimension == want
+        pts = random_points(np.random.default_rng(dimension), spec, 4)
+        assert compute_gram(pts, spec).rank_bound == want
+        assert compute_gram(pts, spec, noise=ShotNoiseConfig(events_per_point=50)).rank_bound is None
 
     @pytest.mark.parametrize("text", ["cosine:0.5", "cosine:2.5", "fractional:2"])
     def test_fractional_kinds_have_no_map(self, text):
