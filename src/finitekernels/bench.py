@@ -104,9 +104,9 @@ def kernel_rows(
 
 def _plane_features(points, kernel: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
     """``F(x_1)`` and ``F(x_2)`` of 2-D points, F the kernel's ``coordinate_features``."""
-    pts = _coords(points)
-    if kernel.dimension != 2 or pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("point dimension does not match this kernel spec")
+    pts = kernel._coord_rows(_coords(points))
+    if kernel.dimension != 2:
+        raise ValueError("feature-space scores need points of dimension 2")
     return kernel.coordinate_features(pts[:, 0]), kernel.coordinate_features(pts[:, 1])
 
 

@@ -256,14 +256,13 @@ def _cmd_bench(args, out: Path) -> None:
 
 
 def _cmd_sweep(args, out: Path) -> None:
-    gammas = [float(v) for v in args.gammas.split(",") if v]
-    if not args.kernels or not gammas:
-        raise ValueError("need at least one kernel and one gamma")
+    if not args.kernels:
+        raise ValueError("need at least one kernel")
     noise = _noise(args)
     rows = []
     for kernel_text in args.kernels:
         config = BenchmarkConfig(args.dataset, args.seed, parse_kernel(kernel_text), noise=noise)
-        for gamma, accuracies in zip(gammas, gamma_sweep(config, gammas)):
+        for gamma, accuracies in zip(args.gammas, gamma_sweep(config, args.gammas)):
             rows.append((kernel_text, gamma, *accuracies))
     path = out / "sweep.csv"
     with _stage("emit"):
@@ -284,6 +283,17 @@ def _cmd_resolve(args, out: Path) -> None:
 def _names(text: str) -> list[str]:
     """Comma-separated names, empty entries dropped."""
     return [name for name in text.split(",") if name]
+
+
+def _reals(text: str) -> list[float]:
+    """Comma-separated reals; an argparse type, so bad or no numbers are a usage error."""
+    try:
+        values = [float(value) for value in _names(text)]
+    except ValueError:
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+    return values
 
 
 def _length_range(text: str) -> range:
@@ -359,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = _add_subcommand(subs, _cmd_sweep, "kernel x gamma accuracy table", data, noise)
     sweep.add_argument("--kernels", type=_names, default="cosine:0.5,cosine:1,cosine:2")
-    sweep.add_argument("--gammas", default="0.1,1,10")
+    sweep.add_argument("--gammas", type=_reals, default="0.1,1,10")
 
     resolve = _add_subcommand(subs, _cmd_resolve, "resolution sweep over profile families")
     resolve.add_argument("--lengths", type=_length_range, default="2:32", help="inclusive lo:hi")

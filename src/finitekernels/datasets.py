@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DOMAINS, _as_int, _check_labels, _frozen_array, rescale_dataset
+from .states import _as_int, _check_labels, _frozen_array, rescale_dataset
 
 DATASET_NAMES = ("concentric", "moons", "xor")
 
@@ -95,8 +95,6 @@ def generate_dataset(
     """
     if name not in _GENERATORS:
         raise ValueError(f"unknown dataset {name!r}; choose from {DATASET_NAMES}")
-    if convention not in DOMAINS:
-        raise ValueError(f"unknown convention {convention!r}")
     seed = _as_int(seed, "seed", 0)
     train_size = _as_int(train_size, "train_size", 2)
     test_size = _as_int(test_size, "test_size", 2)

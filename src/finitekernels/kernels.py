@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import AmplitudeProfile, DataPoint, FeatureState, _as_int, _as_positive, as_coords
+from .states import AmplitudeProfile, DataPoint, FeatureState, _as_int, _as_positive
+from .states import _check_phased, _paired_diffs
 
 
 def _clip_unit(value):
@@ -48,13 +49,6 @@ def kernel_profile(dx, profile: AmplitudeProfile):
     z = (phases[..., None, :] @ profile.weights)[..., 0]
     val = np.where(dx_arr == 0.0, 1.0, _clip_unit(np.abs(z) ** 2))
     return float(val[0]) if np.ndim(dx) == 0 else val
-
-
-def _paired_diffs(x, xp) -> np.ndarray:
-    a, b = as_coords(x), as_coords(xp)
-    if a.shape != b.shape:
-        raise ValueError("kernel arguments must have the same dimension")
-    return np.abs(b - a)
 
 
 def kernel_cosine(x, xp, power: int = 1) -> float:
@@ -80,12 +74,8 @@ def kernel_phase_augmented(x: DataPoint, xp: DataPoint, power: int = 1) -> float
     The first dimension's phase is the fixed reference, so its factor is
     identically 1.
     """
-    if not isinstance(x, DataPoint) or not isinstance(xp, DataPoint):
-        raise ValueError("kernel_phase_augmented needs DataPoint arguments")
-    if x.phases is None or xp.phases is None:
-        raise ValueError("kernel_phase_augmented needs phases on both points")
-    if x.phases.shape != xp.phases.shape:
-        raise ValueError("kernel arguments must have the same dimension")
+    _check_phased("kernel_phase_augmented", x, xp)
+    # kernel_cosine refuses points of two dimensions: a DataPoint has one phase per coordinate
     base = kernel_cosine(x, xp, power)
     dy = np.abs(xp.phases[1:] - x.phases[1:])
     return float(_clip_unit(base * np.prod(np.cos(dy) ** 2)))
@@ -177,17 +167,12 @@ class KernelSpec:
 
     def evaluate(self, x, xp) -> float:
         """Kernel value between two points in this kernel spec's convention."""
+        d = self._coord_rows(_paired_diffs(x, xp)[None])[0]
         if self.kind == "profile":
-            d = _paired_diffs(x, xp)
-            if d.size != self.dimension:
-                raise ValueError("point dimension does not match this kernel spec")
             return float(_clip_unit(np.prod(kernel_profile(d, self.profile))))
-        a, b = as_coords(x), as_coords(xp)
-        if a.size != self.dimension or b.size != self.dimension:
-            raise ValueError("point dimension does not match this kernel spec")
         if self.kind == "cosine_power":
-            return kernel_cosine(a, b, self.power)
-        return kernel_fractional(a, b, self.exponent)
+            return kernel_cosine(x, xp, self.power)
+        return kernel_fractional(x, xp, self.exponent)
 
     def matrix(self, A, B=None) -> np.ndarray:
         """Kernel values ``K[i, j] == evaluate(A[i], B[j])``, bit for bit.

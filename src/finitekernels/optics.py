@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import _BOOLS, DataPoint, _as_int, _as_positive, _is_int
+from .states import _BOOLS, _as_int, _as_positive, _check_phased, _is_int, _paired_diffs
 
 _HT, _HB, _VB, _VT = range(4)
 
@@ -108,23 +108,26 @@ def _single_photon_unitary(coord: float, power: int) -> np.ndarray:
         return np.array([[c, -s], [s, c]])
     mu_t, nu_t, mu_b, nu_b = feature_plate_settings(coord)
     h_b = math.hypot(mu_b, nu_b)
-    h_t = math.hypot(mu_t, nu_t)
     # the splitter feeds each rail the weight its plate would post-select,
-    # folding the stated sqrt(2)/sqrt(6) prefactors into one exact rotation
-    u = plate_element(h_b, h_t, "B")
+    # folding the stated sqrt(2)/sqrt(6) prefactors into one exact rotation;
+    # the top rail's weight sqrt(2 (c^6 + s^6)) is at least sqrt(2) / 2; h_b is 0 at x = 0
+    u = plate_element(h_b, math.hypot(mu_t, nu_t), "B")
     u = beam_divider() @ u
-    if h_t > 1e-15:
-        u = plate_element(mu_t, nu_t, "T") @ u
+    u = plate_element(mu_t, nu_t, "T") @ u
     if h_b > 1e-15:
         u = plate_element(mu_b, nu_b, "B") @ u
     return u
 
 
+def _check_circuit_power(power) -> None:
+    if not _is_int(power) or power not in (1, 3):
+        raise ValueError("the optical circuit realizes powers 1 and 3 only")
+
+
 def input_state(dimension: int, power: int = 3) -> np.ndarray:
     """Canonical circuit input: each photon H-polarized in the bottom rail."""
     dimension = _as_int(dimension, "dimension", 1)
-    if not _is_int(power) or power not in (1, 3):
-        raise ValueError("the optical circuit realizes powers 1 and 3 only")
+    _check_circuit_power(power)
     single = np.zeros(2 if power == 1 else 4)
     single[0 if power == 1 else _HB] = 1.0
     state = np.ones(1)
@@ -141,8 +144,7 @@ def build_feature_unitary(x, power: int = 3) -> np.ndarray:
     power-1 reduction).  Applied to :func:`input_state` it produces the
     binomial feature state of each photon exactly.
     """
-    if not _is_int(power) or power not in (1, 3):
-        raise ValueError("the optical circuit realizes powers 1 and 3 only")
+    _check_circuit_power(power)
     coords = np.atleast_1d(np.asarray(x, dtype=float))
     if coords.ndim != 1 or not 1 <= coords.size <= 2:
         raise ValueError("the circuit hosts one or two photons")
@@ -154,9 +156,9 @@ def build_feature_unitary(x, power: int = 3) -> np.ndarray:
 
 def _circuit_amplitude(x, xp, power: int) -> complex:
     """Post-selected two-photon amplitude <in| U(x')^T U(x) |in>."""
+    vin = input_state(_paired_diffs(x, xp).size, power)
     ua = build_feature_unitary(x, power)
     ub = build_feature_unitary(xp, power)
-    vin = input_state(np.atleast_1d(np.asarray(x, dtype=float)).size, power)
     return complex(vin @ (ub.conj().T @ ua @ vin))
 
 
@@ -185,12 +187,7 @@ def kernel_circuit_phase(x, xp, power: int = 3) -> float:
     Accepts DataPoints carrying phases (reference phase fixed at 0); returns
     kernel_circuit(x, xp) times cos^2 of each phase difference.
     """
-    if not isinstance(x, DataPoint) or not isinstance(xp, DataPoint):
-        raise ValueError("kernel_circuit_phase needs DataPoint arguments")
-    if x.phases is None or xp.phases is None:
-        raise ValueError("kernel_circuit_phase needs phases on both points")
-    if x.phases.shape != xp.phases.shape:
-        raise ValueError("points must have the same dimension")
+    _check_phased("kernel_circuit_phase", x, xp)
     base_amp = _circuit_amplitude(x.coords, xp.coords, power)
     for y, yp_val in zip(x.phases[1:], xp.phases[1:]):
         base_amp *= phase_interference_amplitude(float(y), float(yp_val))
@@ -248,6 +245,13 @@ _MASK64 = (1 << 64) - 1
 _LOW32, _SHIFT32 = np.uint64(_MASK32), np.uint64(32)
 # a count with min(p, 1 - p) * events at most this is drawn by inversion, a larger one by BTRS
 _INVERSION_MEAN = 30.0
+
+
+def _success_probability(kappas, config: ShotNoiseConfig):
+    """f * kappa + (1 - f) * background of a kernel value or an array of them, each in [0, 1]."""
+    if not np.all((kappas >= 0.0) & (kappas <= 1.0)):  # so NaN fails too
+        raise ValueError("true_kappa must lie in [0, 1]")
+    return config.fidelity * kappas + (1.0 - config.fidelity) * config.background
 
 
 def _check_stream_keys(keys: np.ndarray) -> None:
@@ -443,13 +447,11 @@ def sample_kernel(
     pairs elsewhere.  The estimate, count / events, is unbiased at fidelity 1
     with standard deviation sqrt(kappa (1 - kappa) / events).
     """
-    if not (0.0 <= true_kappa <= 1.0):
-        raise ValueError("true_kappa must lie in [0, 1]")
+    p = _success_probability(true_kappa, config)
     keys = np.asarray(key)[None]
     if keys.ndim != 2:
         raise ValueError("stream key must be a flat sequence of integers")
     _check_stream_keys(keys)
-    p = config.fidelity * true_kappa + (1.0 - config.fidelity) * config.background
     bit_generator = np.random.Philox(counter=_counters(keys)[0], key=[config.seed, keys.shape[1]])
     signal = _binomial(config.events_per_point, p, np.random.Generator(bit_generator).random)
     return signal / config.events_per_point, signal
@@ -470,10 +472,8 @@ def sample_kernels(true_kappas, config: ShotNoiseConfig, keys) -> np.ndarray:
     keys = np.asarray(keys)
     if kappas.ndim != 1 or keys.ndim != 2 or keys.shape[0] != kappas.size:
         raise ValueError("need one row of stream-key entries per kappa")
-    if not np.all((kappas >= 0.0) & (kappas <= 1.0)):
-        raise ValueError("true_kappa must lie in [0, 1]")
+    p = _success_probability(kappas, config)
     _check_stream_keys(keys)
-    p = config.fidelity * kappas + (1.0 - config.fidelity) * config.background
     events, key = config.events_per_point, [config.seed, keys.shape[1]]
     counts = np.empty(p.size)
     for start in range(0, p.size, _SAMPLE_BLOCK):

@@ -54,12 +54,6 @@ def _as_positive(value, what: str) -> float:
     return float(value)
 
 
-def _check_signs(labels: np.ndarray) -> None:
-    """Refuse unless every entry of the float array ``labels`` is +1 or -1."""
-    if not ((labels == 1.0) | (labels == -1.0)).all():
-        raise ValueError("labels must be +1 or -1")
-
-
 def _frozen_array(values, dtype, what: str | None = None) -> np.ndarray:
     """A read-only copy of ``values``, refused unless finite when ``what`` names it."""
     arr = np.array(values, dtype=dtype)
@@ -74,7 +68,8 @@ def _check_labels(labels, size: int) -> np.ndarray:
     y = _frozen_array(labels, float)
     if y.shape != (size,):
         raise ValueError(f"need one label per point: {size} points, labels of shape {y.shape}")
-    _check_signs(y)
+    if not ((y == 1.0) | (y == -1.0)).all():
+        raise ValueError("labels must be +1 or -1")
     return y
 
 
@@ -174,6 +169,20 @@ def as_coords(x) -> np.ndarray:
     return np.atleast_1d(np.asarray(x, dtype=float))
 
 
+def _paired_diffs(x, xp) -> np.ndarray:
+    """Separations |x' - x| per coordinate of two points of one dimension."""
+    a, b = as_coords(x), as_coords(xp)
+    if a.shape != b.shape:
+        raise ValueError("kernel arguments must have the same dimension")
+    return np.abs(b - a)
+
+
+def _check_phased(what: str, *points) -> None:
+    """Refuse unless every point is a DataPoint carrying phases; ``what`` names the caller."""
+    if not all(isinstance(x, DataPoint) and x.phases is not None for x in points):
+        raise ValueError(f"{what} needs a DataPoint carrying phases")
+
+
 def _check_domain(values: np.ndarray, convention: str) -> None:
     lo, hi = DOMAINS[convention]
     if not np.all((values >= lo) & (values < hi)):  # so NaN fails too
@@ -262,8 +271,7 @@ def embed_phase_augmented(x: DataPoint, power: int = 1) -> FeatureState:
     coordinate's phase is the fixed reference y_0 = 0 and contributes nothing.
     Total dimension: (N+1)^D * 2^(D-1).
     """
-    if not isinstance(x, DataPoint) or x.phases is None:
-        raise ValueError("embed_phase_augmented needs a DataPoint carrying phases")
+    _check_phased("embed_phase_augmented", x)
     base = embed_cosine(x.coords, power).amplitudes
     state = np.asarray(base, dtype=complex)
     for y in x.phases[1:]:
@@ -284,13 +292,11 @@ def rescale_dataset(points, convention: str) -> np.ndarray:
     """
     if convention not in DOMAINS:
         raise ValueError(f"unknown convention {convention!r}")
-    pts = np.asarray(points, dtype=float)
+    pts = _frozen_array(points, float, "points to rescale")
     squeeze = pts.ndim == 1
     pts = np.atleast_2d(pts.T).T if squeeze else pts
     if pts.ndim != 2 or pts.shape[0] < 2:
         raise ValueError("need at least two points to rescale")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("points to rescale must be finite")
     lo, hi = DOMAINS[convention]
     hi_eff = hi - 1e-9 * (hi - lo)
     mn = pts.min(axis=0)

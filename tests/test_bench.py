@@ -9,6 +9,7 @@ from finitekernels import (
     BenchmarkConfig,
     BoundaryGrid,
     KernelSpec,
+    LabeledSet,
     ShotNoiseConfig,
     TrainedModel,
     accuracy,
@@ -264,6 +265,14 @@ class TestBoundaryGrid:
         kernel = KernelSpec(kind="cosine_power", dimension=dimension, power=1)
         model = TrainedModel(coefficients=np.ones(4), gamma=1.0)
         with pytest.raises(ValueError, match="dimension"):
+            boundary_grid(model, train, kernel, side=3)
+
+    def test_feature_path_pairs_two_coordinates(self):
+        # a 3-D kernel matches 3-D training points, yet feature-space scores pair two coordinates
+        train = LabeledSet(np.full((4, 3), 0.1), [1.0, 1.0, -1.0, -1.0])
+        kernel = KernelSpec(kind="cosine_power", dimension=3, power=1)
+        model = TrainedModel(coefficients=np.ones(4), gamma=1.0)
+        with pytest.raises(ValueError, match="^feature-space scores need points of dimension 2$"):
             boundary_grid(model, train, kernel, side=3)
 
     @pytest.mark.parametrize("noise", [None, ShotNoiseConfig(events_per_point=100)])

@@ -679,6 +679,19 @@ class TestFailureModes:
         assert exc.value.code == 2
         assert "argument --lengths" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("gammas", ["", ",", "a", "1,b", "0x1"])
+    def test_bad_sweep_gammas_is_usage_error(self, gammas, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--gammas", gammas, "--out", str(tmp_path / "s")])
+        assert exc.value.code == 2
+        assert "argument --gammas" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_sweep_needs_a_kernel(self, tmp_path, capsys):
+        assert main(["sweep", "--kernels", ",", "--out", str(tmp_path / "s")]) == 1
+        err = capsys.readouterr().err
+        assert "error in stage 'sweep'" in err and "need at least one kernel" in err
+
     @pytest.mark.parametrize(
         "text, name",
         [("[svm]\ngama = 10\n", "gama"), ("[kernal]\nspec = cosine:3\n", "kernal")],
@@ -694,19 +707,31 @@ class TestFailureModes:
         assert name in err
 
 
-def test_exact_bench_is_byte_identical_across_blas_thread_counts(tmp_path):
-    # an exact finite-kind Gram is trained unrepaired, so no eigh (whose bits
-    # depend on the thread count) touches model.json or grid.csv
+def bench_under_blas_threads(tmp_path, argv) -> list[dict]:
+    """The files of one ``bench`` run under 1 and under 2 BLAS threads, by name."""
     outputs = []
     for threads in ("1", "2"):
         path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, PYTHONPATH=path)
         env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads))
         out = tmp_path / f"threads{threads}"
-        argv = ["bench", "--dataset", "moons", "--seed", "1", "--kernel", "cosine:1",
-                "--train-size", "400", "--out", str(out)]
-        subprocess.run([sys.executable, "-m", "finitekernels", *argv], env=env, check=True,
-                       capture_output=True)
+        subprocess.run([sys.executable, "-m", "finitekernels", "bench", *argv, "--out", str(out)],
+                       env=env, check=True, capture_output=True)
         outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+    return outputs
+
+
+def test_exact_bench_is_byte_identical_across_blas_thread_counts(tmp_path):
+    # an exact finite-kind Gram is trained unrepaired, so no eigh (whose bits
+    # depend on the thread count) touches model.json or grid.csv
+    argv = ["--dataset", "moons", "--seed", "1", "--kernel", "cosine:1", "--train-size", "400"]
+    outputs = bench_under_blas_threads(tmp_path / "exact", argv)
     assert {"gram.csv", "model.json", "grid.csv"} <= outputs[0].keys()
     assert outputs[0] == outputs[1]
+    # shot-noise sampling uses no BLAS, so a noisy run's data and sampled Gram match too; its
+    # repaired Gram goes through eigh, and model.json and grid.csv can differ already at m = 100
+    argv = ["--dataset", "concentric", "--seed", "7", "--kernel", "cosine:1", "--train-size", "100",
+            "--test-size", "50", "--side", "12", "--events", "2500"]
+    outputs = bench_under_blas_threads(tmp_path / "noisy", argv)
+    for name in ("train.csv", "test.csv", "gram.csv"):
+        assert outputs[0][name] == outputs[1][name], name

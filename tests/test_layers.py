@@ -1,11 +1,46 @@
 """Module layering: ``reports`` alone serializes and writes files, ``bench`` only
 computes, and no module imports scipy, so numpy is the only runtime dependency.
 Each argument rule (an integer of at least N, a finite read-only array, +1/-1
-labels) is written once, in ``states``.
+labels) is written once, in ``states``, and so is each input rule of the
+paper's layers: the kernels' point dimensions, phase-encoded points, the
+circuit's powers, kernel values in [0, 1] and input conventions.  Every public
+entry that applies an input rule reaches its one site.
 """
 
 import ast
+import math
+import re
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from finitekernels import (
+    BenchmarkConfig,
+    DataPoint,
+    KernelSpec,
+    LabeledSet,
+    ShotNoiseConfig,
+    TrainedModel,
+    boundary_grid,
+    build_feature_unitary,
+    compute_gram,
+    embed_phase_augmented,
+    gamma_sweep,
+    generate_dataset,
+    input_state,
+    kernel_circuit,
+    kernel_circuit_phase,
+    kernel_cosine,
+    kernel_fractional,
+    kernel_phase_augmented,
+    kernel_rows,
+    msi_profile,
+    rescale_dataset,
+    run_benchmark,
+    sample_kernel,
+    sample_kernels,
+)
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "finitekernels"
 
@@ -99,8 +134,7 @@ def test_integer_rule_is_applied_by_as_int_and_the_bounded_checks_alone():
     # the optics checks carry their bound or their allowed set in the message
     assert sites(calls_is_int) == sorted([
         "states.py:_as_int",
-        "optics.py:input_state",
-        "optics.py:build_feature_unitary",
+        "optics.py:_check_circuit_power",
         "optics.py:ShotNoiseConfig.__post_init__",
         "optics.py:ShotNoiseConfig.__post_init__",
     ])
@@ -119,5 +153,129 @@ def test_label_rule_is_written_once_in_states():
     def calls_isin(node):
         return isinstance(node, ast.Attribute) and node.attr == "isin"
 
-    assert sites(states_the_rule) == ["states.py:_check_signs"]
+    assert sites(states_the_rule) == ["states.py:_check_labels"]
     assert sites(calls_isin) == []
+
+
+def raises_with(phrase: str):
+    """Whether a node is a ``raise`` whose message text holds ``phrase``."""
+    def predicate(node):
+        if not isinstance(node, ast.Raise) or not isinstance(node.exc, ast.Call):
+            return False
+        text = "".join(
+            part.value
+            for arg in node.exc.args
+            for part in ast.walk(arg)
+            if isinstance(part, ast.Constant) and isinstance(part.value, str)
+        )
+        return phrase in text
+
+    return predicate
+
+
+def compares_attribute_to_none(attr: str):
+    """Whether a node is ``<expr>.<attr> is None`` or ``<expr>.<attr> is not None``."""
+    def predicate(node):
+        return (isinstance(node, ast.Compare) and getattr(node.left, "attr", None) == attr
+                and isinstance(node.ops[0], (ast.Is, ast.IsNot)))
+
+    return predicate
+
+
+def checks_membership_in(name: str):
+    """Whether a node is ``<expr> in <name>`` or ``<expr> not in <name>``."""
+    def predicate(node):
+        return (isinstance(node, ast.Compare) and isinstance(node.ops[0], (ast.In, ast.NotIn))
+                and getattr(node.comparators[0], "id", None) == name)
+
+    return predicate
+
+
+# each input rule: the text of its one refusal, and the one site that raises it
+RULES = {
+    "dimension": ("point dimension does not match this kernel spec",
+                  "kernels.py:KernelSpec._coord_rows"),
+    "pair": ("kernel arguments must have the same dimension", "states.py:_paired_diffs"),
+    "phases": ("needs a DataPoint carrying phases", "states.py:_check_phased"),
+    "power": ("the optical circuit realizes powers 1 and 3 only",
+                      "optics.py:_check_circuit_power"),
+    "kappa": ("true_kappa must lie in [0, 1]", "optics.py:_success_probability"),
+    "convention": ("unknown convention", "states.py:rescale_dataset"),
+}
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_each_input_rule_is_raised_from_one_site(rule):
+    message, site = RULES[rule]
+    assert sites(raises_with(message)) == [site]
+
+
+def test_input_rules_leave_no_restated_check():
+    # the two texts a mismatched pair was refused with share these words
+    assert sites(raises_with("the same dimension")) == ["states.py:_paired_diffs"]
+    # DataPoint itself reads its phases only when they are there
+    assert sites(compares_attribute_to_none("phases")) == [
+        "states.py:DataPoint.__post_init__", "states.py:_check_phased"]
+    assert sites(checks_membership_in("DOMAINS")) == ["states.py:rescale_dataset"]
+    assert sites(raises_with("must be finite")) == ["states.py:_frozen_array"]
+
+
+def _model(size: int) -> TrainedModel:
+    return TrainedModel(coefficients=np.ones(size), gamma=1.0)
+
+
+_COSINE_1D = KernelSpec(kind="cosine_power", dimension=1, power=1)
+_COSINE_2D = KernelSpec(kind="cosine_power", dimension=2, power=1)
+_COSINE_3D = KernelSpec(kind="cosine_power", dimension=3, power=1)
+_MSI_2D = KernelSpec(kind="profile", dimension=2, profile=msi_profile(3))
+_NOISE = ShotNoiseConfig(events_per_point=100)
+_TRAIN = LabeledSet(np.full((4, 2), 0.1), [1.0, 1.0, -1.0, -1.0])
+_PHASED = DataPoint([0.1, 0.2], phases=[0.0, 0.3])
+_PHASED_1D = DataPoint([0.1], phases=[0.0])
+_PLAIN = DataPoint([0.1, 0.2])
+_SMALL = {"train_size": 4, "test_size": 4, "grid_side": 2}
+
+# every public entry that applies an input rule, with an input that breaks it
+ENTRIES = [
+    ("dimension", "evaluate", lambda: _COSINE_2D.evaluate([0.1], [0.2])),
+    ("dimension", "evaluate-profile", lambda: _MSI_2D.evaluate([0.1], [0.2])),
+    ("dimension", "matrix", lambda: _COSINE_2D.matrix(np.zeros((2, 3)))),
+    ("dimension", "compute_gram", lambda: compute_gram(np.zeros((3, 1)), _COSINE_2D)),
+    ("dimension", "kernel_rows", lambda: kernel_rows(np.zeros((2, 2)), np.zeros((3, 1)), _COSINE_2D)),
+    ("dimension", "boundary_grid", lambda: boundary_grid(_model(4), _TRAIN, _COSINE_1D, side=2)),
+    ("dimension", "boundary_grid-noisy",
+     lambda: boundary_grid(_model(4), _TRAIN, _COSINE_1D, side=2, noise=_NOISE)),
+    ("dimension", "run_benchmark",
+     lambda: run_benchmark(BenchmarkConfig("moons", 1, _COSINE_1D, **_SMALL))),
+    ("dimension", "gamma_sweep",
+     lambda: gamma_sweep(BenchmarkConfig("moons", 1, _COSINE_3D, **_SMALL), [1.0])),
+    ("pair", "kernel_cosine", lambda: kernel_cosine([0.1], [0.1, 0.2])),
+    ("pair", "kernel_fractional", lambda: kernel_fractional([0.1], [0.1, 0.2], 0.5)),
+    ("pair", "evaluate", lambda: _MSI_2D.evaluate([0.1], [0.1, 0.2])),
+    ("pair", "kernel_phase_augmented", lambda: kernel_phase_augmented(_PHASED_1D, _PHASED)),
+    ("pair", "kernel_circuit", lambda: kernel_circuit([0.1], [0.1, 0.2])),
+    ("pair", "kernel_circuit_phase", lambda: kernel_circuit_phase(_PHASED, _PHASED_1D)),
+    ("phases", "embed_phase_augmented-array", lambda: embed_phase_augmented(np.zeros(2))),
+    ("phases", "embed_phase_augmented", lambda: embed_phase_augmented(_PLAIN)),
+    ("phases", "kernel_phase_augmented-array", lambda: kernel_phase_augmented(_PHASED, [0.1, 0.2])),
+    ("phases", "kernel_phase_augmented", lambda: kernel_phase_augmented(_PLAIN, _PHASED)),
+    ("phases", "kernel_circuit_phase-array", lambda: kernel_circuit_phase([0.1, 0.2], _PHASED)),
+    ("phases", "kernel_circuit_phase", lambda: kernel_circuit_phase(_PHASED, _PLAIN)),
+    ("power", "input_state", lambda: input_state(1, power=2)),
+    ("power", "build_feature_unitary", lambda: build_feature_unitary([0.1], power=True)),
+    ("power", "kernel_circuit", lambda: kernel_circuit([0.1], [0.2], power=5)),
+    ("power", "kernel_circuit_phase", lambda: kernel_circuit_phase(_PHASED, _PHASED, 2)),
+    ("kappa", "sample_kernel", lambda: sample_kernel(1.5, _NOISE)),
+    ("kappa", "sample_kernel-nan", lambda: sample_kernel(math.nan, _NOISE)),
+    ("kappa", "sample_kernels", lambda: sample_kernels([0.5, -0.1], _NOISE, [[0], [1]])),
+    ("kappa", "sample_kernels-nan", lambda: sample_kernels([math.nan], _NOISE, [[0]])),
+    ("convention", "rescale_dataset", lambda: rescale_dataset([[0.0], [1.0]], "Cosine")),
+    ("convention", "generate_dataset", lambda: generate_dataset("moons", 0, convention="phase")),
+]
+
+
+@pytest.mark.parametrize("rule, call", [(rule, call) for rule, _, call in ENTRIES],
+                         ids=[f"{rule}-{entry}" for rule, entry, _ in ENTRIES])
+def test_every_entry_reaches_its_rule(rule, call):
+    with pytest.raises(ValueError, match=re.escape(RULES[rule][0])):
+        call()

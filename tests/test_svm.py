@@ -612,6 +612,16 @@ class TestScalarFace:
         assert solved or hit[0]
 
 
+def test_rank_deficient_face_takes_the_newton_step_when_its_gradient_lies_in_the_range():
+    # Q_FF has rank 1 and the gradient spans its range: the step solves Q_FF step = grad / 2
+    # in that range, reaching no bound, and the face ends solved
+    q_ff, grad, alpha = np.ones((2, 2)), np.ones(2), np.full(2, 0.1)
+    alpha_f, hit, solved = svm._face_step(q_ff, grad, alpha.copy(), 10.0)
+    np.testing.assert_allclose(alpha_f, [0.35, 0.35], rtol=0.0, atol=1e-15)
+    assert not hit.any() and solved
+    np.testing.assert_allclose(q_ff @ (alpha_f - alpha), grad / 2.0, rtol=0.0, atol=1e-15)
+
+
 @functools.lru_cache(maxsize=None)
 def path_problem(dataset, seed, kernel_text, m, noisy):
     """Conditioned Gram and labels of one sweep fit, as ``bench`` prepares them, and the
