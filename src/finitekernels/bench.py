@@ -22,7 +22,7 @@ import numpy as np
 from .datasets import DATASET_NAMES, LabeledSet, generate_dataset
 from .kernels import KernelSpec
 from .optics import ShotNoiseConfig, sample_kernels
-from .states import DOMAINS, _as_int, _as_positive, _frozen_array
+from .states import DOMAINS, _as_int, _as_positive, _check_choice, _frozen_array
 from .svm import (
     CONDITION_POLICIES,
     GramMatrix,
@@ -218,13 +218,11 @@ class BenchmarkConfig:
     pin_noisy_diagonal: bool = False
 
     def __post_init__(self) -> None:
-        if self.dataset not in DATASET_NAMES:
-            raise ValueError(f"unknown dataset {self.dataset!r}")
+        _check_choice(self.dataset, DATASET_NAMES, "dataset")
         for name, minimum in (("seed", 0), ("train_size", 2), ("test_size", 2), ("grid_side", 2)):
             object.__setattr__(self, name, _as_int(getattr(self, name), name, minimum))
         object.__setattr__(self, "gamma", _as_positive(self.gamma, "gamma"))
-        if self.condition_policy not in CONDITION_POLICIES:
-            raise ValueError(f"unknown condition policy {self.condition_policy!r}")
+        _check_choice(self.condition_policy, CONDITION_POLICIES, "condition policy")
 
 
 @dataclass(frozen=True)

@@ -256,8 +256,6 @@ def _cmd_bench(args, out: Path) -> None:
 
 
 def _cmd_sweep(args, out: Path) -> None:
-    if not args.kernels:
-        raise ValueError("need at least one kernel")
     noise = _noise(args)
     rows = []
     for kernel_text in args.kernels:
@@ -281,19 +279,20 @@ def _cmd_resolve(args, out: Path) -> None:
 
 
 def _names(text: str) -> list[str]:
-    """Comma-separated names, empty entries dropped."""
-    return [name for name in text.split(",") if name]
+    """Comma-separated names, empty entries dropped; an argparse type, so none is a usage error."""
+    names = [name for name in text.split(",") if name]
+    if not names:
+        raise argparse.ArgumentTypeError(f"expected comma-separated names, got {text!r}")
+    return names
 
 
 def _reals(text: str) -> list[float]:
     """Comma-separated reals; an argparse type, so bad or no numbers are a usage error."""
     try:
-        values = [float(value) for value in _names(text)]
-    except ValueError:
-        values = []
-    if not values:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
-    return values
+        return [float(value) for value in _names(text)]
+    except (ValueError, argparse.ArgumentTypeError):
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
 
 
 def _length_range(text: str) -> range:

@@ -12,16 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import _as_int, _check_labels, _frozen_array, rescale_dataset
+from .states import _as_int, _check_choice, _check_labels, _frozen_array, rescale_dataset
 
 DATASET_NAMES = ("concentric", "moons", "xor")
 
 
 def _check_points(points, labels) -> tuple[np.ndarray, np.ndarray]:
     """Read-only float copies of a finite nonempty 2-D point array and its +1/-1 labels."""
-    pts = _frozen_array(points, float, "points")
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ValueError("points must form a nonempty 2-D array")
+    pts = _frozen_array(points, float, "points", 2)
     return pts, _check_labels(labels, pts.shape[0])
 
 
@@ -93,8 +91,7 @@ def generate_dataset(
     Both splits are rescaled with one shared affine map onto the requested
     convention's domain, so kernel separations are comparable across splits.
     """
-    if name not in _GENERATORS:
-        raise ValueError(f"unknown dataset {name!r}; choose from {DATASET_NAMES}")
+    _check_choice(name, DATASET_NAMES, "dataset")
     seed = _as_int(seed, "seed", 0)
     train_size = _as_int(train_size, "train_size", 2)
     test_size = _as_int(test_size, "test_size", 2)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import AmplitudeProfile, DataPoint, FeatureState, _as_int, _as_positive
-from .states import _check_phased, _paired_diffs
+from .states import _check_choice, _check_phased, _paired_diffs
 
 
 def _clip_unit(value):
@@ -95,11 +95,8 @@ def qubit_count(power: int, scheme: str = "compact") -> int:
     ``"product"`` uses the N-qubit symmetric product form.
     """
     power = _as_int(power, "power", 1)
-    if scheme == "compact":
-        return max(1, power.bit_length())
-    if scheme == "product":
-        return power
-    raise ValueError(f"unknown scheme {scheme!r}")
+    _check_choice(scheme, ("compact", "product"), "scheme")
+    return max(1, power.bit_length()) if scheme == "compact" else power
 
 
 # the one parameter each kind takes, and must be the only one set
@@ -132,8 +129,7 @@ class KernelSpec:
     label: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _KIND_PARAMETER:
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
+        _check_choice(self.kind, _KIND_PARAMETER, "kernel kind")
         object.__setattr__(self, "dimension", _as_int(self.dimension, "dimension", 1))
         for kind, parameter in _KIND_PARAMETER.items():
             if (self.kind == kind) != (getattr(self, parameter) is not None):

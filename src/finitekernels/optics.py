@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import _BOOLS, _as_int, _as_positive, _check_phased, _is_int, _paired_diffs
+from .states import _BOOLS, _as_int, _as_positive, _check_choice, _check_phased, _is_int
+from .states import _paired_diffs
 
 _HT, _HB, _VB, _VT = range(4)
 
@@ -55,6 +56,7 @@ def plate_element(mu: float, nu: float, target: str) -> np.ndarray:
     normalization by h makes each plate an exact rotation, so composed maps
     stay trace-preserving on the post-selected subspace.
     """
+    _check_choice(target, ("T", "B"), "target")
     h_sq = mu * mu + nu * nu
     if not math.isfinite(h_sq) or h_sq <= 0.0:
         raise ValueError("plate parameters must not both vanish")
@@ -69,13 +71,11 @@ def plate_element(mu: float, nu: float, target: str) -> np.ndarray:
         u[_HT, _VT] = m
         u[_VT, _HT] = -m
         u[_VT, _VT] = n
-    elif target == "B":
+    else:
         u[_HB, _HB] = m
         u[_VB, _HB] = n
         u[_HB, _VB] = -n
         u[_VB, _VB] = m
-    else:
-        raise ValueError("target must be 'T' or 'B'")
     return u
 
 
@@ -212,18 +212,16 @@ class ShotNoiseConfig:
 
     def __post_init__(self) -> None:
         # above 2**53 a count is no longer exact as a double, and numpy's estimates divide by one
-        if not _is_int(self.events_per_point) or not 1 <= self.events_per_point <= _MAX_EVENTS:
-            raise ValueError("events_per_point must be an integer in [1, 2**53]")
+        object.__setattr__(self, "events_per_point",
+                           _as_int(self.events_per_point, "events_per_point", 1, _MAX_EVENTS))
         if isinstance(self.fidelity, _BOOLS) or not (0.0 < self.fidelity <= 1.0):
             raise ValueError("fidelity must lie in (0, 1]")
         # Philox would take a 64-bit seed; the 32-bit bound keeps the accepted CLI and INI seeds
-        if not _is_int(self.seed) or not 0 <= self.seed <= _MASK32:
-            raise ValueError("seed must be an integer in [0, 2**32 - 1]")
+        object.__setattr__(self, "seed", _as_int(self.seed, "seed", 0, _MASK32))
         if isinstance(self.background, _BOOLS) or not (0.0 <= self.background <= 1.0):
             raise ValueError("background must lie in [0, 1]")
-        for name, kind in (("events_per_point", int), ("fidelity", float), ("seed", int),
-                           ("background", float)):
-            object.__setattr__(self, name, kind(getattr(self, name)))
+        for name in ("fidelity", "background"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 _MASK32 = (1 << 32) - 1

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import _BOOLS, AmplitudeProfile, _as_int, _as_positive, _frozen_array, _tsq_log_weights
+from .states import _BOOLS, AmplitudeProfile, _as_int, _as_positive, _check_choice, _frozen_array
+from .states import _tsq_log_weights
 
 RESOLUTION_DIAGONAL = 1.0 / 12.0
 
@@ -60,26 +61,28 @@ def _quotient(w: np.ndarray, matrix: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class ResolutionReport:
-    """Variance and derived quantities of one profile's kernel."""
+    """Variance of one profile's kernel; its ``resolution`` (the square root of the variance)
+    and ``renorm`` (the sum of the squared weights) are derived, so they always agree."""
 
     variance: float
-    resolution: float
-    renorm: float
     profile: AmplitudeProfile
 
     def __post_init__(self) -> None:
         if not self.variance >= 0.0:  # so NaN fails too
             raise ValueError("variance must be nonnegative")
-        expected = float(self.profile.weights @ self.profile.weights)
-        if abs(self.renorm - expected) > 1e-12:
-            raise ValueError("renorm must equal the sum of squared weights")
+
+    @property
+    def resolution(self) -> float:
+        return math.sqrt(self.variance)
+
+    @property
+    def renorm(self) -> float:
+        return float(self.profile.weights @ self.profile.weights)
 
 
 def resolution_quadratic(profile: AmplitudeProfile) -> ResolutionReport:
     """Variance via the mode-space quadratic form."""
-    w = profile.weights
-    variance = rayleigh_quotient(w)
-    return ResolutionReport(variance, math.sqrt(variance), float(w @ w), profile)
+    return ResolutionReport(rayleigh_quotient(profile.weights), profile)
 
 
 def msi_variance_closed_form(n_terms: int) -> float:
@@ -147,20 +150,22 @@ SWEEP_FAMILIES = ("msi", "tsq", "optimized")
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One (family, length) entry of a resolution sweep."""
+    """One (family, length) entry of a resolution sweep; ``resolution`` is sqrt(variance)."""
 
     family: str
     length: int
     variance: float
-    resolution: float
 
     def __post_init__(self) -> None:
-        if self.family not in SWEEP_FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
+        _check_choice(self.family, SWEEP_FAMILIES, "family")
         object.__setattr__(self, "length", _as_int(self.length, "sweep length", 2))
-        for name, value in (("variance", self.variance), ("resolution", self.resolution)):
-            if isinstance(value, _BOOLS) or not 0.0 <= value < math.inf:  # so NaN fails too
-                raise ValueError(f"sweep {name} must be a finite non-negative real, got {value!r}")
+        if isinstance(self.variance, _BOOLS) or not 0.0 <= self.variance < math.inf:  # NaN fails
+            raise ValueError(f"sweep variance must be a finite non-negative real, "
+                             f"got {self.variance!r}")
+
+    @property
+    def resolution(self) -> float:
+        return math.sqrt(self.variance)
 
 
 def resolution_sweep(
@@ -185,9 +190,8 @@ def resolution_sweep(
     fams = list(families)
     if not fams:
         raise ValueError("families must be nonempty")
-    unknown = set(fams) - set(SWEEP_FAMILIES)
-    if unknown:
-        raise ValueError(f"unknown families: {sorted(unknown)}")
+    for family in fams:
+        _check_choice(family, SWEEP_FAMILIES, "family")
 
     longest = max(lens)
     full = build_resolution_matrix(longest)
@@ -202,6 +206,5 @@ def resolution_sweep(
                 w = tsq[:length] / float(tsq[:length].sum())
             else:
                 w = _ground_profile(block)
-            variance = _quotient(w, block)
-            rows.append(SweepPoint(family, length, variance, math.sqrt(variance)))
+            rows.append(SweepPoint(family, length, _quotient(w, block)))
     return rows

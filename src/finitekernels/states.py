@@ -38,11 +38,13 @@ def _is_int(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
-def _as_int(value, what: str, minimum: int) -> int:
-    """``value`` as an int, if it is an integer of at least ``minimum``."""
-    if not _is_int(value) or value < minimum:
+def _as_int(value, what: str, minimum: int, maximum: int | None = None) -> int:
+    """``value`` as an int, if it is an integer of at least ``minimum`` and at most ``maximum``."""
+    if not _is_int(value) or value < minimum or (maximum is not None and value > maximum):
         rule = {0: "a non-negative integer", 1: "a positive integer"}.get(
             minimum, f"an integer >= {minimum}")
+        if maximum is not None:
+            rule = f"an integer in [{minimum}, {maximum}]"
         raise ValueError(f"{what} must be {rule}, got {value!r}")
     return int(value)
 
@@ -54,11 +56,20 @@ def _as_positive(value, what: str) -> float:
     return float(value)
 
 
-def _frozen_array(values, dtype, what: str | None = None) -> np.ndarray:
-    """A read-only copy of ``values``, refused unless finite when ``what`` names it."""
+def _check_choice(value, choices, what: str) -> None:
+    """Refuse ``value`` unless it is one of ``choices``; ``what`` names the setting."""
+    if value not in choices:
+        raise ValueError(f"unknown {what} {value!r}; choose from {tuple(choices)}")
+
+
+def _frozen_array(values, dtype, what: str | None = None, ndim: int | None = None) -> np.ndarray:
+    """A read-only copy of ``values``, refused unless finite when ``what`` names it, and
+    with ``ndim`` unless it has that many dimensions and at least one row (or entry)."""
     arr = np.array(values, dtype=dtype)
     if what is not None and not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} must be finite")
+    if ndim is not None and (arr.ndim != ndim or len(arr) == 0):
+        raise ValueError(f"{what} must form a nonempty {ndim}-D array")
     arr.flags.writeable = False
     return arr
 
@@ -85,9 +96,7 @@ class AmplitudeProfile:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        w = _frozen_array(self.weights, float, "profile weights")
-        if w.ndim != 1 or w.size == 0:
-            raise ValueError("profile weights must form a nonempty 1-D vector")
+        w = _frozen_array(self.weights, float, "profile weights", 1)
         if np.any(w < 0.0):
             raise ValueError("profile weights must be nonnegative")
         if abs(float(w.sum()) - 1.0) > NORM_TOL:
@@ -124,9 +133,7 @@ class FeatureState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        a = _frozen_array(self.amplitudes, complex, "state amplitudes")
-        if a.ndim != 1 or a.size == 0:
-            raise ValueError("state amplitudes must form a nonempty 1-D vector")
+        a = _frozen_array(self.amplitudes, complex, "state amplitudes", 1)
         if abs(float(np.linalg.norm(a)) - 1.0) > NORM_TOL:
             raise ValueError("state amplitudes must have unit norm within 1e-12")
         object.__setattr__(self, "amplitudes", a)
@@ -149,9 +156,9 @@ class DataPoint:
     phases: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        c = np.atleast_1d(_frozen_array(self.coords, float, "coords"))
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("coords must form a nonempty 1-D vector")
+        # a scalar is a one-coordinate point
+        c = _frozen_array([self.coords] if np.ndim(self.coords) == 0 else self.coords, float,
+                          "coords", 1)
         object.__setattr__(self, "coords", c)
         if self.phases is not None:
             p = np.atleast_1d(_frozen_array(self.phases, float, "phases"))
@@ -290,8 +297,7 @@ def rescale_dataset(points, convention: str) -> np.ndarray:
     (upper bound - 1e-9 * range) so rescaled values stay strictly inside the
     half-open interval.
     """
-    if convention not in DOMAINS:
-        raise ValueError(f"unknown convention {convention!r}")
+    _check_choice(convention, DOMAINS, "convention")
     pts = _frozen_array(points, float, "points to rescale")
     squeeze = pts.ndim == 1
     pts = np.atleast_2d(pts.T).T if squeeze else pts

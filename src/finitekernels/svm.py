@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import _as_int, _as_positive, _check_labels, _frozen_array
+from .states import _as_int, _as_positive, _check_choice, _check_labels, _frozen_array
 
 SYMMETRY_TOL = 1e-12
 KKT_TOL = 1e-8
@@ -64,13 +64,12 @@ class GramMatrix:
     rank_bound: int | None = None
 
     def __post_init__(self) -> None:
-        v = _frozen_array(self.values, float, "Gram values")
-        if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] == 0:
-            raise ValueError("Gram values must form a nonempty square matrix")
+        v = _frozen_array(self.values, float, "Gram values", 2)
+        if v.shape[0] != v.shape[1]:
+            raise ValueError("Gram values must form a square matrix")
         if np.max(np.abs(v - v.T)) > SYMMETRY_TOL:
             raise ValueError("Gram matrix must be symmetric")
-        if self.provenance not in ("exact", "sampled"):
-            raise ValueError("provenance must be 'exact' or 'sampled'")
+        _check_choice(self.provenance, ("exact", "sampled"), "provenance")
         if self.rank_bound is not None and self.provenance != "exact":
             raise ValueError("only an exact Gram carries a rank bound")
         object.__setattr__(self, "values", v)
@@ -111,9 +110,7 @@ class TrainedModel:
     diagnostics: TrainDiagnostics | None = None
 
     def __post_init__(self) -> None:
-        a = _frozen_array(self.coefficients, float, "coefficients")
-        if a.ndim != 1 or a.size == 0:
-            raise ValueError("coefficients must form a nonempty vector")
+        a = _frozen_array(self.coefficients, float, "coefficients", 1)
         object.__setattr__(self, "coefficients", a)
         object.__setattr__(self, "gamma", _as_positive(self.gamma, "gamma"))
 
@@ -383,9 +380,7 @@ def accuracy(model: TrainedModel, kernel_rows, labels) -> float:
 
     A score of exactly 0 counts as misclassified.
     """
-    rows = _frozen_array(kernel_rows, float, "kernel_rows")
-    if rows.ndim != 2 or rows.shape[0] == 0:
-        raise ValueError("kernel_rows must be a nonempty matrix")
+    rows = _frozen_array(kernel_rows, float, "kernel_rows", 2)
     _check_size(model, rows.shape[1])
     return _accuracy(rows @ model.coefficients, _check_labels(labels, rows.shape[0]))
 
@@ -408,8 +403,7 @@ def condition_gram(gram, policy: str = "clip") -> GramMatrix:
     whose bits depend on the BLAS thread count through ``eigh``.  Sampled,
     fractional and loaded Grams carry no bound and are repaired.
     """
-    if policy not in CONDITION_POLICIES:
-        raise ValueError(f"policy must be one of {CONDITION_POLICIES}")
+    _check_choice(policy, CONDITION_POLICIES, "condition policy")
     gram = _as_gram(gram)
     if policy == "none" or gram.rank_bound is not None:
         return gram

@@ -1,10 +1,11 @@
 """Module layering: ``reports`` alone serializes and writes files, ``bench`` only
 computes, and no module imports scipy, so numpy is the only runtime dependency.
 Each argument rule (an integer of at least N, a finite read-only array, +1/-1
-labels) is written once, in ``states``, and so is each input rule of the
-paper's layers: the kernels' point dimensions, phase-encoded points, the
-circuit's powers, kernel values in [0, 1] and input conventions.  Every public
-entry that applies an input rule reaches its one site.
+labels, a name from a fixed set, a nonempty array of N dimensions) is written
+once, in ``states``, and so is each input rule of the paper's layers: the
+kernels' point dimensions, phase-encoded points, the circuit's powers and
+kernel values in [0, 1].  Every public entry that applies a rule reaches its
+one site.
 """
 
 import ast
@@ -16,15 +17,22 @@ import numpy as np
 import pytest
 
 from finitekernels import (
+    AmplitudeProfile,
     BenchmarkConfig,
     DataPoint,
+    FeatureState,
+    GramMatrix,
     KernelSpec,
     LabeledSet,
     ShotNoiseConfig,
+    SweepPoint,
     TrainedModel,
+    accuracy,
+    best_random_linear_accuracy,
     boundary_grid,
     build_feature_unitary,
     compute_gram,
+    condition_gram,
     embed_phase_augmented,
     gamma_sweep,
     generate_dataset,
@@ -36,11 +44,15 @@ from finitekernels import (
     kernel_phase_augmented,
     kernel_rows,
     msi_profile,
+    qubit_count,
     rescale_dataset,
+    resolution_sweep,
     run_benchmark,
     sample_kernel,
     sample_kernels,
+    train,
 )
+from finitekernels.optics import plate_element
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "finitekernels"
 
@@ -131,13 +143,8 @@ def test_integer_rule_is_applied_by_as_int_and_the_bounded_checks_alone():
     def calls_is_int(node):
         return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_is_int"
 
-    # the optics checks carry their bound or their allowed set in the message
-    assert sites(calls_is_int) == sorted([
-        "states.py:_as_int",
-        "optics.py:_check_circuit_power",
-        "optics.py:ShotNoiseConfig.__post_init__",
-        "optics.py:ShotNoiseConfig.__post_init__",
-    ])
+    # the circuit's check carries its allowed set in the message
+    assert sites(calls_is_int) == ["optics.py:_check_circuit_power", "states.py:_as_int"]
 
 
 def test_retired_argument_helpers_are_gone():
@@ -200,7 +207,8 @@ RULES = {
     "power": ("the optical circuit realizes powers 1 and 3 only",
                       "optics.py:_check_circuit_power"),
     "kappa": ("true_kappa must lie in [0, 1]", "optics.py:_success_probability"),
-    "convention": ("unknown convention", "states.py:rescale_dataset"),
+    "choice": ("; choose from", "states.py:_check_choice"),
+    "shape": ("must form a nonempty", "states.py:_frozen_array"),
 }
 
 
@@ -216,8 +224,17 @@ def test_input_rules_leave_no_restated_check():
     # DataPoint itself reads its phases only when they are there
     assert sites(compares_attribute_to_none("phases")) == [
         "states.py:DataPoint.__post_init__", "states.py:_check_phased"]
-    assert sites(checks_membership_in("DOMAINS")) == ["states.py:rescale_dataset"]
+    # each fixed set of names is searched by _check_choice alone
+    for choices in ("DOMAINS", "DATASET_NAMES", "_GENERATORS", "CONDITION_POLICIES",
+                    "SWEEP_FAMILIES", "_KIND_PARAMETER"):
+        assert sites(checks_membership_in(choices)) == [], choices
+    assert sites(checks_membership_in("choices")) == ["states.py:_check_choice"]
     assert sites(raises_with("must be finite")) == ["states.py:_frozen_array"]
+    # the shape rule's old texts, "nonempty vector" and "nonempty matrix", are gone: what is
+    # left refuses an empty class, an empty sweep list, or an array of the wrong shape
+    assert sites(raises_with("nonempty")) == [
+        "datasets.py:LabeledSet.__post_init__", "resolution.py:resolution_sweep",
+        "resolution.py:resolution_sweep", "states.py:_frozen_array"]
 
 
 def _model(size: int) -> TrainedModel:
@@ -269,8 +286,33 @@ ENTRIES = [
     ("kappa", "sample_kernel-nan", lambda: sample_kernel(math.nan, _NOISE)),
     ("kappa", "sample_kernels", lambda: sample_kernels([0.5, -0.1], _NOISE, [[0], [1]])),
     ("kappa", "sample_kernels-nan", lambda: sample_kernels([math.nan], _NOISE, [[0]])),
-    ("convention", "rescale_dataset", lambda: rescale_dataset([[0.0], [1.0]], "Cosine")),
-    ("convention", "generate_dataset", lambda: generate_dataset("moons", 0, convention="phase")),
+    ("choice", "BenchmarkConfig-dataset", lambda: BenchmarkConfig("moon", 1, _COSINE_2D)),
+    ("choice", "BenchmarkConfig-condition_policy",
+     lambda: BenchmarkConfig("moons", 1, _COSINE_2D, condition_policy="Clip")),
+    ("choice", "generate_dataset", lambda: generate_dataset("moon", 1)),
+    ("choice", "generate_dataset-convention",
+     lambda: generate_dataset("moons", 0, convention="phase")),
+    ("choice", "condition_gram", lambda: condition_gram(np.eye(2), "clipped")),
+    ("choice", "GramMatrix", lambda: GramMatrix(np.eye(2), provenance="measured")),
+    ("choice", "SweepPoint", lambda: SweepPoint("gauss", 3, 0.1)),
+    ("choice", "resolution_sweep", lambda: resolution_sweep([2, 3], families=("msi", "gauss"))),
+    ("choice", "rescale_dataset", lambda: rescale_dataset([[0.0], [1.0]], "Cosine")),
+    ("choice", "KernelSpec", lambda: KernelSpec(kind="gaussian")),
+    ("choice", "qubit_count", lambda: qubit_count(3, "dense")),
+    ("choice", "plate_element", lambda: plate_element(1.0, 0.0, "X")),
+    ("shape", "AmplitudeProfile", lambda: AmplitudeProfile([])),
+    ("shape", "AmplitudeProfile-matrix", lambda: AmplitudeProfile([[1.0]])),
+    ("shape", "FeatureState", lambda: FeatureState(np.zeros(0, dtype=complex))),
+    ("shape", "DataPoint", lambda: DataPoint([])),
+    ("shape", "DataPoint-matrix", lambda: DataPoint([[0.1, 0.2]])),
+    ("shape", "TrainedModel", lambda: TrainedModel(coefficients=[], gamma=1.0)),
+    ("shape", "accuracy", lambda: accuracy(_model(2), np.zeros((0, 2)), [])),
+    ("shape", "accuracy-vector", lambda: accuracy(_model(2), np.zeros(2), [1.0])),
+    ("shape", "LabeledSet", lambda: LabeledSet([0.0, 1.0], [1.0, -1.0])),
+    ("shape", "best_random_linear_accuracy",
+     lambda: best_random_linear_accuracy(np.zeros((0, 2)), [])),
+    ("shape", "GramMatrix", lambda: GramMatrix(np.zeros(3))),
+    ("shape", "train", lambda: train(np.zeros((0, 0)), [], 1.0)),
 ]
 
 

@@ -516,7 +516,7 @@ class TestArraySampler:
 
     @pytest.mark.parametrize("events", [2**53 + 1, 2**63, 2**64])
     def test_events_above_two_to_the_53_rejected(self, events):
-        with pytest.raises(ValueError, match=r"events_per_point must be an integer in \[1, 2\*\*53\]"):
+        with pytest.raises(ValueError, match=rf"events_per_point must be an integer in \[1, {2**53}\]"):
             ShotNoiseConfig(events_per_point=events)
 
 

@@ -626,7 +626,6 @@ class TestByteOracle:
         length=st.integers(2, 10**6) | st.sampled_from([np.int64(7), np.int32(96)]),
         # SweepPoint refuses a value that is not a finite non-negative real
         variance=st.floats(min_value=0.0, allow_infinity=False) | st.sampled_from([-0.0, 5e-324]),
-        resolution=st.floats(min_value=0.0, allow_infinity=False) | st.sampled_from([-0.0, 5e-324]),
     ), max_size=12))
     @example(resolution_sweep(range(2, 40)))
     def test_resolution_csv_equals_loop(self, tmp_path_factory, rows):

@@ -160,7 +160,7 @@ class TestResolutionReport:
         # nan < 0 is false, so a bare sign check lets NaN through
         profile = msi_profile(3)
         with pytest.raises(ValueError, match="variance must be nonnegative"):
-            ResolutionReport(variance=variance, resolution=0.1, renorm=1.0 / 3.0, profile=profile)
+            ResolutionReport(variance=variance, profile=profile)
 
 
 class TestClosedFormAndQuadrature:
@@ -298,16 +298,20 @@ class TestSweep:
 
     def test_point_validated(self):
         with pytest.raises(ValueError, match="unknown family 'a,b'"):
-            SweepPoint(family="a,b", length=3, variance=0.1, resolution=0.3)
+            SweepPoint(family="a,b", length=3, variance=0.1)
         with pytest.raises(ValueError, match="sweep length"):
-            SweepPoint(family="msi", length=1.5, variance=0.1, resolution=0.3)
+            SweepPoint(family="msi", length=1.5, variance=0.1)
 
     @pytest.mark.parametrize("bad", [math.nan, -1.0, -1e-300, math.inf, True])
     @pytest.mark.parametrize("field", ["variance", "resolution"])
     def test_point_refuses_bad_values(self, field, bad):
-        values = {"variance": 0.1, "resolution": 0.3, field: bad}
-        with pytest.raises(ValueError, match=f"sweep {field} must be a finite non-negative real"):
-            SweepPoint(family="msi", length=3, **values)
+        if field == "resolution":
+            # the resolution is the square root of the variance: no value of it can be given
+            with pytest.raises(TypeError, match="resolution"):
+                SweepPoint(family="msi", length=3, variance=0.01, resolution=bad)
+            return
+        with pytest.raises(ValueError, match="sweep variance must be a finite non-negative real"):
+            SweepPoint(family="msi", length=3, variance=bad)
 
     @pytest.mark.parametrize("zeta", [math.nan, -1.0, 0.0, math.inf, True])
     @pytest.mark.parametrize("families", [("msi",), ("optimized",), ("tsq",)])

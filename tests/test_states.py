@@ -159,6 +159,11 @@ class TestDataPoint:
         d = DataPoint(np.array([0.1, 0.2]), phases=np.array([0.0, 0.4]))
         assert d.coords.size == 2
 
+    def test_scalar_is_a_one_coordinate_point(self):
+        d = DataPoint(0.3, phases=0.0)
+        assert d.coords.tolist() == [0.3] and d.phases.tolist() == [0.0]
+        assert not d.coords.flags.writeable
+
 
 class TestInterferenceEmbedding:
     def test_two_mode_quarter_period(self):
@@ -344,7 +349,7 @@ INTEGER_SITES = {
     "build_resolution_matrix": (build_resolution_matrix, 3),
     "msi_variance_closed_form": (msi_variance_closed_form, 4),
     "optimize_profile": (optimize_profile, 4),
-    "SweepPoint": (lambda n: SweepPoint(family="msi", length=n, variance=0.1, resolution=0.3), 3),
+    "SweepPoint": (lambda n: SweepPoint(family="msi", length=n, variance=0.1), 3),
     "resolution_sweep": (lambda n: resolution_sweep([2, n]), 4),
     "kernel_cosine": (lambda n: kernel_cosine(_X, _XP, power=n), 2),
     "qubit_count": (qubit_count, 3),
