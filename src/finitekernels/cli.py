@@ -27,7 +27,7 @@ from .datasets import generate_dataset
 from .kernels import KernelSpec
 from .optics import ShotNoiseConfig
 from .resolution import optimize_profile, resolution_sweep
-from .states import msi_profile, tsq_profile
+from .states import _check_choice, msi_profile, tsq_profile
 from .svm import CONDITION_POLICIES, GramMatrix, _accuracy, accuracy as model_accuracy
 from .svm import condition_gram, train as train_model
 from . import reports
@@ -129,11 +129,11 @@ def _read_config(path: str, args) -> None:
     if not parser.read(path):
         raise FileNotFoundError(f"config file {path!r} not found")
     for section in parser.sections():
-        if not any(section == known for known, _ in _CONFIG_KEYS):
-            raise ValueError(f"unknown config section [{section}]")
+        _check_choice(section, tuple(dict.fromkeys(known for known, _ in _CONFIG_KEYS)),
+                      "config section")
         for key in parser[section]:
-            if (section, key) not in _CONFIG_KEYS:
-                raise ValueError(f"unknown config key {key!r} in section [{section}]")
+            _check_choice(key, tuple(k for known, k in _CONFIG_KEYS if known == section),
+                          f"[{section}] key")
     enabled = _get(parser, "getboolean", "noise", "enabled")
     if enabled is False:
         parser.remove_section("noise")

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import _BOOLS, AmplitudeProfile, _as_int, _as_positive, _check_choice, _frozen_array
-from .states import _tsq_log_weights
+from .states import (AmplitudeProfile, _as_int, _as_nonnegative, _as_positive, _check_choice,
+                     _frozen_array, _tsq_log_weights)
 
 RESOLUTION_DIAGONAL = 1.0 / 12.0
 
@@ -68,8 +68,7 @@ class ResolutionReport:
     profile: AmplitudeProfile
 
     def __post_init__(self) -> None:
-        if not self.variance >= 0.0:  # so NaN fails too
-            raise ValueError("variance must be nonnegative")
+        object.__setattr__(self, "variance", _as_nonnegative(self.variance, "variance"))
 
     @property
     def resolution(self) -> float:
@@ -159,9 +158,7 @@ class SweepPoint:
     def __post_init__(self) -> None:
         _check_choice(self.family, SWEEP_FAMILIES, "family")
         object.__setattr__(self, "length", _as_int(self.length, "sweep length", 2))
-        if isinstance(self.variance, _BOOLS) or not 0.0 <= self.variance < math.inf:  # NaN fails
-            raise ValueError(f"sweep variance must be a finite non-negative real, "
-                             f"got {self.variance!r}")
+        object.__setattr__(self, "variance", _as_nonnegative(self.variance, "sweep variance"))
 
     @property
     def resolution(self) -> float:

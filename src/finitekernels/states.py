@@ -56,6 +56,13 @@ def _as_positive(value, what: str) -> float:
     return float(value)
 
 
+def _as_nonnegative(value, what: str) -> float:
+    """``value`` as a float, if it is a finite non-negative real and not a bool."""
+    if isinstance(value, _BOOLS) or not 0.0 <= value < math.inf:  # NaN fails too
+        raise ValueError(f"{what} must be a finite non-negative real, got {value!r}")
+    return float(value)
+
+
 def _check_choice(value, choices, what: str) -> None:
     """Refuse ``value`` unless it is one of ``choices``; ``what`` names the setting."""
     if value not in choices:

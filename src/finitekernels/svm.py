@@ -12,14 +12,15 @@ dual's m x m quadratic form Q = (1/4) diag(y) G^2 diag(y) is never formed:
 its gradient 1 - 2 Q alpha is 1 - y * scores, and a face block Q_FF comes
 from the free columns of C = G diag(y) / 2, formed once per ``train_path``.
 The solver reads G and C through two products a = C alpha, scores = G a and
-one column slice of C per iteration; a one-coordinate face is solved in
-Python floats with ``eigh``'s bits.
+one column slice of C per iteration; the rest of a face step runs in Python
+floats over the face's coordinates, bit for bit the array form.
 
 The KKT residual is complementary slackness read off that gradient: where
 1 - y * scores > 0 the point has that slack and gamma - alpha must vanish,
 elsewhere alpha must.  Stationarity 2a = G (y * alpha) holds by
 construction and the box by the step rule, so the solver checks neither;
-``kkt_residual`` adds both for an arbitrary (coefficients, dual) pair.
+``kkt_residual`` adds both for an arbitrary (coefficients, dual) pair.  The
+solver forms the residual only where it can end the fit.
 """
 
 from __future__ import annotations
@@ -184,53 +185,49 @@ class _Solution(NamedTuple):
 
 
 def _face_step(q_ff, grad_f, alpha_f, gamma: float):
-    """Step on the face ``q_ff``: new duals, mask of those pinned at a bound, face solved."""
-    w, v = np.linalg.eigh(q_ff)
-    limit = 1.0
-    # on a full-rank face the null part is roundoff, which at large gamma
-    # can exceed any absolute bar, so it is not formed; otherwise a null
-    # part this small cannot lift the KKT residual to KKT_TOL.  eigh sorts
-    # w ascending, so the face is full rank when w[0] is kept.
-    if w[0] > _RCOND * w[-1]:
-        newton = True
-        step = v @ ((v.T @ grad_f) / (2.0 * w))
-    else:
-        keep = w > _RCOND * w[-1]
-        basis = v[:, keep]
-        coef = basis.T @ grad_f
-        null = grad_f - basis @ coef
-        newton = gamma * np.abs(null).max() <= 0.1 * KKT_TOL
-        if newton:
-            step = basis @ (coef / (2.0 * w[keep]))
-        else:
-            # the dual is linear along the null part: follow it to a bound,
-            # or to the line optimum if roundoff left it some curvature
-            step = null
-            curvature = step @ q_ff @ step
-            limit = (step @ step) / (2.0 * curvature) if curvature > 0.0 else math.inf
-    # step length at which each coordinate reaches its bound; one that stays never does
-    room = np.where(step > 0.0, gamma - alpha_f, alpha_f)
-    reach = np.divide(room, np.abs(step), out=np.full(step.size, math.inf), where=step != 0.0)
-    first = float(reach.min())
-    t = min(limit, first)
-    hit = reach <= t
-    alpha_f = np.minimum(np.maximum(alpha_f + t * step, 0.0), gamma)
-    if first <= limit:  # exactly when hit is nonempty
-        alpha_f[hit] = np.where(step[hit] > 0.0, gamma, 0.0)
-    return alpha_f, hit, newton and first > limit
+    """Step on the face ``q_ff``: new duals (floats), mask of those pinned at a bound, face solved.
 
-
-def _scalar_face_step(q: float, g: float, alpha: float, gamma: float) -> tuple[float, bool]:
-    """``_face_step`` bit for bit on a one-coordinate face with q > 0: new dual, pinned.
-
-    ``eigh([[q]])`` is exactly (q, [[1.0]]), so the Newton step is g / (2q);
-    reach, clip and pin repeat the general step's operations.  The face ends solved.
+    A one-coordinate face with q > 0 steps g / (2q), the Newton step's bits:
+    ``eigh([[q]])`` is exactly (q, [[1.0]]).  Reach, clip and pins are taken
+    in Python floats with the operations of the array form.
     """
-    step = g / (2.0 * q)
-    reach = (gamma - alpha if step > 0.0 else alpha) / abs(step) if step != 0.0 else math.inf
-    if reach <= 1.0:
-        return (gamma if step > 0.0 else 0.0), True
-    return min(max(alpha + step, 0.0), gamma), False
+    limit, newton = 1.0, True
+    if q_ff.shape[0] == 1 and q_ff[0, 0] > 0.0:
+        step = [float(grad_f[0]) / (2.0 * float(q_ff[0, 0]))]
+    else:
+        w, v = np.linalg.eigh(q_ff)
+        # on a full-rank face the null part is roundoff, which at large gamma
+        # can exceed any absolute bar, so it is not formed; otherwise a null
+        # part this small cannot lift the KKT residual to KKT_TOL.  eigh sorts
+        # w ascending, so the face is full rank when w[0] is kept.
+        if w[0] > _RCOND * w[-1]:
+            step = v @ ((v.T @ grad_f) / (2.0 * w))
+        else:
+            keep = w > _RCOND * w[-1]
+            basis = v[:, keep]
+            coef = basis.T @ grad_f
+            null = grad_f - basis @ coef
+            newton = gamma * np.abs(null).max() <= 0.1 * KKT_TOL
+            if newton:
+                step = basis @ (coef / (2.0 * w[keep]))
+            else:
+                # the dual is linear along the null part: follow it to a bound,
+                # or to the line optimum if roundoff left it some curvature
+                step = null
+                curvature = step @ q_ff @ step
+                limit = (step @ step) / (2.0 * curvature) if curvature > 0.0 else math.inf
+        step = step.tolist()
+    alpha_f = alpha_f.tolist()
+    # step length at which each coordinate reaches its bound; one that stays never does
+    reach = [(gamma - a if s > 0.0 else a) / abs(s) if s != 0.0 else math.inf
+             for s, a in zip(step, alpha_f)]
+    first = min(reach)
+    t = min(limit, first)
+    # a coordinate that reaches its bound within t is pinned there, none when first > limit;
+    # max(0.0, -0.0) is +0.0, as np.maximum(-0.0, 0.0) is
+    new = [(gamma if s > 0.0 else 0.0) if r <= t else min(max(0.0, a + t * s), gamma)
+           for s, a, r in zip(step, alpha_f, reach)]
+    return new, np.array([r <= t for r in reach]), newton and first > limit
 
 
 def _solve(g, c, y, gamma: float, alpha: np.ndarray, budget: int,
@@ -244,43 +241,42 @@ def _solve(g, c, y, gamma: float, alpha: np.ndarray, budget: int,
     previous fit's dual is when clipping it into this box moved nothing.
     ``alpha`` is updated in place.  Stops on the KKT tolerance, on a solved
     face with no violating bound coordinate, or after ``budget`` iterations.
-    The residual is computed only where it can end the fit: on a solved
-    face (a solved start at the optimum stops at iteration 0) and at the
-    budget.  A start with free coordinates on an unsolved face solves that
-    face first, since a small residual there need not mean a small error.
+    The residual is formed only where it can end the fit: at the budget, and
+    on a solved face (a solved start at the optimum stops at iteration 0)
+    unless the worst bound violator's own term |gamma v| / max(1, gamma),
+    which ``_slackness`` forms with the same operations from its alpha of 0
+    or gamma, already reaches ``KKT_TOL``.  A start with free coordinates on
+    an unsolved face solves that face first, since a small residual there
+    need not mean a small error.
     """
-    free = (alpha > 0.0) & (alpha < gamma)
-    face_solved = solved_start or not free.any()
+    # +1 at 0, -1 at gamma, 0 if free: bound * grad is a bound coordinate's KKT violation,
+    # and a free coordinate's 0 cannot outrank a positive one
+    bound = np.where(alpha > 0.0, np.where(alpha < gamma, 0.0, -1.0), 1.0)
+    face_solved = solved_start or bound.all()
     for iterations in range(budget + 1):
         a = c @ alpha
         scores = g @ a
         grad = 1.0 - y * scores  # 1 - 2 Q alpha
-        if face_solved or iterations == budget:
-            residual = _slackness(grad, alpha, gamma)
-            if residual < KKT_TOL or iterations == budget:
-                break
-        if face_solved:  # free the bound coordinate that violates the KKT conditions most
-            violation = np.where(alpha > 0.0, -grad, grad)
-            violation[free] = -np.inf
+        stop = iterations == budget
+        if face_solved:  # find the bound coordinate that violates the KKT conditions most
+            violation = bound * grad
             worst = int(violation.argmax())
-            if violation[worst] <= 0.0:
+            v = float(violation[worst])
+            stop = stop or v <= 0.0
+        if stop or face_solved and abs(gamma * v) / max(1.0, gamma) < KKT_TOL:
+            residual = _slackness(grad, alpha, gamma)
+            if stop or residual < KKT_TOL:
                 break
-            free[worst] = True
-        idx = free.nonzero()[0]
+        if face_solved:  # and free it
+            bound[worst] = 0.0
+        idx = (bound == 0.0).nonzero()[0]
         columns = c[:, idx]  # Q_FF = C_F' C_F
-        q_ff = columns.T @ columns
-        if idx.size == 1 and q_ff[0, 0] > 0.0:
-            i = idx[0]
-            alpha[i], pinned = _scalar_face_step(
-                float(q_ff[0, 0]), float(grad[i]), float(alpha[i]), gamma)
-            free[i] = not pinned
-            face_solved = True
-        else:
-            alpha_f, hit, solved = _face_step(q_ff, grad[idx], alpha[idx], gamma)
-            alpha[idx] = alpha_f
-            if not solved:  # a solved face pinned nothing
-                free[idx[hit]] = False
-            face_solved = solved or not free.any()
+        alpha_f, hit, face_solved = _face_step(columns.T @ columns, grad[idx], alpha[idx], gamma)
+        alpha[idx] = alpha_f
+        if not face_solved:  # a solved face pinned nothing
+            for i in idx[hit].tolist():
+                bound[i] = -1.0 if alpha[i] > 0.0 else 1.0
+            face_solved = hit.all()
     return _Solution(alpha, a, scores, residual, iterations)
 
 
@@ -330,8 +326,10 @@ def train(gram, labels, gamma: float, train_id: str = "") -> TrainedModel:
     freed.  Primal recovery is a = G (y * alpha) / 2.  Q itself is never
     formed: the gradient 1 - 2 Q alpha is 1 - y * (G a), and Q_FF is
     C_F'C_F for the free columns of C = G diag(y) / 2, formed once per
-    ``train_path``; a one-coordinate face is solved in Python floats with
-    ``eigh``'s bits.  A fit that ends above a KKT residual of 1e-6 raises
+    ``train_path``.  Each step's reach, clip and pins run in Python floats,
+    and a one-coordinate face steps g / (2q) with ``eigh``'s bits.  The KKT
+    residual is skipped where the worst bound violator alone keeps it above
+    the tolerance.  A fit that ends above a KKT residual of 1e-6 raises
     ``RuntimeError``.
     """
     return train_path(gram, labels, [gamma], train_id)[0]

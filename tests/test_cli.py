@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finitekernels import BenchmarkConfig, TrainedModel, bench, cli, run_benchmark
 from finitekernels.cli import main, parse_kernel
@@ -299,6 +300,42 @@ class TestPipelineSubcommands:
         assert main(base + ["--out", str(tmp_path / "b")]) == 0
         assert json.loads((tmp_path / "a" / "report.json").read_text())["gamma"] == 5.0
         assert json.loads((tmp_path / "b" / "report.json").read_text())["gamma"] == 1.0
+
+
+STAGED_CASES = st.tuples(
+    st.sampled_from(["concentric", "moons", "xor"]),
+    st.integers(0, 50),
+    st.sampled_from(["cosine:1", "cosine:3", "msi:4", "tsq:5:3", "cosine:0.5", "fractional:1.5"]),
+    st.sampled_from(["0.1", "1", "10"]),
+    st.booleans(),
+)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(STAGED_CASES)
+def test_staged_commands_reproduce_bench(tmp_path_factory, case):
+    dataset, seed, kernel, gamma, noisy = case
+    out = tmp_path_factory.mktemp("staged")
+    data = ["--dataset", dataset, "--seed", str(seed), "--train-size", "12", "--test-size", "6"]
+    kernel = ["--kernel", kernel]
+    noise = ["--events", "400", "--noise-seed", str(seed)] if noisy else []
+    train_csv, model = str(out / "gen" / "train.csv"), str(out / "train" / "model.json")
+    assert main(["gen", *data, *kernel, "--out", str(out / "gen")]) == 0
+    assert main(["gram", "--train", train_csv, *kernel, *noise, "--out", str(out / "gram")]) == 0
+    assert main(["train", "--gram", str(out / "gram" / "gram.csv"), "--dataset", train_csv,
+                 "--gamma", gamma, "--out", str(out / "train")]) == 0
+    assert main(["boundary", "--model", model, "--train", train_csv, *kernel, *noise,
+                 "--side", "4", "--out", str(out / "boundary")]) == 0
+    assert main(["bench", *data, *kernel, *noise, "--gamma", gamma, "--side", "4",
+                 "--out", str(out / "bench")]) == 0
+    for stage, name in (("gen", "train.csv"), ("gen", "test.csv"), ("gram", "gram.csv"),
+                        ("boundary", "grid.csv")):
+        assert (out / stage / name).read_bytes() == (out / "bench" / name).read_bytes(), name
+    # train_id differs: "train", the stem of the dataset file, against bench's "<dataset>-seed..."
+    staged, bench_model = (json.loads(path.read_text()) for path in (out / "train" / "model.json",
+                                                                     out / "bench" / "model.json"))
+    assert staged.pop("train_id") == "train" and bench_model.pop("train_id") != "train"
+    assert json.dumps(staged) == json.dumps(bench_model)  # a and gamma, -0.0 apart from 0.0
 
 
 class TestTrainReadsGramJson:
@@ -703,18 +740,20 @@ class TestFailureModes:
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize(
-        "text, name",
-        [("[svm]\ngama = 10\n", "gama"), ("[kernal]\nspec = cosine:3\n", "kernal")],
+        "text, message",
+        [("[svm]\ngama = 10\n", "unknown [svm] key 'gama'; choose from ('gamma', 'condition')"),
+         ("[kernal]\nspec = cosine:3\n", "unknown config section 'kernal'; "
+          "choose from ('dataset', 'kernel', 'svm', 'grid', 'noise')")],
         ids=["key", "section"],
     )
-    def test_unknown_config_entries_rejected(self, text, name, tmp_path, capsys):
+    def test_unknown_config_entries_rejected(self, text, message, tmp_path, capsys):
         cfg = tmp_path / "typo.ini"
         cfg.write_text("[dataset]\nname = xor\nseed = 0\n\n" + text)
         code = main(["bench", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 1
         err = capsys.readouterr().err
-        assert "error in stage 'config'" in err
-        assert name in err
+        # the message names the known sections, or the keys of the section it is in
+        assert f"error in stage 'config': {message}" in err
 
 
 def bench_under_blas_threads(tmp_path, argv) -> list[dict]:

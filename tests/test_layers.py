@@ -1,11 +1,11 @@
 """Module layering: ``reports`` alone serializes and writes files, ``bench`` only
 computes, and no module imports scipy, so numpy is the only runtime dependency.
 Each argument rule (an integer of at least N, a finite read-only array, +1/-1
-labels, a name from a fixed set, a nonempty array of N dimensions) is written
-once, in ``states``, and so is each input rule of the paper's layers: the
-kernels' point dimensions, phase-encoded points, the circuit's powers and
-kernel values in [0, 1].  Every public entry that applies a rule reaches its
-one site.
+labels, a name from a fixed set, a nonempty array of N dimensions, a finite
+non-negative real) is written once, in ``states``, and so is each input rule of
+the paper's layers: the kernels' point dimensions, phase-encoded points, the
+circuit's powers and kernel values in [0, 1].  Every public entry that applies a
+rule reaches its one site.
 """
 
 import ast
@@ -24,6 +24,7 @@ from finitekernels import (
     GramMatrix,
     KernelSpec,
     LabeledSet,
+    ResolutionReport,
     ShotNoiseConfig,
     SweepPoint,
     TrainedModel,
@@ -209,6 +210,7 @@ RULES = {
     "kappa": ("true_kappa must lie in [0, 1]", "optics.py:_success_probability"),
     "choice": ("; choose from", "states.py:_check_choice"),
     "shape": ("must form a nonempty", "states.py:_frozen_array"),
+    "nonnegative": ("must be a finite non-negative real", "states.py:_as_nonnegative"),
 }
 
 
@@ -313,6 +315,10 @@ ENTRIES = [
      lambda: best_random_linear_accuracy(np.zeros((0, 2)), [])),
     ("shape", "GramMatrix", lambda: GramMatrix(np.zeros(3))),
     ("shape", "train", lambda: train(np.zeros((0, 0)), [], 1.0)),
+    ("nonnegative", "ResolutionReport-bool", lambda: ResolutionReport(True, msi_profile(3))),
+    ("nonnegative", "ResolutionReport-inf", lambda: ResolutionReport(math.inf, msi_profile(3))),
+    ("nonnegative", "SweepPoint-bool", lambda: SweepPoint("msi", 3, True)),
+    ("nonnegative", "SweepPoint-inf", lambda: SweepPoint("msi", 3, math.inf)),
 ]
 
 

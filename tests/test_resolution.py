@@ -155,11 +155,11 @@ class TestRayleighQuotient:
 
 
 class TestResolutionReport:
-    @pytest.mark.parametrize("variance", [-1e-3, math.nan])
+    @pytest.mark.parametrize("variance", [-1e-3, math.nan, math.inf, True])
     def test_negative_or_nan_variance_rejected(self, variance):
         # nan < 0 is false, so a bare sign check lets NaN through
         profile = msi_profile(3)
-        with pytest.raises(ValueError, match="variance must be nonnegative"):
+        with pytest.raises(ValueError, match="variance must be a finite non-negative real"):
             ResolutionReport(variance=variance, profile=profile)
 
 

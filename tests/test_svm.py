@@ -580,36 +580,194 @@ class TestActiveSetProperties:
         assert new <= ref + 1e-10 * max(1.0, abs(new))
 
 
+def reference_face_step(q_ff, grad_f, alpha_f, gamma):
+    """The face step in array form, as ``svm._face_step`` took it before its reach, clip
+    and pins moved to Python floats: the oracle that step is held to bit for bit."""
+    w, v = np.linalg.eigh(q_ff)
+    limit = 1.0
+    if w[0] > svm._RCOND * w[-1]:
+        newton = True
+        step = v @ ((v.T @ grad_f) / (2.0 * w))
+    else:
+        keep = w > svm._RCOND * w[-1]
+        basis = v[:, keep]
+        coef = basis.T @ grad_f
+        null = grad_f - basis @ coef
+        newton = gamma * np.abs(null).max() <= 0.1 * svm.KKT_TOL
+        if newton:
+            step = basis @ (coef / (2.0 * w[keep]))
+        else:
+            step = null
+            curvature = step @ q_ff @ step
+            limit = (step @ step) / (2.0 * curvature) if curvature > 0.0 else np.inf
+    room = np.where(step > 0.0, gamma - alpha_f, alpha_f)
+    reach = np.divide(room, np.abs(step), out=np.full(step.size, np.inf), where=step != 0.0)
+    first = float(reach.min())
+    t = min(limit, first)
+    hit = reach <= t
+    alpha_f = np.minimum(np.maximum(alpha_f + t * step, 0.0), gamma)
+    if first <= limit:
+        alpha_f[hit] = np.where(step[hit] > 0.0, gamma, 0.0)
+    return alpha_f, hit, newton and first > limit
+
+
+def reference_solve(g, c, y, gamma, alpha, budget, solved_start=False):
+    """The active-set loop in array form, the oracle ``svm._solve`` is held to bit for bit:
+    every face, one coordinate included, goes through ``reference_face_step``, and the
+    residual is formed on every solved face before the worst violator is sought."""
+    free = (alpha > 0.0) & (alpha < gamma)
+    face_solved = solved_start or not free.any()
+    for iterations in range(budget + 1):
+        a = c @ alpha
+        scores = g @ a
+        grad = 1.0 - y * scores
+        if face_solved or iterations == budget:
+            residual = svm._slackness(grad, alpha, gamma)
+            if residual < svm.KKT_TOL or iterations == budget:
+                break
+        if face_solved:
+            violation = np.where(alpha > 0.0, -grad, grad)
+            violation[free] = -np.inf
+            worst = int(violation.argmax())
+            if violation[worst] <= 0.0:
+                break
+            free[worst] = True
+        idx = free.nonzero()[0]
+        columns = c[:, idx]
+        alpha_f, hit, solved = reference_face_step(columns.T @ columns, grad[idx], alpha[idx], gamma)
+        alpha[idx] = alpha_f
+        if not solved:
+            free[idx[hit]] = False
+        face_solved = solved or not free.any()
+    return svm._Solution(alpha, a, scores, residual, iterations)
+
+
+def one_coordinate(q, g, alpha, gamma):
+    return np.array([[q]]), np.array([g]), np.array([alpha]), gamma
+
+
 @st.composite
 def scalar_faces(draw):
-    """q > 0, a face gradient g, gamma and a dual in [0, gamma] of a one-coordinate face."""
+    """A one-coordinate face with q > 0: Q_FF, the face gradient, the dual in [0, gamma], gamma."""
     gamma = draw(st.floats(-3.0, 5.0).map(lambda e: 10.0**e))
     q = draw(st.floats(-12.0, 6.0).map(lambda e: 10.0**e))
     # a dual gradient 1 - y * score is exactly 0 or at least about 1e-16 in size
     size = st.floats(-17.0, 3.0).map(lambda e: 10.0**e)
     g = draw(st.one_of(st.just(0.0), size, size.map(lambda x: -x)))
     alpha = draw(st.one_of(st.sampled_from([0.0, gamma]), st.floats(0.0, 1.0).map(lambda u: u * gamma)))
-    return q, g, alpha, gamma
+    return one_coordinate(q, g, alpha, gamma)
 
 
-class TestScalarFace:
+@st.composite
+def block_faces(draw):
+    """A face of 1 to 20 coordinates: Q_FF = C_F'C_F, the face gradient, the duals, gamma.
+
+    Q_FF is full rank, rank deficient (down to 0) with a gradient in its range or not, or
+    diagonal with powers of two, where the Newton step g / (2q) is exact and a dual of
+    gamma - step or -step reaches its bound at exactly t = 1.  Duals sit at 0.0, -0.0,
+    gamma or inside the box; a few gradient entries are exactly 0.
+    """
+    n = draw(st.integers(1, 20))
+    gamma = draw(st.sampled_from([1e-3, 0.5, 1.0, 4.0, 100.0, 1e4]))
+    kind = draw(st.sampled_from(["full", "deficient", "diagonal"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "diagonal":
+        q = 2.0 ** rng.integers(-3, 4, size=n)
+        q_ff, grad = np.diag(q), rng.integers(-8, 9, size=n) * 2.0 ** rng.integers(-4, 2)
+        step = grad / (2.0 * q)
+    else:
+        rank = n if kind == "full" else int(rng.integers(0, n))
+        columns = rng.normal(size=(n + 3, rank)) @ rng.normal(size=(rank, n))
+        q_ff = columns.T @ columns
+        if kind == "deficient" and draw(st.booleans()):
+            grad = q_ff @ rng.normal(size=n)
+        else:
+            grad = rng.normal(size=n) * 10.0 ** rng.uniform(-6.0, 2.0)
+        grad[rng.random(n) < 0.1] = 0.0
+        step = np.full(n, np.nan)  # not known ahead: no tie is planted
+    ties = np.where(step > 0.0, gamma - step, -step)
+    alpha = np.select(
+        [rng.random(n) < 0.4, (step != 0.0) & (ties >= 0.0) & (ties <= gamma)],
+        [rng.choice([0.0, -0.0, gamma], size=n), ties],
+        rng.random(n) * gamma,
+    )
+    return q_ff, grad, alpha, gamma
+
+
+def solutions_equal(new, ref):
+    """Whether two ``_Solution`` tuples agree bit for bit, iteration count included."""
+    return (all(x.tobytes() == r.tobytes() for x, r in zip(new[:3], ref[:3]))
+            and np.float64(new.residual).tobytes() == np.float64(ref.residual).tobytes()
+            and new.iterations == ref.iterations)
+
+
+def check_loops_agree(g, y, gammas):
+    """``svm._solve`` against ``reference_solve`` along ``gammas``, largest first: cold,
+    with half the cold fit's iterations, from the solved optimum, and warm from the
+    previous gamma's dual clipped as ``train_path`` clips it."""
+    c = g * (0.5 * y)
+
+    def both(gamma, start, budget, solved_start=False):
+        new = svm._solve(g, c, y, gamma, start.copy(), budget, solved_start)
+        ref = reference_solve(g, c, y, gamma, start.copy(), budget, solved_start)
+        assert solutions_equal(new, ref), (gamma, budget, solved_start)
+        return new
+
+    previous = None
+    for gamma in sorted(gammas, reverse=True):
+        cold = both(gamma, np.zeros(y.size), svm._MAX_ITERATIONS)
+        both(gamma, np.zeros(y.size), cold.iterations // 2)
+        assert both(gamma, cold.alpha, y.size, True).iterations == 0
+        if previous is not None:
+            start = np.clip(previous.alpha, 0.0, gamma)
+            both(gamma, start, y.size, np.array_equal(start, previous.alpha))
+        previous = cold
+
+
+class TestAgainstArrayForm:
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(scalar_faces())
-    @example((2.0, 0.0, 0.0, 1.0))  # step 0 at a bound
-    @example((2.0, 0.0, 0.5, 1.0))  # step 0 inside the box
-    @example((2.0, 3.0, 1.0, 1.0))  # pushing against gamma
-    @example((2.0, -3.0, 0.0, 1.0))  # pushing against 0
+    @given(st.one_of(scalar_faces(), block_faces()))
+    @example(one_coordinate(2.0, 0.0, 0.0, 1.0))  # step 0 at a bound
+    @example(one_coordinate(2.0, 0.0, 0.5, 1.0))  # step 0 inside the box
+    @example(one_coordinate(2.0, 3.0, 1.0, 1.0))  # pushing against gamma
+    @example(one_coordinate(2.0, -3.0, 0.0, 1.0))  # pushing against 0
     # reaches gamma at exactly the full step, where alpha + step rounds below gamma
-    @example((0.5, 2.5987218143688304, 1.1688623898400625, 3.767584204208893))
-    def test_equals_general_face_step_bitwise(self, face):
-        q, g, alpha, gamma = face
-        new, pinned = svm._scalar_face_step(q, g, alpha, gamma)
-        alpha_f, hit, solved = svm._face_step(np.array([[q]]), np.array([g]), np.array([alpha]), gamma)
-        assert np.float64(new).tobytes() == alpha_f[0].tobytes()
-        assert pinned == hit[0]
-        # _solve marks a scalar face solved; the general step leaves it solved
-        # when the step solved it or pinned its only coordinate
-        assert solved or hit[0]
+    @example(one_coordinate(0.5, 2.5987218143688304, 1.1688623898400625, 3.767584204208893))
+    # the first coordinate reaches gamma at exactly t = limit = 1: pinned, face unsolved
+    @example((np.diag([0.5, 2.0]), np.array([1.0, 2.0]), np.array([3.0, 1.0]), 4.0))
+    # t = -0.0 from a dual of -0.0 pinned at 0, and x = -0.0 + t * step clipped to +0.0
+    @example((np.eye(3), np.array([0.0, 2.0, -2.0]), np.array([-0.0, -0.0, -0.0]), 1.0))
+    @example(one_coordinate(0.0, 1.0, 0.5, 1.0))  # q = 0: the linear step, through eigh
+    def test_face_step_equals_array_form_bitwise(self, face):
+        q_ff, grad, alpha, gamma = face
+        new, hit, solved = svm._face_step(q_ff, grad, alpha.copy(), gamma)
+        ref, ref_hit, ref_solved = reference_face_step(q_ff, grad, alpha.copy(), gamma)
+        assert np.array(new, dtype=float).tobytes() == ref.tobytes()  # the sign of 0.0 too
+        assert hit.dtype == bool and np.array_equal(hit, ref_hit)
+        assert solved == ref_solved
+
+    @pytest.mark.parametrize("dataset, seed", PINNED)
+    @pytest.mark.parametrize("kernel", ["cosine:0.5", "cosine:1", "cosine:2", "msi:4"])
+    def test_loop_equals_array_form_on_the_gamma_sweep(self, dataset, seed, kernel):
+        gram, labels = benchmark_problem(dataset, seed, kernel, 40, False)
+        check_loops_agree(gram.values, labels, [0.1, 1.0, 10.0, 100.0])
+
+    @PROPERTY
+    @given(problems)
+    def test_loop_equals_array_form_on_small_problems(self, problem):
+        kind, m, seed, gamma = problem
+        gram, labels = random_problem(kind, m, seed)
+        check_loops_agree(gram, labels, [gamma, 10.0 * gamma])
+
+    @pytest.mark.parametrize("gamma, x", [(100.0, [1.0, 1.0 - 5e-9]), (0.1, [10.0, 10.0 - 5e-7])])
+    def test_residual_ends_a_fit_that_leaves_a_violator_below_the_tolerance(self, gamma, x):
+        # two points on one ray, both labelled +1: the second stays at 0 with the violation
+        # 1 - x2 / x1 (5e-9, 5e-8), whose term gamma v / max(1, gamma) is below KKT_TOL
+        g, y = np.outer(x, x), np.ones(2)
+        check_loops_agree(g, y, [gamma])
+        solution = svm._solve(g, g * (0.5 * y), y, gamma, np.zeros(2), svm._MAX_ITERATIONS)
+        assert solution.iterations == 1 and solution.alpha[1] == 0.0
+        assert 1.0 - solution.scores[1] > 0.0 and solution.residual < svm.KKT_TOL
 
 
 def test_rank_deficient_face_takes_the_newton_step_when_its_gradient_lies_in_the_range():
