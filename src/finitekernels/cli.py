@@ -124,8 +124,9 @@ def _read_config(path: str, args) -> None:
 
     ``[noise] enabled = true`` turns shot noise on.  Without that line the
     other noise keys are an error; under ``enabled = false`` they are ignored.
+    ``[DEFAULT]`` is refused like any unknown section; ``%(key)s`` is read as it stands.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(default_section="", interpolation=None)  # no header names ""
     if not parser.read(path):
         raise FileNotFoundError(f"config file {path!r} not found")
     for section in parser.sections():

@@ -11,10 +11,10 @@ Each artifact is formatted in one pass: its numbers are computed as arrays,
 and each kind of element is written by one ``%`` over a repeated template.
 Every CSV table is written by ``_csv`` (``\r\n`` line ends, ``\n`` for
 ``sweep.csv``), its fields never quoted, and read back by ``_read_table``.
-A float table formats each distinct bit pattern once and writes its string
-into every cell that holds it; a table that is symmetric bit for bit (the
-Gram matrices the pipelines build) takes the patterns of its upper triangle
-alone.  A sampled Gram repeats few values: at most events + 1 of them.
+A float table formats each distinct bit pattern once and joins each row
+from those strings; a table that is symmetric bit for bit (the Gram matrices
+the pipelines build) takes the patterns of its upper triangle alone.  A
+sampled Gram repeats few values: at most events + 1 of them.
 """
 
 from __future__ import annotations
@@ -51,9 +51,9 @@ def _table(header: list[str], rows: np.ndarray) -> str:
     """CSV text of a float table (CRLF ends), every value ``%.17g``.
 
     Each distinct bit pattern is formatted once, so ``0.0`` and ``-0.0`` keep
-    their own strings.  A square table that is symmetric bit for bit takes
-    its patterns from the upper triangle alone, each cell's mirror reading
-    the same string.
+    their own strings, and each row is joined from those.  A square table
+    that is symmetric bit for bit takes its patterns from the upper triangle
+    alone, each cell's mirror reading the same string.
     """
     values = np.ascontiguousarray(rows, dtype=float)
     bits = values.view(np.uint64)
@@ -65,8 +65,8 @@ def _table(header: list[str], rows: np.ndarray) -> str:
         cells[upper] = cells.T[upper] = inverse
     else:
         distinct, cells = np.unique(bits.ravel(), return_inverse=True)
-    cells = _strings(distinct.view(float), "%.17g")[cells.ravel()]
-    return _csv(header, ",".join(["%s"] * len(header)), len(values), tuple(cells.tolist()))
+    table = _strings(distinct.view(float), "%.17g")[cells.reshape(values.shape)].tolist()
+    return _csv(header, "%s", len(values), tuple(",".join(row) for row in table))
 
 
 def _read_table(path) -> tuple[list[str], np.ndarray]:

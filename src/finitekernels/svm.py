@@ -9,14 +9,14 @@ indefinite sampled ones included.  The solver maximizes the box-constrained
 dual with a primal active-set method, solving each face of the box exactly
 through an eigendecomposition, and terminates on the KKT residual.  The
 dual's m x m quadratic form Q = (1/4) diag(y) G^2 diag(y) is never formed:
-its gradient 1 - 2 Q alpha is 1 - y * scores, and a face block Q_FF comes
-from the free columns of C = G diag(y) / 2, formed once per ``train_path``.
-The solver reads G and C through two products a = C alpha, scores = G a and
-one column slice of C per iteration; the rest of a face step runs in Python
-floats over the face's coordinates, bit for bit the array form.
+the solver reads its factor Z = diag(y / 2) G, Q = Z Z', formed once per
+``train_path``.  Each iteration takes the coefficients a = Z' alpha and the
+gradient 1 - 2 Q alpha = 1 - 2 Z a, two products, and a face block
+Q_FF = Z_F Z_F' from the free rows of Z; the rest of a face step runs in
+Python floats over the face's coordinates, bit for bit the array form.
 
 The KKT residual is complementary slackness read off that gradient: where
-1 - y * scores > 0 the point has that slack and gamma - alpha must vanish,
+it is positive the point has that slack and gamma - alpha must vanish,
 elsewhere alpha must.  Stationarity 2a = G (y * alpha) holds by
 construction and the box by the step rule, so the solver checks neither;
 ``kkt_residual`` adds both for an arbitrary (coefficients, dual) pair.  The
@@ -151,7 +151,7 @@ def training_objective(gram, labels, gamma: float, coefficients) -> float:
 
 
 def _slackness(grad, alpha, gamma: float) -> float:
-    """Complementary slackness at the dual gradient ``grad`` = 1 - y * (G a).
+    """Complementary slackness at the dual gradient ``grad`` = 1 - y * (G a) = 1 - 2 Q alpha.
 
     A point with grad > 0 has slack grad, so gamma - alpha must vanish
     there; elsewhere alpha must.  Each term carries a factor up to gamma,
@@ -179,7 +179,7 @@ def kkt_residual(gram, labels, gamma: float, coefficients, dual) -> float:
 class _Solution(NamedTuple):
     alpha: np.ndarray
     coefficients: np.ndarray
-    scores: np.ndarray
+    grad: np.ndarray
     residual: float
     iterations: int
 
@@ -230,14 +230,14 @@ def _face_step(q_ff, grad_f, alpha_f, gamma: float):
     return new, np.array([r <= t for r in reach]), newton and first > limit
 
 
-def _solve(g, c, y, gamma: float, alpha: np.ndarray, budget: int,
+def _solve(z, gamma: float, alpha: np.ndarray, budget: int,
            solved_start: bool = False) -> _Solution:
     """Active-set iterations from a start ``alpha`` in the box [0, gamma].
 
-    ``c`` is C = G diag(y) / 2 of the Gram ``g`` and labels ``y``.
-    Coordinates strictly inside the box start free, the rest pinned at
-    their bound; from alpha = 0 nothing is free, which is the cold start.
-    ``solved_start`` says the start is already optimal on its face, as a
+    ``z`` is Z = diag(y / 2) G of the Gram G and labels y, the dual's
+    quadratic form being Q = Z Z'.  Coordinates strictly inside the box
+    start free, the rest pinned at their bound; from alpha = 0 nothing is
+    free, which is the cold start.  ``solved_start`` says the start is already optimal on its face, as a
     previous fit's dual is when clipping it into this box moved nothing.
     ``alpha`` is updated in place.  Stops on the KKT tolerance, on a solved
     face with no violating bound coordinate, or after ``budget`` iterations.
@@ -254,9 +254,8 @@ def _solve(g, c, y, gamma: float, alpha: np.ndarray, budget: int,
     bound = np.where(alpha > 0.0, np.where(alpha < gamma, 0.0, -1.0), 1.0)
     face_solved = solved_start or bound.all()
     for iterations in range(budget + 1):
-        a = c @ alpha
-        scores = g @ a
-        grad = 1.0 - y * scores  # 1 - 2 Q alpha
+        a = z.T @ alpha
+        grad = 1.0 - 2.0 * (z @ a)  # 1 - 2 Q alpha
         stop = iterations == budget
         if face_solved:  # find the bound coordinate that violates the KKT conditions most
             violation = bound * grad
@@ -270,19 +269,19 @@ def _solve(g, c, y, gamma: float, alpha: np.ndarray, budget: int,
         if face_solved:  # and free it
             bound[worst] = 0.0
         idx = (bound == 0.0).nonzero()[0]
-        columns = c[:, idx]  # Q_FF = C_F' C_F
-        alpha_f, hit, face_solved = _face_step(columns.T @ columns, grad[idx], alpha[idx], gamma)
+        rows = z[idx]  # Q_FF = Z_F Z_F'
+        alpha_f, hit, face_solved = _face_step(rows @ rows.T, grad[idx], alpha[idx], gamma)
         alpha[idx] = alpha_f
         if not face_solved:  # a solved face pinned nothing
             for i in idx[hit].tolist():
                 bound[i] = -1.0 if alpha[i] > 0.0 else 1.0
             face_solved = hit.all()
-    return _Solution(alpha, a, scores, residual, iterations)
+    return _Solution(alpha, a, grad, residual, iterations)
 
 
-def _model(y, gamma: float, train_id: str, solution: _Solution) -> TrainedModel:
-    alpha, a, scores, residual, iterations = solution
-    slack = np.maximum(0.0, 1.0 - y * scores)
+def _model(gamma: float, train_id: str, solution: _Solution) -> TrainedModel:
+    alpha, a, grad, residual, iterations = solution
+    slack = np.maximum(0.0, grad)
     diagnostics = TrainDiagnostics(
         dual=alpha.copy(),
         slack=slack,
@@ -324,13 +323,13 @@ def train(gram, labels, gamma: float, train_id: str = "") -> TrainedModel:
     that part instead.  A step that reaches a bound pins the coordinate; on
     a solved face the bound coordinate with the largest KKT violation is
     freed.  Primal recovery is a = G (y * alpha) / 2.  Q itself is never
-    formed: the gradient 1 - 2 Q alpha is 1 - y * (G a), and Q_FF is
-    C_F'C_F for the free columns of C = G diag(y) / 2, formed once per
-    ``train_path``.  Each step's reach, clip and pins run in Python floats,
-    and a one-coordinate face steps g / (2q) with ``eigh``'s bits.  The KKT
-    residual is skipped where the worst bound violator alone keeps it above
-    the tolerance.  A fit that ends above a KKT residual of 1e-6 raises
-    ``RuntimeError``.
+    formed: it is Z Z' for Z = diag(y / 2) G, formed once per
+    ``train_path``, so a = Z' alpha, the gradient 1 - 2 Q alpha is
+    1 - 2 Z a, and Q_FF is Z_F Z_F' for the free rows of Z.  Each step's
+    reach, clip and pins run in Python floats, and a one-coordinate face
+    steps g / (2q) with ``eigh``'s bits.  The KKT residual is skipped where
+    the worst bound violator alone keeps it above the tolerance.  A fit
+    that ends above a KKT residual of 1e-6 raises ``RuntimeError``.
     """
     return train_path(gram, labels, [gamma], train_id)[0]
 
@@ -353,7 +352,7 @@ def train_path(gram, labels, gammas, train_id: str = "") -> list[TrainedModel]:
     g = _as_gram(gram).values
     y = _check_labels(labels, g.shape[0])
     gammas = [_as_positive(gamma, "gamma") for gamma in gammas]
-    c = g * (0.5 * y)  # C = G diag(y) / 2, shared by every solve
+    z = (0.5 * y)[:, None] * g  # Z = diag(y / 2) G, Q = Z Z', shared by every solve
     models: list[TrainedModel | None] = [None] * len(gammas)
     solution = None
     for k in sorted(range(len(gammas)), key=lambda k: -gammas[k]):
@@ -361,15 +360,15 @@ def train_path(gram, labels, gammas, train_id: str = "") -> list[TrainedModel]:
         if solution is not None:
             start = np.clip(solution.alpha, 0.0, gamma)
             solved = np.array_equal(start, solution.alpha)
-            solution = _solve(g, c, y, gamma, start, y.size, solved)
+            solution = _solve(z, gamma, start, y.size, solved)
         if solution is None or solution.residual >= KKT_TOL:
-            solution = _solve(g, c, y, gamma, np.zeros(y.size), _MAX_ITERATIONS)
+            solution = _solve(z, gamma, np.zeros(y.size), _MAX_ITERATIONS)
             if solution.residual > 1e-6:
                 raise RuntimeError(
                     f"QP solver stalled at KKT residual {solution.residual:.3e} after "
                     f"{solution.iterations} iterations"
                 )
-        models[k] = _model(y, gamma, train_id, solution)
+        models[k] = _model(gamma, train_id, solution)
     return models
 
 

@@ -499,6 +499,13 @@ class TestConfigFile:
         key, _, value = entry.partition(" = ")
         assert f"error in stage 'config': [{section}] {key}: " in err and value in err
 
+    def test_values_are_read_as_they_stand(self, tmp_path, capsys):
+        # no %-interpolation: the value reaches the kernel parser unexpanded
+        cfg = tmp_path / "percent.ini"
+        cfg.write_text("[dataset]\nname = xor\nseed = 0\n\n[kernel]\nspec = cosine:%(n)s\n")
+        assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "error in stage 'config': bad kernel string 'cosine:%(n)s'" in capsys.readouterr().err
+
     def test_readme_config_block_runs(self, tmp_path):
         block = re.search(r"```ini\n(.*?)```", README.read_text(), re.DOTALL).group(1)
         cfg = tmp_path / "readme.ini"
@@ -743,8 +750,12 @@ class TestFailureModes:
         "text, message",
         [("[svm]\ngama = 10\n", "unknown [svm] key 'gama'; choose from ('gamma', 'condition')"),
          ("[kernal]\nspec = cosine:3\n", "unknown config section 'kernal'; "
+          "choose from ('dataset', 'kernel', 'svm', 'grid', 'noise')"),
+         # configparser would copy these keys into every section: the noise seed would read 3
+         ("[DEFAULT]\nseed = 3\n\n[noise]\nenabled = true\nevents = 100\n",
+          "unknown config section 'DEFAULT'; "
           "choose from ('dataset', 'kernel', 'svm', 'grid', 'noise')")],
-        ids=["key", "section"],
+        ids=["key", "section", "default-section"],
     )
     def test_unknown_config_entries_rejected(self, text, message, tmp_path, capsys):
         cfg = tmp_path / "typo.ini"

@@ -611,16 +611,16 @@ def reference_face_step(q_ff, grad_f, alpha_f, gamma):
     return alpha_f, hit, newton and first > limit
 
 
-def reference_solve(g, c, y, gamma, alpha, budget, solved_start=False):
+def reference_solve(z, gamma, alpha, budget, solved_start=False):
     """The active-set loop in array form, the oracle ``svm._solve`` is held to bit for bit:
     every face, one coordinate included, goes through ``reference_face_step``, and the
-    residual is formed on every solved face before the worst violator is sought."""
+    residual is formed on every solved face before the worst violator is sought.  It
+    reads the dual's factor Z = diag(y / 2) G, Q = Z Z', through the solver's products."""
     free = (alpha > 0.0) & (alpha < gamma)
     face_solved = solved_start or not free.any()
     for iterations in range(budget + 1):
-        a = c @ alpha
-        scores = g @ a
-        grad = 1.0 - y * scores
+        a = z.T @ alpha
+        grad = 1.0 - 2.0 * (z @ a)
         if face_solved or iterations == budget:
             residual = svm._slackness(grad, alpha, gamma)
             if residual < svm.KKT_TOL or iterations == budget:
@@ -633,13 +633,13 @@ def reference_solve(g, c, y, gamma, alpha, budget, solved_start=False):
                 break
             free[worst] = True
         idx = free.nonzero()[0]
-        columns = c[:, idx]
-        alpha_f, hit, solved = reference_face_step(columns.T @ columns, grad[idx], alpha[idx], gamma)
+        rows = z[idx]
+        alpha_f, hit, solved = reference_face_step(rows @ rows.T, grad[idx], alpha[idx], gamma)
         alpha[idx] = alpha_f
         if not solved:
             free[idx[hit]] = False
         face_solved = solved or not free.any()
-    return svm._Solution(alpha, a, scores, residual, iterations)
+    return svm._Solution(alpha, a, grad, residual, iterations)
 
 
 def one_coordinate(q, g, alpha, gamma):
@@ -660,7 +660,7 @@ def scalar_faces(draw):
 
 @st.composite
 def block_faces(draw):
-    """A face of 1 to 20 coordinates: Q_FF = C_F'C_F, the face gradient, the duals, gamma.
+    """A face of 1 to 20 coordinates: Q_FF = B'B, the face gradient, the duals, gamma.
 
     Q_FF is full rank, rank deficient (down to 0) with a gradient in its range or not, or
     diagonal with powers of two, where the Newton step g / (2q) is exact and a dual of
@@ -694,6 +694,11 @@ def block_faces(draw):
     return q_ff, grad, alpha, gamma
 
 
+def dual_factor(g, y):
+    """Z = diag(y / 2) G, the factor ``train_path`` hands to every solve."""
+    return (0.5 * y)[:, None] * g
+
+
 def solutions_equal(new, ref):
     """Whether two ``_Solution`` tuples agree bit for bit, iteration count included."""
     return (all(x.tobytes() == r.tobytes() for x, r in zip(new[:3], ref[:3]))
@@ -705,11 +710,11 @@ def check_loops_agree(g, y, gammas):
     """``svm._solve`` against ``reference_solve`` along ``gammas``, largest first: cold,
     with half the cold fit's iterations, from the solved optimum, and warm from the
     previous gamma's dual clipped as ``train_path`` clips it."""
-    c = g * (0.5 * y)
+    z = dual_factor(g, y)
 
     def both(gamma, start, budget, solved_start=False):
-        new = svm._solve(g, c, y, gamma, start.copy(), budget, solved_start)
-        ref = reference_solve(g, c, y, gamma, start.copy(), budget, solved_start)
+        new = svm._solve(z, gamma, start.copy(), budget, solved_start)
+        ref = reference_solve(z, gamma, start.copy(), budget, solved_start)
         assert solutions_equal(new, ref), (gamma, budget, solved_start)
         return new
 
@@ -765,9 +770,9 @@ class TestAgainstArrayForm:
         # 1 - x2 / x1 (5e-9, 5e-8), whose term gamma v / max(1, gamma) is below KKT_TOL
         g, y = np.outer(x, x), np.ones(2)
         check_loops_agree(g, y, [gamma])
-        solution = svm._solve(g, g * (0.5 * y), y, gamma, np.zeros(2), svm._MAX_ITERATIONS)
+        solution = svm._solve(dual_factor(g, y), gamma, np.zeros(2), svm._MAX_ITERATIONS)
         assert solution.iterations == 1 and solution.alpha[1] == 0.0
-        assert 1.0 - solution.scores[1] > 0.0 and solution.residual < svm.KKT_TOL
+        assert solution.grad[1] > 0.0 and solution.residual < svm.KKT_TOL
 
 
 def test_rank_deficient_face_takes_the_newton_step_when_its_gradient_lies_in_the_range():
@@ -842,10 +847,10 @@ class TestTrainPath:
         train_set, _, _, gram, _ = path_problem("moons", 1, "cosine:1", 40, False)
         solve, warm_residuals = svm._solve, []
 
-        def starved(g, c, y, gamma, alpha, budget, solved_start=False):
+        def starved(z, gamma, alpha, budget, solved_start=False):
             if not alpha.any():
-                return solve(g, c, y, gamma, alpha, budget, solved_start)
-            solution = solve(g, c, y, gamma, alpha, 0, solved_start)  # a warm start with no iterations
+                return solve(z, gamma, alpha, budget, solved_start)
+            solution = solve(z, gamma, alpha, 0, solved_start)  # a warm start with no iterations
             warm_residuals.append(solution.residual)
             return solution
 
@@ -874,7 +879,7 @@ class TestTrainPath:
         gram = condition_gram(compute_gram(train_set, kernel, noise=ShotNoiseConfig(500)), "clip")
         g, y = gram.values, train_set.labels
         start = train(gram, y, 1e4).diagnostics.dual
-        solution = svm._solve(g, g * (0.5 * y), y, 1e3, np.clip(start, 0.0, 1e3), y.size)
+        solution = svm._solve(dual_factor(g, y), 1e3, np.clip(start, 0.0, 1e3), y.size)
         assert solution.residual < svm.KKT_TOL
         cold = train(gram, y, 1e3).coefficients
         assert np.abs(solution.coefficients - cold).max() <= 1e-9 * np.abs(cold).max()
