@@ -10,10 +10,11 @@ dual with a primal active-set method, solving each face of the box exactly
 through an eigendecomposition, and terminates on the KKT residual.  The
 dual's m x m quadratic form Q = (1/4) diag(y) G^2 diag(y) is never formed:
 the solver reads its factor Z = diag(y / 2) G, Q = Z Z', formed once per
-``train_path``.  Each iteration takes the coefficients a = Z' alpha and the
-gradient 1 - 2 Q alpha = 1 - 2 Z a, two products, and a face block
-Q_FF = Z_F Z_F' from the free rows of Z; the rest of a face step runs in
-Python floats over the face's coordinates, bit for bit the array form.
+``train_path``.  Each iteration takes the coefficients a = Z' alpha, the
+gradient 1 - 2 Q alpha = 1 - 2 Z a and a face block Q_FF = Z_F Z_F' from
+the free rows of Z.  A face step calls LAPACK's eigh gufunc directly, as
+``np.linalg.eigh``'s wrapper costs as much on a few coordinates, and takes
+the rest in Python floats, bit for bit the array form.
 
 The KKT residual is complementary slackness read off that gradient: where
 it is positive the point has that slack and gamma - alpha must vanish,
@@ -41,6 +42,7 @@ _RCOND = 1e-12
 _MAX_ITERATIONS = 200_000
 
 CONDITION_POLICIES = ("clip", "shift", "none")
+_eigh_lo = np.linalg._umath_linalg.eigh_lo  # np.linalg.eigh's gufunc, resolved at import
 
 
 @dataclass(frozen=True)
@@ -188,14 +190,17 @@ def _face_step(q_ff, grad_f, alpha_f, gamma: float):
     """Step on the face ``q_ff``: new duals (floats), mask of those pinned at a bound, face solved.
 
     A one-coordinate face with q > 0 steps g / (2q), the Newton step's bits:
-    ``eigh([[q]])`` is exactly (q, [[1.0]]).  Reach, clip and pins are taken
-    in Python floats with the operations of the array form.
+    ``eigh([[q]])`` is exactly (q, [[1.0]]).  A NaN eigenvalue from ``_eigh_lo``,
+    LAPACK's failure, raises ``LinAlgError`` as ``eigh`` does.  Reach, clip
+    and pins are taken in Python floats with the operations of the array form.
     """
     limit, newton = 1.0, True
     if q_ff.shape[0] == 1 and q_ff[0, 0] > 0.0:
         step = [float(grad_f[0]) / (2.0 * float(q_ff[0, 0]))]
     else:
-        w, v = np.linalg.eigh(q_ff)
+        w, v = _eigh_lo(q_ff, signature="d->dd")
+        if math.isnan(w[-1]):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
         # on a full-rank face the null part is roundoff, which at large gamma
         # can exceed any absolute bar, so it is not formed; otherwise a null
         # part this small cannot lift the KKT residual to KKT_TOL.  eigh sorts
@@ -253,16 +258,19 @@ def _solve(z, gamma: float, alpha: np.ndarray, budget: int,
     # and a free coordinate's 0 cannot outrank a positive one
     bound = np.where(alpha > 0.0, np.where(alpha < gamma, 0.0, -1.0), 1.0)
     face_solved = solved_start or bound.all()
+    zt, scale = z.T, max(1.0, gamma)
     for iterations in range(budget + 1):
-        a = z.T @ alpha
-        grad = 1.0 - 2.0 * (z @ a)  # 1 - 2 Q alpha
+        a = zt @ alpha
+        grad = z @ a  # 1 - 2 Q alpha in place, the bits of 1.0 - 2.0 * (z @ a)
+        grad *= -2.0
+        grad += 1.0
         stop = iterations == budget
         if face_solved:  # find the bound coordinate that violates the KKT conditions most
             violation = bound * grad
             worst = int(violation.argmax())
             v = float(violation[worst])
             stop = stop or v <= 0.0
-        if stop or face_solved and abs(gamma * v) / max(1.0, gamma) < KKT_TOL:
+        if stop or face_solved and abs(gamma * v) / scale < KKT_TOL:
             residual = _slackness(grad, alpha, gamma)
             if stop or residual < KKT_TOL:
                 break
@@ -326,10 +334,11 @@ def train(gram, labels, gamma: float, train_id: str = "") -> TrainedModel:
     formed: it is Z Z' for Z = diag(y / 2) G, formed once per
     ``train_path``, so a = Z' alpha, the gradient 1 - 2 Q alpha is
     1 - 2 Z a, and Q_FF is Z_F Z_F' for the free rows of Z.  Each step's
-    reach, clip and pins run in Python floats, and a one-coordinate face
-    steps g / (2q) with ``eigh``'s bits.  The KKT residual is skipped where
-    the worst bound violator alone keeps it above the tolerance.  A fit
-    that ends above a KKT residual of 1e-6 raises ``RuntimeError``.
+    reach, clip and pins run in Python floats, a one-coordinate face steps
+    g / (2q) with ``eigh``'s bits, and any other calls ``eigh``'s LAPACK
+    gufunc directly.  The KKT residual is skipped where the worst bound
+    violator alone keeps it above the tolerance.  A fit ending above a KKT
+    residual of 1e-6 raises ``RuntimeError``, a LAPACK failure ``LinAlgError``.
     """
     return train_path(gram, labels, [gamma], train_id)[0]
 

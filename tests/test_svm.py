@@ -785,6 +785,58 @@ def test_rank_deficient_face_takes_the_newton_step_when_its_gradient_lies_in_the
     np.testing.assert_allclose(q_ff @ (alpha_f - alpha), grad / 2.0, rtol=0.0, atol=1e-15)
 
 
+SWEEP_GRAMS = [(ds, seed, kernel) for ds, seed in PINNED
+               for kernel in ("cosine:0.5", "cosine:1", "cosine:2", "msi:4")]
+
+
+@st.composite
+def eigh_faces(draw):
+    """A symmetric n x n face, n in 1..24: Q_FF = Z_F Z_F' from rows of a random Z, from
+    rows of Z with repeats (rank deficient), from rows of a gamma-sweep problem's Z, or a
+    diagonal with some zeros."""
+    n = draw(st.integers(1, 24))
+    kind = draw(st.sampled_from(["random", "repeated", "sweep", "diagonal"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "diagonal":
+        return np.diag(rng.normal(size=n) * (rng.random(n) < 0.8))
+    if kind == "sweep":
+        gram, labels = benchmark_problem(*draw(st.sampled_from(SWEEP_GRAMS)), 40, False)
+        rows = dual_factor(gram.values, labels)[rng.choice(40, size=n, replace=False)]
+    else:
+        rows = rng.normal(size=(n, int(rng.integers(1, 2 * n + 2))))
+        if kind == "repeated":
+            rows = rows[rng.integers(0, max(1, n // 2), size=n)]
+    return rows @ rows.T
+
+
+class TestEighHandle:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(eigh_faces())
+    @example(np.array([[0.0]]))
+    @example(np.array([[2.5]]))
+    @example(np.ones((3, 3)))
+    @example(np.zeros((2, 2)))
+    def test_handle_gives_the_bits_of_eigh(self, q_ff):
+        w, v = svm._eigh_lo(q_ff, signature="d->dd")
+        ref_w, ref_v = np.linalg.eigh(q_ff)
+        assert w.dtype == ref_w.dtype and v.dtype == ref_v.dtype and v.shape == ref_v.shape
+        assert w.tobytes() == ref_w.tobytes() and v.tobytes() == ref_v.tobytes()
+
+    def test_fit_fails_loudly_when_lapack_returns_nan(self, monkeypatch):
+        # LAPACK's failure reaches the handle as NaN outputs, which np.linalg.eigh's wrapper
+        # turned into LinAlgError; the face step must raise it in turn, not fit on
+        def failed(q_ff, signature):
+            n = q_ff.shape[0]
+            return np.full(n, np.nan), np.full((n, n), np.nan)
+
+        gram, labels = benchmark_problem("moons", 1, "cosine:1", 40, False)
+        monkeypatch.setattr(svm, "_eigh_lo", failed)
+        model = None
+        with pytest.raises(np.linalg.LinAlgError):
+            model = train(gram, labels, 1.0)
+        assert model is None
+
+
 @functools.lru_cache(maxsize=None)
 def path_problem(dataset, seed, kernel_text, m, noisy):
     """Conditioned Gram and labels of one sweep fit, as ``bench`` prepares them, and the
