@@ -81,7 +81,6 @@ def compute_gram(
     return GramMatrix(
         values=values,
         provenance="exact" if noise is None else "sampled",
-        seed=None if noise is None else noise.seed,
         n_evaluations=evaluations,
         rank_bound=kernel.feature_dimension if noise is None else None,
     )

@@ -8,8 +8,9 @@ subcommands (dataset and seed, sizes, kernel, shot noise, model and training
 set) is declared once and behaves the same in each.  ``train`` takes a Gram's
 provenance from the ``gram.json`` that ``gram`` writes beside it, and derives
 its rank bound from the kernel recorded there.  ``eval`` scores its test
-points as ``bench`` does.  ``eval`` and ``boundary`` refuse a model whose
-coefficient count differs from the training set's size, a rule ``svm`` owns.
+points as ``bench`` does.  ``eval`` and ``boundary`` require ``--kernel``,
+which ``model.json`` does not record, and refuse a model whose coefficient
+count differs from the training set's size, a rule ``svm`` owns.
 Every failure exits nonzero with a stage-tagged message on stderr.
 """
 
@@ -170,11 +171,10 @@ def _cmd_gen(args, out: Path) -> None:
 
 def _cmd_gram(args, out: Path) -> None:
     dataset = reports.load_dataset_csv(args.train)
-    kernel = parse_kernel(args.kernel)
-    gram = compute_gram(dataset, kernel, noise=_noise(args))
-    meta = {"provenance": gram.provenance, "seed": gram.seed, "size": gram.size,
-            "n_evaluations": gram.n_evaluations, "rank_bound": gram.rank_bound,
-            "kernel": kernel.kernel_id()}
+    kernel, noise = parse_kernel(args.kernel), _noise(args)
+    gram = compute_gram(dataset, kernel, noise=noise)
+    meta = {"provenance": gram.provenance, "seed": None if noise is None else noise.seed,
+            "size": gram.size, "n_evaluations": gram.n_evaluations, "kernel": kernel.kernel_id()}
     with _stage("emit"):
         reports.write_gram_csv(out / "gram.csv", gram)
         reports.write_json(out / "gram.json", meta)
@@ -185,8 +185,8 @@ def _load_gram(path) -> GramMatrix:
     """A ``gram.csv`` with the provenance recorded in the ``gram.json`` beside it, if there is one.
 
     Without that file the Gram claims nothing, so ``condition_gram`` repairs it.
-    The rank bound is the recorded kernel's ``feature_dimension`` on an exact
-    Gram, else none; a recorded ``rank_bound`` that differs is refused.
+    The rank bound is not read but derived: the recorded kernel's
+    ``feature_dimension`` on an exact Gram, else none.
     """
     gram = reports.load_gram_csv(path)
     meta_path = Path(path).with_name("gram.json")
@@ -201,12 +201,9 @@ def _load_gram(path) -> GramMatrix:
     kernel = meta.get("kernel") if meta.get("provenance") == "exact" else None
     if kernel is not None and not isinstance(kernel, str):
         raise ValueError(f"{meta_path} must record its kernel as a string, got {kernel!r}")
-    rank_bound = None if kernel is None else parse_kernel(kernel).feature_dimension
-    if meta.get("rank_bound", rank_bound) != rank_bound:
-        raise ValueError(f"{meta_path} records a rank bound of {meta['rank_bound']}, "
-                         f"not the {rank_bound} its kernel and provenance give")
-    return GramMatrix(gram.values, provenance=meta.get("provenance"), seed=meta.get("seed"),
-                      n_evaluations=meta.get("n_evaluations", 0), rank_bound=rank_bound)
+    return GramMatrix(gram.values, provenance=meta.get("provenance"),
+                      n_evaluations=meta.get("n_evaluations", 0),
+                      rank_bound=None if kernel is None else parse_kernel(kernel).feature_dimension)
 
 
 def _cmd_train(args, out: Path) -> None:
@@ -337,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     noise = _family(("--events", {"type": int, "help": "shot-noise events per kernel value"}),
                     ("--fidelity", {"type": float, "help": "measurement fidelity in (0, 1]"}),
                     ("--noise-seed", {"type": int, "help": "shot-noise stream seed"}))
-    model = _family(("--model", {"required": True}), ("--train", {"required": True}))
+    model = _family(("--model", {"required": True}), ("--train", {"required": True}),
+                    ("--kernel", {"required": True, "help": "the model's training kernel"}))
 
     gen = _add_subcommand(subs, _cmd_gen, "generate a benchmark dataset", data, sizes)
     gen.add_argument("--kernel", help="fixes the input convention")
@@ -352,12 +350,10 @@ def build_parser() -> argparse.ArgumentParser:
     train_p.add_argument("--gamma", type=float, default=BenchmarkConfig.gamma)
     train_p.add_argument("--condition", choices=CONDITION_POLICIES)
 
-    eval_p = _add_subcommand(subs, _cmd_eval, "evaluate a model on a test CSV",
-                             model, kernel, noise)
+    eval_p = _add_subcommand(subs, _cmd_eval, "evaluate a model on a test CSV", model, noise)
     eval_p.add_argument("--test", required=True)
 
-    boundary = _add_subcommand(subs, _cmd_boundary, "decision scores on a grid",
-                               model, kernel, noise)
+    boundary = _add_subcommand(subs, _cmd_boundary, "decision scores on a grid", model, noise)
     boundary.add_argument("--side", type=int)
 
     bench = _add_subcommand(subs, _cmd_bench, "full pipeline, optionally from a config file",

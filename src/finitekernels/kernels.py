@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import AmplitudeProfile, DataPoint, FeatureState, _as_int, _as_positive
-from .states import _check_choice, _check_phased, _paired_diffs
+from .states import _check_choice, _check_phased, _frozen_array, _paired_diffs
 
 
 def _clip_unit(value):
@@ -234,7 +234,7 @@ class KernelSpec:
         return np.hstack([constant, scale * np.cos(phase), scale * np.sin(phase)])
 
     def _coord_rows(self, points) -> np.ndarray:
-        p = np.asarray(points, dtype=float)
+        p = _frozen_array(points, float, "kernel coordinates")
         if p.ndim != 2 or p.shape[1] != self.dimension:
             raise ValueError("point dimension does not match this kernel spec")
         return p

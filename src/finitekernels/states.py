@@ -73,7 +73,7 @@ def _frozen_array(values, dtype, what: str | None = None, ndim: int | None = Non
     """A read-only copy of ``values``, refused unless finite when ``what`` names it, and
     with ``ndim`` unless it has that many dimensions and at least one row (or entry)."""
     arr = np.array(values, dtype=dtype)
-    if what is not None and not np.all(np.isfinite(arr)):
+    if what is not None and not np.isfinite(arr).all():
         raise ValueError(f"{what} must be finite")
     if ndim is not None and (arr.ndim != ndim or len(arr) == 0):
         raise ValueError(f"{what} must form a nonempty {ndim}-D array")
@@ -184,11 +184,11 @@ def as_coords(x) -> np.ndarray:
 
 
 def _paired_diffs(x, xp) -> np.ndarray:
-    """Separations |x' - x| per coordinate of two points of one dimension."""
+    """Separations |x' - x| per coordinate of two points of one dimension, refused unless finite."""
     a, b = as_coords(x), as_coords(xp)
     if a.shape != b.shape:
         raise ValueError("kernel arguments must have the same dimension")
-    return np.abs(b - a)
+    return _frozen_array(np.abs(b - a), float, "kernel arguments")
 
 
 def _check_phased(what: str, *points) -> None:

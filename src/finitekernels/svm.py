@@ -27,7 +27,7 @@ solver forms the residual only where it can end the fit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -51,18 +51,16 @@ class GramMatrix:
 
     ``provenance`` is ``"exact"`` for closed-form evaluation or ``"sampled"``
     for shot-noise estimates; ``n_evaluations`` counts the kernel
-    determinations that produced it.  It and a ``seed`` that is not ``None``
-    must be integers >= 0, not bools.  ``rank_bound`` is set only on an exact
-    Gram of a finite kind: it is then Phi Phi^T for that kind's feature map
-    Phi of width ``rank_bound`` (``KernelSpec.feature_dimension``), positive
-    semidefinite by construction, and ``condition_gram`` returns it
-    unchanged.  ``None``, as on sampled, fractional and loaded Grams,
-    claims nothing.
+    determinations that produced it, an integer >= 0 and not a bool.
+    ``rank_bound`` is set only on an exact Gram of a finite kind: it is then
+    Phi Phi^T for that kind's feature map Phi of width ``rank_bound``
+    (``KernelSpec.feature_dimension``), positive semidefinite by
+    construction, and ``condition_gram`` returns it unchanged.  ``None``, as
+    on sampled, fractional and loaded Grams, claims nothing.
     """
 
     values: np.ndarray
     provenance: str = "exact"
-    seed: int | None = None
     n_evaluations: int = 0
     rank_bound: int | None = None
 
@@ -77,9 +75,8 @@ class GramMatrix:
             raise ValueError("only an exact Gram carries a rank bound")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "n_evaluations", _as_int(self.n_evaluations, "n_evaluations", 0))
-        for name, minimum in (("seed", 0), ("rank_bound", 1)):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, _as_int(getattr(self, name), name, minimum))
+        if self.rank_bound is not None:
+            object.__setattr__(self, "rank_bound", _as_int(self.rank_bound, "rank_bound", 1))
 
     @property
     def size(self) -> int:
@@ -402,12 +399,13 @@ def condition_gram(gram, policy: str = "clip") -> GramMatrix:
     ``gram`` is a ``GramMatrix`` or a square symmetric finite array.
     ``"clip"`` floors negative eigenvalues at zero, ``"shift"`` adds
     |lambda_min| to the diagonal when the smallest eigenvalue is negative,
-    ``"none"`` returns the input unchanged as a ``GramMatrix``.  The result
-    is exactly resymmetrized.  A Gram with a ``rank_bound`` (an exact Gram
-    of a finite kind, positive semidefinite by construction) is returned
-    unchanged under every policy: repairing it would only add roundoff,
-    whose bits depend on the BLAS thread count through ``eigh``.  Sampled,
-    fractional and loaded Grams carry no bound and are repaired.
+    ``"none"`` returns the input unchanged as a ``GramMatrix``.  A repaired
+    Gram is exactly resymmetrized and keeps the input's other fields.  A
+    Gram with a ``rank_bound`` (an exact Gram of a finite kind, positive
+    semidefinite by construction) is returned unchanged under every policy:
+    repairing it would only add roundoff, whose bits depend on the BLAS
+    thread count through ``eigh``.  Sampled, fractional and loaded Grams
+    carry no bound and are repaired.
     """
     _check_choice(policy, CONDITION_POLICIES, "condition policy")
     gram = _as_gram(gram)
@@ -422,10 +420,4 @@ def condition_gram(gram, policy: str = "clip") -> GramMatrix:
         repaired = v.copy()
         if lam_min < 0.0:
             repaired[np.diag_indices_from(repaired)] -= lam_min
-    repaired = 0.5 * (repaired + repaired.T)
-    return GramMatrix(
-        values=repaired,
-        provenance=gram.provenance,
-        seed=gram.seed,
-        n_evaluations=gram.n_evaluations,
-    )
+    return replace(gram, values=0.5 * (repaired + repaired.T))

@@ -142,8 +142,7 @@ class TestComputeGram:
         noise = ShotNoiseConfig(events_per_point=100, seed=2)
         gram = compute_gram(train, KERNEL_N1, noise=noise)
         assert gram.n_evaluations == 820  # off-diagonals plus sampled diagonal
-        assert gram.provenance == "sampled"
-        assert gram.seed == 2
+        assert (gram.provenance, gram.rank_bound) == ("sampled", None)
 
     def test_pinned_diagonal(self):
         train, _ = generate_dataset("concentric", seed=7, train_size=8, test_size=4)

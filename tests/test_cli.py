@@ -363,7 +363,9 @@ class TestTrainReadsGramJson:
 
     def test_exact_finite_gram_trains_unrepaired_as_bench_does(self, tmp_path, monkeypatch):
         d, g = self.gram(tmp_path)
-        assert json.loads((g / "gram.json").read_text())["rank_bound"] == 9
+        assert json.loads((g / "gram.json").read_text()) == {
+            "kernel": "cosine:1", "n_evaluations": 780, "provenance": "exact", "seed": None,
+            "size": 40}
         loaded, conditioned = self.train(d, g, tmp_path / "m", monkeypatch)
         assert (loaded.provenance, loaded.n_evaluations, loaded.rank_bound) == ("exact", 780, 9)
         assert conditioned is loaded
@@ -373,9 +375,11 @@ class TestTrainReadsGramJson:
 
     def test_sampled_gram_keeps_its_provenance_and_is_repaired(self, tmp_path, monkeypatch):
         d, g = self.gram(tmp_path, "--events", "200", "--noise-seed", "3")
-        assert json.loads((g / "gram.json").read_text())["rank_bound"] is None
+        meta = json.loads((g / "gram.json").read_text())
+        assert (meta["provenance"], meta["seed"], "rank_bound" in meta) == ("sampled", 3, False)
         loaded, conditioned = self.train(d, g, tmp_path / "m", monkeypatch)
-        assert (loaded.provenance, loaded.seed, loaded.n_evaluations) == ("sampled", 3, 820)
+        assert (loaded.provenance, loaded.n_evaluations, loaded.rank_bound) == (
+            "sampled", 820, None)
         assert conditioned is not loaded
 
     def test_without_gram_json_the_gram_claims_nothing(self, tmp_path, monkeypatch):
@@ -398,11 +402,9 @@ class TestTrainReadsGramJson:
 
     @pytest.mark.parametrize("edit, message", [
         ({"n_evaluations": "many"}, "n_evaluations must be a non-negative integer, got 'many'"),
-        ({"seed": [1, 2]}, "seed must be a non-negative integer, got [1, 2]"),
+        ({"provenance": "guessed"}, "unknown provenance 'guessed'"),
         (None, "gram.json must hold a JSON object, got list"),
         ({"kernel": 5}, "gram.json must record its kernel as a string, got 5"),
-        ({"kernel": "cosine:2"}, "gram.json records a rank bound of 9, not the 25 its kernel"),
-        ({"provenance": "sampled"}, "gram.json records a rank bound of 9, not the None its kernel"),
     ])
     def test_bad_metadata_refused(self, tmp_path, capsys, edit, message):
         d, g = self.gram(tmp_path)
@@ -415,19 +417,15 @@ class TestTrainReadsGramJson:
         assert "error in stage 'train'" in err and message in err
         assert not list(out.glob("*"))
 
-    def test_rank_bound_is_derived_from_the_kernel(self, tmp_path, capsys):
+    def test_rank_bound_is_derived_from_the_kernel(self, tmp_path, monkeypatch):
         # fractional:0.5 has no finite feature map, so its exact Gram has no rank bound and is
-        # repaired; a hand-edited bound must not let train fit the indefinite Gram as it is
+        # repaired; a rank_bound written into gram.json by hand has no effect
         d, g = self.gram(tmp_path, dataset=("moons", "1"), kernel="fractional:0.5")
         meta = json.loads((g / "gram.json").read_text())
-        assert (meta["provenance"], meta["rank_bound"]) == ("exact", None)
         (g / "gram.json").write_text(json.dumps({**meta, "rank_bound": 3}))
-        out = tmp_path / "m"
-        assert main(["train", "--gram", str(g / "gram.csv"), "--dataset", str(d / "train.csv"),
-                     "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert "error in stage 'train'" in err and "gram.json records a rank bound of 3" in err
-        assert not list(out.glob("*"))
+        loaded, conditioned = self.train(d, g, tmp_path / "m", monkeypatch)
+        assert (loaded.provenance, loaded.rank_bound) == ("exact", None)
+        assert conditioned is not loaded
 
 
 class TestConfigFile:
@@ -546,11 +544,12 @@ class TestNoiseRule:
     @pytest.mark.parametrize("command", ["bench", "gram", "eval", "boundary", "sweep"])
     def test_flag_qualifier_without_events_rejected(self, command, qualifier, inputs, tmp_path, capsys):
         model, train, test = (str(inputs / name) for name in ("model.json", "train.csv", "test.csv"))
+        scoring = ["--model", model, "--train", train, "--kernel", "cosine:1"]
         argv = {
             "bench": ["bench"],
             "gram": ["gram", "--train", train],
-            "eval": ["eval", "--model", model, "--train", train, "--test", test],
-            "boundary": ["boundary", "--model", model, "--train", train],
+            "eval": ["eval", *scoring, "--test", test],
+            "boundary": ["boundary", *scoring],
             "sweep": ["sweep"],
         }[command]
         assert main(argv + qualifier + ["--out", str(tmp_path / "o")]) == 1
@@ -745,6 +744,17 @@ class TestFailureModes:
         assert exc.value.code == 2
         assert "argument --families: expected comma-separated names, got ','" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "boundary"])
+    def test_scoring_needs_the_model_kernel(self, command, tmp_path, capsys):
+        # model.json records no kernel, so a default kernel could score a model trained on another
+        test = ["--test", "test.csv"] if command == "eval" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--model", "model.json", "--train", "train.csv", *test,
+                  "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --kernel" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "text, message",

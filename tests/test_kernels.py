@@ -118,6 +118,10 @@ class TestCosineKernel:
         with pytest.raises(ValueError):
             kernel_cosine(np.array([0.1, 0.2]), np.array([0.1]), power=1)
 
+    def test_overlap_of_states_in_two_spaces_rejected(self):
+        with pytest.raises(ValueError, match="states must live in the same space"):
+            overlap_kernel(embed_cosine([0.1], 1), embed_cosine([0.1, 0.2], 1))
+
 
 class TestFractionalKernel:
     def test_known_value(self):
@@ -303,10 +307,11 @@ class TestKernelMatrix:
             assert np.array_equal(spec.matrix(a, b), evaluate_loop(spec, a, b))
             a[7] = a[2]
             assert np.array_equal(spec.matrix(a), evaluate_loop(spec, a, a))
-            # evaluate refuses non-finite points; the two-argument form is the reference
+            # both forms refuse a non-finite point, as evaluate does
             a[4, 0], a[9, -1] = math.nan, math.inf
-            with np.errstate(invalid="ignore"):
-                assert np.array_equal(spec.matrix(a), spec.matrix(a, a), equal_nan=True)
+            for args in ((a,), (a[:5], b), (b, a[9:])):
+                with pytest.raises(ValueError, match="kernel coordinates must be finite"):
+                    spec.matrix(*args)
 
     def test_empty_side(self):
         spec = KernelSpec(kind="cosine_power", dimension=2, power=1)

@@ -3,9 +3,9 @@ computes, and no module imports scipy, so numpy is the only runtime dependency.
 Each argument rule (an integer of at least N, a finite read-only array, +1/-1
 labels, a name from a fixed set, a nonempty array of N dimensions, a finite
 non-negative real) is written once, in ``states``, and so is each input rule of
-the paper's layers: the kernels' point dimensions, phase-encoded points, the
-circuit's powers and kernel values in [0, 1].  Every public entry that applies a
-rule reaches its one site.
+the paper's layers: the kernels' point dimensions, finite kernel coordinates,
+phase-encoded points, the circuit's powers and kernel values in [0, 1].  Every
+public entry that applies a rule reaches its one site.
 """
 
 import ast
@@ -204,6 +204,8 @@ RULES = {
     "dimension": ("point dimension does not match this kernel spec",
                   "kernels.py:KernelSpec._coord_rows"),
     "pair": ("kernel arguments must have the same dimension", "states.py:_paired_diffs"),
+    # KernelSpec._coord_rows and states._paired_diffs refuse through _frozen_array
+    "finite": ("must be finite", "states.py:_frozen_array"),
     "phases": ("needs a DataPoint carrying phases", "states.py:_check_phased"),
     "power": ("the optical circuit realizes powers 1 and 3 only",
                       "optics.py:_check_circuit_power"),
@@ -274,6 +276,19 @@ ENTRIES = [
     ("pair", "kernel_phase_augmented", lambda: kernel_phase_augmented(_PHASED_1D, _PHASED)),
     ("pair", "kernel_circuit", lambda: kernel_circuit([0.1], [0.1, 0.2])),
     ("pair", "kernel_circuit_phase", lambda: kernel_circuit_phase(_PHASED, _PHASED_1D)),
+    ("finite", "matrix", lambda: _COSINE_2D.matrix([[math.nan, 0.0]], np.zeros((2, 2)))),
+    ("finite", "matrix-second", lambda: _COSINE_2D.matrix(np.zeros((2, 2)), [[0.0, math.inf]])),
+    ("finite", "matrix-one-argument", lambda: _MSI_2D.matrix([[0.1, 0.2], [math.inf, 0.0]])),
+    ("finite", "evaluate", lambda: _COSINE_2D.evaluate([math.nan, 0.0], [0.0, 0.0])),
+    ("finite", "evaluate-profile", lambda: _MSI_2D.evaluate([math.inf, 0.0], [0.0, 0.0])),
+    ("finite", "compute_gram", lambda: compute_gram([[math.inf, 0.0], [0.0, 0.0]], _COSINE_2D)),
+    ("finite", "compute_gram-noisy",
+     lambda: compute_gram([[math.nan, 0.0], [0.0, 0.0]], _COSINE_2D, noise=_NOISE)),
+    ("finite", "kernel_rows",
+     lambda: kernel_rows([[math.nan, 0.0]], np.zeros((3, 2)), _COSINE_2D)),
+    ("finite", "kernel_cosine", lambda: kernel_cosine([math.nan], [0.0])),
+    ("finite", "kernel_fractional", lambda: kernel_fractional([0.0], [math.inf], 0.5)),
+    ("finite", "kernel_circuit", lambda: kernel_circuit([math.nan], [0.0])),
     ("phases", "embed_phase_augmented-array", lambda: embed_phase_augmented(np.zeros(2))),
     ("phases", "embed_phase_augmented", lambda: embed_phase_augmented(_PLAIN)),
     ("phases", "kernel_phase_augmented-array", lambda: kernel_phase_augmented(_PHASED, [0.1, 0.2])),

@@ -101,6 +101,12 @@ class TestCsvRoundTrips:
         assert len(lines) == 3
         assert lines[1].startswith("msi,2,")
 
+    def test_resolution_csv_refuses_rows_that_are_not_sweep_points(self, tmp_path):
+        rows = [*resolution_sweep([2], families=("msi",)), ("msi", 3, 0.1, 0.3)]
+        with pytest.raises(ValueError, match="rows must be SweepPoint instances"):
+            write_resolution_csv(tmp_path / "res.csv", rows)
+        assert not (tmp_path / "res.csv").exists()
+
     def test_sweep_csv_bytes(self, tmp_path):
         # plain newlines and 17 significant digits, as the sweep command always wrote
         path = tmp_path / "sweep.csv"
@@ -134,6 +140,13 @@ class TestCsvReader:
         path = tmp_path / "train.csv"
         path.write_bytes(f"x1,x2,label\r\n0.1,0.2,1\r\n{line}\r\n-0.3,0.4,-1\r\n".encode())
         with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: field count")):
+            load_dataset_csv(path)
+
+    def test_dataset_without_a_label_column(self, tmp_path):
+        path = tmp_path / "train.csv"
+        path.write_bytes(b"x1,x2,y\r\n0.1,0.2,1\r\n-0.3,0.4,-1\r\n")
+        message = f"dataset CSV {path} must end with a 'label' column"
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_dataset_csv(path)
 
     def test_gram_row_with_an_extra_field(self, tmp_path):

@@ -267,6 +267,14 @@ class TestOptimizer:
             oracle = rayleigh_quotient(full_eigh_profile(length))
             assert rayleigh_quotient(weights) == pytest.approx(oracle, rel=1e-12)
 
+    def test_ground_vector_that_is_not_positive_raises(self, monkeypatch):
+        # an eigensolver that returns a sign-changing ground vector: the optimum is not trusted
+        vectors = np.array([[1.0, 0.0], [-1.0, 1.0]])
+        monkeypatch.setattr(np.linalg, "eigh", lambda matrix: (np.zeros(2), vectors))
+        with pytest.raises(RuntimeError, match="ground eigenvector of the 4-mode resolution matrix "
+                                                "is not positive"):
+            optimize_profile(4)
+
     @pytest.mark.parametrize("length", [32, 64, 96])
     def test_reaches_high_precision_ground_eigenvalue(self, length):
         variance = resolution_quadratic(optimize_profile(length)).variance
@@ -281,6 +289,10 @@ class TestSweep:
         assert [r.family for r in rows] == ["msi"] * 3 + ["tsq"] * 3
         assert [r.length for r in rows] == [2, 3, 4, 2, 3, 4]
         assert all(isinstance(r, SweepPoint) for r in rows)
+
+    def test_empty_family_list_rejected(self):
+        with pytest.raises(ValueError, match="families must be nonempty"):
+            resolution_sweep([2, 3], families=[])
 
     def test_values_match_direct_evaluation(self):
         rows = resolution_sweep([2, 5], families=("msi",))

@@ -66,6 +66,11 @@ class TestProfiles:
             assert len(p) == length
             np.testing.assert_allclose(p.weights, np.full(length, 1.0 / length), rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("raw", [[0.0, 0.0], [-1.0, 1.0], [math.inf, 1.0], [math.nan, 1.0]])
+    def test_from_unnormalized_needs_a_positive_finite_sum(self, raw):
+        with pytest.raises(ValueError, match="profile weights must have a positive finite sum"):
+            AmplitudeProfile.from_unnormalized(raw)
+
     def test_msi_needs_two_terms(self):
         with pytest.raises(ValueError):
             msi_profile(1)
@@ -257,6 +262,11 @@ class TestRescaleDataset:
         lo, hi = INTERFERENCE_DOMAIN
         assert out.min() == pytest.approx(lo, abs=1e-15)
         assert out.max() < hi
+
+    @pytest.mark.parametrize("points", [[[0.5, 1.0]], [0.5]], ids=["2-d", "1-d"])
+    def test_single_point_rejected(self, points):
+        with pytest.raises(ValueError, match="need at least two points to rescale"):
+            rescale_dataset(points, "cosine")
 
     def test_degenerate_column_rejected(self):
         with pytest.raises(ValueError):

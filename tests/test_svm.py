@@ -253,15 +253,12 @@ class TestGramMatrix:
         with pytest.raises(ValueError, match="finite"):
             GramMatrix(values)
 
-    def test_seed_and_evaluation_count_validated(self):
-        for bad in ("x", -1, 1.5, True, [1, 2]):
-            with pytest.raises(ValueError, match="seed must be a non-negative integer"):
-                GramMatrix(np.eye(2), seed=bad)
+    def test_evaluation_count_validated(self):
         for bad in (-3.5, -1, 2.0, False, "many", None):
             with pytest.raises(ValueError, match="n_evaluations must be a non-negative integer"):
                 GramMatrix(np.eye(2), n_evaluations=bad)
-        gram = GramMatrix(np.eye(2), seed=np.int64(3), n_evaluations=np.uint16(1))
-        assert [(type(v), v) for v in (gram.seed, gram.n_evaluations)] == [(int, 3), (int, 1)]
+        gram = GramMatrix(np.eye(2), n_evaluations=np.uint16(1))
+        assert (type(gram.n_evaluations), gram.n_evaluations) == (int, 1)
 
     def test_train_rejects_nan_array(self):
         # a raw array goes through the same validation as a GramMatrix
@@ -309,11 +306,10 @@ class TestConditioning:
         np.testing.assert_allclose(fixed.values, psd, atol=1e-10)
 
     def test_metadata_preserved(self):
-        gram = GramMatrix(np.eye(2), provenance="sampled", seed=4, n_evaluations=3)
+        gram = GramMatrix(np.eye(2), provenance="sampled", n_evaluations=3)
         fixed = condition_gram(gram, "clip")
-        assert fixed.provenance == "sampled"
-        assert fixed.seed == 4
-        assert fixed.n_evaluations == 3
+        assert fixed is not gram
+        assert (fixed.provenance, fixed.n_evaluations, fixed.rank_bound) == ("sampled", 3, None)
 
     @pytest.mark.parametrize("policy", svm.CONDITION_POLICIES)
     def test_plain_array_accepted_and_gram_returned(self, policy):
