@@ -271,14 +271,15 @@ class _Prepared(NamedTuple):
     test_scores: Callable[[TrainedModel], np.ndarray]
 
 
-def _prepare(config: BenchmarkConfig) -> _Prepared:
-    train_set, test_set = generate_dataset(
-        config.dataset,
-        config.seed,
-        train_size=config.train_size,
-        test_size=config.test_size,
-        convention=config.kernel.convention,
-    )
+def _split(config: BenchmarkConfig) -> tuple[LabeledSet, LabeledSet]:
+    """The train and test sets of a run of ``config``."""
+    return generate_dataset(config.dataset, config.seed, train_size=config.train_size,
+                            test_size=config.test_size, convention=config.kernel.convention)
+
+
+def _prepare(config: BenchmarkConfig, split=None) -> _Prepared:
+    """Everything before training; ``split`` is ``_split(config)`` when given."""
+    train_set, test_set = _split(config) if split is None else split
     gram = compute_gram(
         train_set, config.kernel, noise=config.noise, pin_diagonal=config.pin_noisy_diagonal
     )
@@ -318,8 +319,13 @@ def gamma_sweep(config: BenchmarkConfig, gammas) -> list[tuple[float, float]]:
     Its coefficients equal ``train``'s up to roundoff, so the accuracies
     equal ``run_benchmark``'s unless a score lies within roundoff of 0.
     """
+    return _gamma_sweep(config, gammas)
+
+
+def _gamma_sweep(config: BenchmarkConfig, gammas, split=None) -> list[tuple[float, float]]:
+    """``gamma_sweep`` on ``split``, a ``_split(config)`` built once for several kernels."""
     gammas = [_as_positive(gamma, "gamma") for gamma in gammas]
-    prepared = _prepare(config)
+    prepared = _prepare(config, split)
     labels = prepared.train_set.labels
     models = train_path(prepared.gram_conditioned, labels, gammas, train_id=_train_id(config))
     return [_accuracies(prepared, model) for model in models]

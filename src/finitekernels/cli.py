@@ -23,7 +23,8 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .bench import BenchmarkConfig, _scorer, boundary_grid, compute_gram, gamma_sweep, run_benchmark
+from .bench import BenchmarkConfig, _gamma_sweep, _scorer, _split, boundary_grid, compute_gram
+from .bench import run_benchmark
 from .datasets import generate_dataset
 from .kernels import KernelSpec
 from .optics import ShotNoiseConfig
@@ -255,10 +256,13 @@ def _cmd_bench(args, out: Path) -> None:
 
 def _cmd_sweep(args, out: Path) -> None:
     noise = _noise(args)
-    rows = []
+    rows, splits = [], {}  # the kernels of one input convention share one split
     for kernel_text in args.kernels:
         config = BenchmarkConfig(args.dataset, args.seed, parse_kernel(kernel_text), noise=noise)
-        for gamma, accuracies in zip(args.gammas, gamma_sweep(config, args.gammas)):
+        if config.kernel.convention not in splits:
+            splits[config.kernel.convention] = _split(config)
+        split = splits[config.kernel.convention]
+        for gamma, accuracies in zip(args.gammas, _gamma_sweep(config, args.gammas, split)):
             rows.append((kernel_text, gamma, *accuracies))
     path = out / "sweep.csv"
     with _stage("emit"):

@@ -163,12 +163,7 @@ class KernelSpec:
 
     def evaluate(self, x, xp) -> float:
         """Kernel value between two points in this kernel spec's convention."""
-        d = self._coord_rows(_paired_diffs(x, xp)[None])[0]
-        if self.kind == "profile":
-            return float(_clip_unit(np.prod(kernel_profile(d, self.profile))))
-        if self.kind == "cosine_power":
-            return kernel_cosine(x, xp, self.power)
-        return kernel_fractional(x, xp, self.exponent)
+        return float(self._closed_form(self._coord_rows(_paired_diffs(x, xp)[None]))[0])
 
     def matrix(self, A, B=None) -> np.ndarray:
         """Kernel values ``K[i, j] == evaluate(A[i], B[j])``, bit for bit.

@@ -269,13 +269,17 @@ def _counters(keys: np.ndarray) -> np.ndarray:
     return counters
 
 
-def _mulhilo(multiplier: int, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of ``multiplier * words``, built from 32-bit halves."""
-    m_low, m_high = np.uint64(multiplier & _MASK32), np.uint64(multiplier >> 32)
+def _mulhilo(multiplier, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of ``multiplier * words``, built from 32-bit halves.
+
+    ``multiplier`` is an int in [0, 2**64) or a uint64 array that broadcasts with ``words``.
+    """
+    multiplier = np.uint64(multiplier)
+    m_low, m_high = multiplier & _LOW32, multiplier >> _SHIFT32
     low, high = words & _LOW32, words >> _SHIFT32
     middle = m_low * high + (m_low * low >> _SHIFT32)
     cross = m_high * low + (middle & _LOW32)
-    return m_high * high + (middle >> _SHIFT32) + (cross >> _SHIFT32), words * np.uint64(multiplier)
+    return m_high * high + (middle >> _SHIFT32) + (cross >> _SHIFT32), words * multiplier
 
 
 def _philox_block(counters: np.ndarray, key) -> np.ndarray:

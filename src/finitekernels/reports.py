@@ -8,13 +8,20 @@ JSON keys are sorted, and the SVG contains no clock or environment data, so a
 repeated run with the same configuration reproduces every byte.
 
 Each artifact is formatted in one pass: its numbers are computed as arrays,
-and each kind of element is written by one ``%`` over a repeated template.
-Every CSV table is written by ``_csv`` (``\r\n`` line ends, ``\n`` for
-``sweep.csv``), its fields never quoted, and read back by ``_read_table``.
-A float table formats each distinct bit pattern once and joins each row
-from those strings; a table that is symmetric bit for bit (the Gram matrices
-the pipelines build) takes the patterns of its upper triangle alone.  A
-sampled Gram repeats few values: at most events + 1 of them.
+and each kind of element is written by one ``%`` over a repeated template,
+or, in a float table, by ``_format17``, which writes the bytes of ``%.17g``
+with numpy arithmetic.  CSV fields are never quoted, lines end in ``\r\n``
+(``\n`` in ``sweep.csv``), and ``_read_table`` reads every table back.
+
+A float table (``train.csv``, ``test.csv``, ``gram.csv``, ``grid.csv``)
+formats each distinct bit pattern once and assembles its rows as bytes from
+those texts, a block of rows at a time, so the assembly's temporaries stay
+small whatever the table's size; a table that is symmetric bit for bit (the
+Gram matrices the pipelines build) takes the patterns of its upper triangle
+alone.  ``emit_report`` formats the distinct patterns of its four float
+tables in one call, since each call has a fixed cost that a small table
+would not pay back.  A sampled Gram repeats few values: at most events + 1
+of them.  ``sweep.csv`` and ``resolution.csv`` are written by ``_csv``.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ import numpy as np
 
 from .bench import BenchReport, BoundaryGrid
 from .datasets import LabeledSet
+from .optics import _mulhilo
 from .resolution import SweepPoint
 from .svm import GramMatrix, TrainedModel
 
@@ -47,26 +55,184 @@ def _csv(header: list[str], spec: str, count: int, values: tuple, end: str = "\r
     return ",".join(header) + end + (spec + end) * count % values
 
 
-def _table(header: list[str], rows: np.ndarray) -> str:
-    """CSV text of a float table (CRLF ends), every value ``%.17g``.
+# The longest ``%.17g`` of a float64 takes 24 bytes ('-2.2250738585072014e-308'); a text row
+# holds it and a cell's separator (',' or CRLF) in 7 uint32 words
+_LONGEST, _ROW = 24, 28
+_POW5 = np.array([5**k for k in range(28)], dtype=np.uint64)  # 5**27 < 2**63
+# the four ASCII digits of each of 0..9999 as one uint32, bytes in memory order
+_QUADS = (np.arange(10000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
+          % np.uint16(10) + np.uint16(48)).astype(np.uint8).view(np.uint32).ravel()
+# row L keeps the first L bytes of a text row and clears the rest
+_KEEP = np.where(np.arange(_ROW) < np.arange(_ROW)[:, None], 255, 0).astype(np.uint8)
+_FRACTION, _IMPLICIT = np.uint64((1 << 52) - 1), np.uint64(1 << 52)
+_ONE, _BITS, _E8, _E16, _E17 = (np.uint64(v) for v in (1, 64, 10**8, 10**16, 10**17))
+_E8_32, _E4_32 = np.uint32(10**8), np.uint32(10**4)
+# values formatted, and table cells joined, per pass: bounds the temporaries of a pass
+# whatever the table's size, yet leaves its fixed cost small beside its work
+_FORMAT_BLOCK = 8192
+_JOIN_BLOCK = 32768
 
-    Each distinct bit pattern is formatted once, so ``0.0`` and ``-0.0`` keep
-    their own strings, and each row is joined from those.  A square table
-    that is symmetric bit for bit takes its patterns from the upper triangle
-    alone, each cell's mirror reading the same string.
+
+def _format_exact(values: np.ndarray, text: np.ndarray, length: np.ndarray) -> None:
+    """Write ``"%.17g" % v`` of each float64 into the rows of ``text``, left aligned, and
+    its byte count into ``length``; a row's bytes after its text are left undefined.
+
+    A normal v = M * 2**E with 1e-11 <= |v| < 1e16 takes its 17 digits exactly: with
+    X = floor(log10 |v|) and k = 16 - X (at most 27), they are the integer
+    D = round-half-even(M * 5**k * 2**(E + k)), one 128-bit product and one right shift by
+    t = -(E + k).  log10 can put X one off near a power of ten; then the truncated D leaves
+    [1e16, 1e17), or the rounded one reaches 1e17, and the value falls back to ``%`` itself,
+    as do 0, -0, subnormals, non-finite values and values outside the range (or with t < 1).
     """
-    values = np.ascontiguousarray(rows, dtype=float)
-    bits = values.view(np.uint64)
-    # np.unique gets 1-D input: numpy 2 would shape the inverse of a 2-D one like its input
-    if values.shape[0] == values.shape[1] and np.array_equal(bits, bits.T):
-        upper = np.triu_indices(len(values))
-        distinct, inverse = np.unique(bits[upper], return_inverse=True)
-        cells = np.empty(values.shape, dtype=np.intp)  # each cell's index into ``distinct``
-        cells[upper] = cells.T[upper] = inverse
+    magnitude = np.abs(values)
+    fast = (magnitude >= 1e-11) & (magnitude < 1e16)  # NaN fails too
+    magnitude[~fast] = 1.0  # keeps the arithmetic below defined on the values that fall back
+    bits = magnitude.view(np.uint64)
+    power = np.clip(np.floor(np.log10(magnitude)), -11, 15).astype(np.intp)
+    shift = 1075 - (bits >> np.uint64(52)).astype(np.intp) - (16 - power)
+    t = np.clip(shift, 1, 63).astype(np.uint64)
+    high, low = _mulhilo(_POW5[16 - power], (bits & _FRACTION) | _IMPLICIT)
+    digits = (high << (_BITS - t)) | (low >> t)
+    exact = fast & (shift >= 1) & (digits >= _E16)
+    rest, half = low & ((_ONE << t) - _ONE), _ONE << (t - _ONE)
+    digits += (rest > half) | ((rest == half) & (digits & _ONE == _ONE))
+    exact &= digits < _E17
+    # D's digits: a leading one, then four groups of four, at bytes 3 to 19 of a row of chars
+    quotient = digits // _E8
+    upper, lower = quotient.astype(np.uint32), (digits - quotient * _E8).astype(np.uint32)
+    middle = upper % _E8_32
+    groups = (middle // _E4_32, middle % _E4_32, lower // _E4_32, lower % _E4_32)
+    words = np.zeros((len(values), _ROW // 4), dtype=np.uint32)
+    for column, group in enumerate((upper // _E8_32, *groups)):
+        words[:, column] = _QUADS[group]
+    chars = words.view(np.uint8)
+    # the digits left once trailing zeros go, counted where the last digit is a zero
+    kept, few = np.full(len(values), 17), np.flatnonzero(chars[:, 19] == 48)
+    kept[few] = 17 - np.argmax(chars[few, 19:2:-1] != 48, axis=1)
+    negative = np.signbit(values)
+    key = np.where(exact, 2 * power + negative, 99)  # 99: values that fall back
+    bounds = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), len(values)]
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        if exact[a]:
+            length[a:b] = _lay_out(text[a:b], chars[a:b], kept[a:b], int(power[a]),
+                                   int(negative[a]))
+    slow = np.flatnonzero(~exact)
+    if slow.size:
+        strings = _strings(values[slow], "%.17g").tolist()
+        padded = np.array(strings, dtype=f"S{_LONGEST}").view(np.uint8)
+        text[slow, :_LONGEST] = padded.reshape(-1, _LONGEST)
+        length[slow] = [len(s) for s in strings]
+
+
+def _lay_out(text, chars, kept, power: int, sign: int) -> np.ndarray:
+    """Lay out 17 digits (bytes 3 to 19 of each row of ``chars``) as %g does, into ``text``,
+    for values of one decimal exponent ``power`` and one sign (``sign`` bytes of '-' first);
+    returns the text lengths, ``kept`` digits being left once trailing zeros go.
+
+    Fixed notation for -4 <= power, d.ddde-XX below; trailing zeros and a bare '.' are
+    stripped.  The digits go in by one copy along the rows' flat bytes, to their places after
+    the '.'; the few bytes before them are set column by column.
+    """
+    first = sign + 1 - power if -4 <= power < 0 else sign + 1  # where digit 0 would go
+    flat, source, by = text.ravel(), chars.ravel(), first - 3
+    if by >= 0:
+        flat[by:] = source[:len(source) - by]
     else:
-        distinct, cells = np.unique(bits.ravel(), return_inverse=True)
-    table = _strings(distinct.view(float), "%.17g")[cells.reshape(values.shape)].tolist()
-    return _csv(header, "%s", len(values), tuple(",".join(row) for row in table))
+        flat[:by] = source[-by:]
+    if sign:
+        text[:, 0] = 45
+    if power >= 0:  # ddd.ddd
+        for j in range(power + 1):
+            text[:, sign + j] = chars[:, 3 + j]
+        text[:, sign + power + 1] = 46
+        return sign + np.maximum(kept + (kept > power + 1), power + 1)
+    if power >= -4:  # 0.000ddd
+        text[:, sign] = 48
+        text[:, sign + 1] = 46
+        for j in range(sign + 2, first):
+            text[:, j] = 48
+        return first + kept
+    text[:, sign] = chars[:, 3]  # d.ddde-XX
+    text[:, sign + 1] = 46
+    end = sign + kept + (kept > 1)
+    at = np.arange(0, flat.size, _ROW) + end
+    for j, byte in enumerate(b"e-%02d" % -power):
+        flat[at + j] = byte
+    return end + 4
+
+
+def _format17(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``"%.17g" % v`` of each float64, left aligned in the rows of an (n, _ROW) uint8 array,
+    with their lengths; ``_FORMAT_BLOCK`` values per pass."""
+    text = np.empty((len(values), _ROW), dtype=np.uint8)
+    length = np.empty(len(values), dtype=np.uint8)
+    for a in range(0, len(values), _FORMAT_BLOCK):
+        _format_exact(values[a:a + _FORMAT_BLOCK], text[a:a + _FORMAT_BLOCK],
+                      length[a:a + _FORMAT_BLOCK])
+    return text, length
+
+
+def _table_bytes(header: list[str], text: np.ndarray, length: np.ndarray,
+                 cells: np.ndarray) -> bytes:
+    """CSV bytes of a table whose cell (i, j) reads text row ``cells[i, j]``, CRLF ends.
+
+    Each row of ``text`` holds its cell's bytes and ',' and then NULs alone, so a block of
+    rows is its cells' rows side by side with the NULs dropped, once each row's last ',' is
+    made CRLF; about ``_JOIN_BLOCK`` cells per pass.
+    """
+    rows, cols = cells.shape
+    step = max(1, _JOIN_BLOCK // cols)
+    parts = [(",".join(header) + "\r\n").encode()]
+    for a in range(0, rows, step):
+        block = cells[a:a + step]
+        chars = np.take(text, block, axis=0)  # (r, cols, width)
+        last, r, end = chars[:, -1], np.arange(len(block)), length[block[:, -1]]
+        last[r, end] = 13
+        last[r, end + np.uint8(1)] = 10
+        parts.append(chars[chars != 0])
+    return b"".join(parts)
+
+
+def _tables(tables: list[tuple[list[str], np.ndarray]]) -> list[bytes]:
+    """CSV bytes of each (header, rows) float table (CRLF ends), every value ``%.17g``.
+
+    The distinct bit patterns of all the tables are formatted in one pass, so ``0.0`` and
+    ``-0.0`` keep their own texts, and each row is assembled from those as bytes.  A square
+    table that is symmetric bit for bit takes its patterns from the upper triangle alone,
+    each cell's mirror reading the same text.
+    """
+    arrays = [np.ascontiguousarray(rows, dtype=float) for _, rows in tables]
+    keys, uppers = [], []
+    for values in arrays:
+        bits = values.view(np.uint64)
+        upper = None
+        if values.shape[0] == values.shape[1] and np.array_equal(bits, bits.T):
+            upper = np.arange(len(values))[:, None] <= np.arange(len(values))
+        uppers.append(upper)
+        keys.append(bits.ravel() if upper is None else bits[upper])
+    # np.unique gets 1-D input: numpy 2 would shape the inverse of a 2-D one like its input
+    distinct, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    text, length = _format17(distinct.view(float))
+    width = int(length.max()) + 2  # room for CRLF after the longest text
+    text = np.bitwise_and(np.take(_KEEP[:, :width], length, axis=0), text[:, :width])
+    text[np.arange(len(text)), length] = 44  # ',' after each text, NULs after that
+    texts, offset = [], 0
+    for (header, _), values, key, upper in zip(tables, arrays, keys, uppers):
+        part = inverse[offset:offset + len(key)]
+        offset += len(key)
+        if upper is None:
+            cells = part.reshape(values.shape)
+        else:
+            cells = np.empty(values.shape, dtype=inverse.dtype)  # each cell's row of ``text``
+            cells[upper] = part
+            cells.T[upper] = part
+        texts.append(_table_bytes(header, text, length, cells))
+    return texts
+
+
+def _table(header: list[str], rows: np.ndarray) -> str:
+    """CSV text of one float table; see ``_tables``."""
+    return _tables([(header, rows)])[0].decode("ascii")
 
 
 def _read_table(path) -> tuple[list[str], np.ndarray]:
@@ -84,22 +250,22 @@ def _read_table(path) -> tuple[list[str], np.ndarray]:
     return header, np.array(rows).reshape(len(rows), len(header))
 
 
-def _dataset_csv(dataset: LabeledSet) -> str:
+def _dataset_table(dataset: LabeledSet) -> tuple[list[str], np.ndarray]:
     header = [f"x{i + 1}" for i in range(dataset.points.shape[1])] + ["label"]
-    return _table(header, np.column_stack([dataset.points, dataset.labels]))  # labels: 1, -1
+    return header, np.column_stack([dataset.points, dataset.labels])  # labels: 1, -1
 
 
-def _gram_csv(gram: GramMatrix) -> str:
-    return _table([f"c{i + 1}" for i in range(gram.size)], gram.values)
+def _gram_table(gram: GramMatrix) -> tuple[list[str], np.ndarray]:
+    return [f"c{i + 1}" for i in range(gram.size)], gram.values
 
 
-def _grid_csv(grid: BoundaryGrid) -> str:
-    return _table(["x1", "x2", "score"], grid.to_rows())
+def _grid_table(grid: BoundaryGrid) -> tuple[list[str], np.ndarray]:
+    return ["x1", "x2", "score"], grid.to_rows()
 
 
 def write_dataset_csv(path, dataset: LabeledSet) -> None:
     """Columns x1..xD,label; one row per point."""
-    Path(path).write_text(_dataset_csv(dataset), newline="")
+    Path(path).write_bytes(_tables([_dataset_table(dataset)])[0])
 
 
 def load_dataset_csv(path) -> LabeledSet:
@@ -111,7 +277,7 @@ def load_dataset_csv(path) -> LabeledSet:
 
 def write_gram_csv(path, gram: GramMatrix) -> None:
     """Dense square matrix with a c1..cM header row."""
-    Path(path).write_text(_gram_csv(gram), newline="")
+    Path(path).write_bytes(_tables([_gram_table(gram)])[0])
 
 
 def load_gram_csv(path) -> GramMatrix:
@@ -123,7 +289,7 @@ def load_gram_csv(path) -> GramMatrix:
 
 def write_grid_csv(path, grid: BoundaryGrid) -> None:
     """Columns x1,x2,score; side^2 rows, x-major."""
-    Path(path).write_text(_grid_csv(grid), newline="")
+    Path(path).write_bytes(_tables([_grid_table(grid)])[0])
 
 
 def write_resolution_csv(path, rows) -> None:
@@ -320,22 +486,18 @@ def emit_report(report: BenchReport, out_dir) -> list[Path]:
     failed write removes the files this call had opened.
     """
     out = Path(out_dir)
-    texts = {
-        "train.csv": _dataset_csv(report.train_set),
-        "test.csv": _dataset_csv(report.test_set),
-        "gram.csv": _gram_csv(report.gram),
-        "grid.csv": _grid_csv(report.grid),
-        "model.json": _model_json(report.model),
-        "report.json": _json(report.summary()),
-        "boundary.svg": render_boundary_svg(
-            report.grid, report.train_set, report.test_set, report.test_accuracy
-        ),
-    }
+    tables = _tables([_dataset_table(report.train_set), _dataset_table(report.test_set),
+                      _gram_table(report.gram), _grid_table(report.grid)])
+    texts = dict(zip(["train.csv", "test.csv", "gram.csv", "grid.csv"], tables))
+    texts["model.json"] = _model_json(report.model).encode()
+    texts["report.json"] = _json(report.summary()).encode()
+    texts["boundary.svg"] = render_boundary_svg(
+        report.grid, report.train_set, report.test_set, report.test_accuracy).encode()
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     try:
         for name, text in texts.items():
-            with open(out / name, "w", newline="") as fh:
+            with open(out / name, "wb") as fh:
                 written.append(out / name)
                 fh.write(text)
     except BaseException:

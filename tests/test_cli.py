@@ -285,6 +285,25 @@ class TestPipelineSubcommands:
         assert len(calls) == 2
         assert len((tmp_path / "sw" / "sweep.csv").read_text().splitlines()) == 1 + 2 * 3
 
+    def test_sweep_builds_one_split_per_convention(self, tmp_path, monkeypatch):
+        conventions, original = [], bench.generate_dataset
+
+        def counted(*args, **kwargs):
+            conventions.append(kwargs["convention"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "generate_dataset", counted)
+        kernels = ["cosine:0.5", "msi:4", "cosine:1", "fractional:0.5"]
+        argv = ["sweep", "--dataset", "moons", "--seed", "1", "--gammas", "0.1,10"]
+        assert main([*argv, "--kernels", ",".join(kernels), "--out", str(tmp_path / "all")]) == 0
+        assert conventions == ["cosine", "interference"]
+        # the same rows as a sweep of each kernel alone, which builds its own split
+        rows = [(tmp_path / "all" / "sweep.csv").read_text().splitlines()[0]]
+        for kernel in kernels:
+            assert main([*argv, "--kernels", kernel, "--out", str(tmp_path / kernel)]) == 0
+            rows += (tmp_path / kernel / "sweep.csv").read_text().splitlines()[1:]
+        assert (tmp_path / "all" / "sweep.csv").read_text().splitlines() == rows
+
     def test_sweep_rejects_a_bad_gamma_before_any_gram(self, tmp_path, monkeypatch, capsys):
         calls = self.count_grams(monkeypatch)
         assert main(["sweep", "--gammas", "1,nan", "--out", str(tmp_path / "sw")]) == 1

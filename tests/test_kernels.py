@@ -223,6 +223,20 @@ class TestKernelSpec:
         x, xp = np.array([0.6]), np.array([0.1])
         assert spec.evaluate(x, xp) == pytest.approx(kernel_fractional(x, xp, 0.5), abs=1e-15)
 
+    @pytest.mark.parametrize("text, scalar", [("cosine:1", lambda x, xp: kernel_cosine(x, xp, 1)),
+                                              ("cosine:3", lambda x, xp: kernel_cosine(x, xp, 3)),
+                                              ("fractional:0.5",
+                                               lambda x, xp: kernel_fractional(x, xp, 0.5))],
+                             ids=["cosine:1", "cosine:3", "fractional:0.5"])
+    def test_evaluate_takes_one_separation_and_the_scalar_bits(self, text, scalar, monkeypatch):
+        spec, rng = parse_kernel(text), np.random.default_rng(4)
+        pairs = rng.uniform(*DOMAINS["cosine"], (50, 2, 2))
+        assert [spec.evaluate(x, xp) for x, xp in pairs] == [scalar(x, xp) for x, xp in pairs]
+        calls, original = [], kernels._paired_diffs
+        monkeypatch.setattr(kernels, "_paired_diffs", lambda *a: calls.append(a) or original(*a))
+        spec.evaluate(*pairs[0])
+        assert len(calls) == 1
+
     def test_field_combinations_validated(self):
         with pytest.raises(ValueError):
             KernelSpec(kind="cosine_power", dimension=1)  # missing power

@@ -22,11 +22,14 @@ from finitekernels import (
     resolution_sweep,
     run_benchmark,
 )
+from finitekernels import reports
 from finitekernels.cli import main, parse_kernel
 from finitekernels.resolution import SWEEP_FAMILIES
 from finitekernels.reports import (
     SVG_SIZE,
+    _format17,
     _table,
+    _tables,
     _zero_contour_segments,
     emit_report,
     load_dataset_csv,
@@ -377,6 +380,22 @@ class TestEmitReport:
             emit_report(report, tmp_path / "o")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("noise", [None, ShotNoiseConfig(100)], ids=["exact", "sampled"])
+    def test_tables_equal_the_standalone_writers(self, noise, tmp_path):
+        # emit_report formats the four tables in one pass; each writer formats its own
+        config = BenchmarkConfig("moons", 1, KERNEL_N1, train_size=12, test_size=8, grid_side=5,
+                                 noise=noise)
+        report = run_benchmark(config)
+        emit_report(report, tmp_path / "set")
+        alone = tmp_path / "alone"
+        alone.mkdir()
+        write_dataset_csv(alone / "train.csv", report.train_set)
+        write_dataset_csv(alone / "test.csv", report.test_set)
+        write_gram_csv(alone / "gram.csv", report.gram)
+        write_grid_csv(alone / "grid.csv", report.grid)
+        for name in ("train.csv", "test.csv", "gram.csv", "grid.csv"):
+            assert (tmp_path / "set" / name).read_bytes() == (alone / name).read_bytes()
+
     def test_deterministic_bytes(self, tmp_path):
         a_dir = tmp_path / "a"
         b_dir = tmp_path / "b"
@@ -633,6 +652,11 @@ class TestByteOracle:
         assert _table(header, rows) == loop_table(header, rows)
 
     @ORACLE_PROPERTY
+    @given(st.lists(tables(), min_size=1, max_size=4))
+    def test_tables_formatted_together_equal_loop(self, batch):
+        assert _tables(batch) == [loop_table(header, rows).encode() for header, rows in batch]
+
+    @ORACLE_PROPERTY
     @given(st.lists(st.builds(
         SweepPoint,
         family=st.sampled_from(SWEEP_FAMILIES),
@@ -657,6 +681,59 @@ class TestByteOracle:
         path = tmp_path_factory.mktemp("sweep") / "sweep.csv"
         write_sweep_csv(path, rows)
         assert path.read_bytes() == loop_sweep_csv(rows).encode()
+
+
+# the edges of the formatter's exact range and of float64, their neighbours, and ties
+EDGE_VALUES = [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+               1.7976931348623157e308, math.inf, math.nan, 1.0 - 2.0**-53,
+               100000000000000.125, 100000000000000.375, 1234567890123456.75] + [
+    v for p in (1e-11, 1e-7, 1e-6, 1e-5, 1e-4, 1e16)
+    for v in (np.nextafter(p, 0.0), p, np.nextafter(p, math.inf))]
+EDGE_BITS = [int(np.float64(sign * v).view(np.uint64)) for v in EDGE_VALUES for sign in (1, -1)]
+# raw patterns, and patterns whose exponent lies in or next to the range formatted exactly
+FLOAT_BITS = st.integers(0, 2**64 - 1) | st.builds(
+    lambda sign, exponent, fraction: sign << 63 | exponent << 52 | fraction,
+    st.integers(0, 1), st.integers(980, 1080), st.integers(0, 2**52 - 1))
+
+
+def formatted(values):
+    text, length = _format17(np.asarray(values, dtype=np.float64))
+    return [row[:n].tobytes().decode() for row, n in zip(text, length)]
+
+
+class TestFormatter:
+    """The vectorized formatter writes the bytes of ``"%.17g" % v``."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(FLOAT_BITS, min_size=1, max_size=40))
+    @example(EDGE_BITS)
+    @example(sorted(EDGE_BITS))
+    def test_equals_percent_format(self, patterns):
+        values = np.array(patterns, dtype=np.uint64).view(np.float64)
+        assert formatted(values) == ["%.17g" % v for v in values.tolist()]
+
+    def test_sorted_patterns_across_passes(self, monkeypatch):
+        # np.unique hands the formatter sorted patterns, many more than one pass takes
+        rng = np.random.default_rng(3)
+        scale = 10.0 ** rng.integers(-11, 15, 12000)
+        values = np.concatenate([(1.0 + 9.0 * rng.random(12000)) * scale,
+                                 rng.integers(-10**6, 10**6, 6000) / 64.0])
+        values = np.unique(values.view(np.uint64)).view(np.float64)
+        fallen_back, strings = [], reports._strings
+        monkeypatch.setattr(reports, "_strings", lambda v, spec: fallen_back.extend(v) or
+                            strings(v, spec))
+        assert formatted(values) == ["%.17g" % v for v in values.tolist()]
+        # all are in [1e-11, 1e16) but 0.0, so nearly all take the exact digits
+        assert len(fallen_back) < 0.001 * len(values)
+
+    @pytest.mark.parametrize("off", [-1.0, 1.0])
+    def test_a_misjudged_decimal_exponent_falls_back(self, off, monkeypatch):
+        # D then leaves [1e16, 1e17) unless the clip to [-11, 15] undoes the error; the
+        # value must then go through %
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda x: log10(x) + off)
+        values = np.array(EDGE_VALUES + [0.1, 0.5, 1.0 / 3.0, 2.0 / 3.0, 9.5, 123.25, 1e15 - 1])
+        assert formatted(values) == ["%.17g" % v for v in values.tolist()]
 
 
 def sha256(text):

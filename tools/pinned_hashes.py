@@ -1,5 +1,5 @@
-"""Hashes of the 18 pinned ``bench`` artifact sets and of two staged chains, run from the root
-of a checkout.
+"""Hashes of the 18 pinned ``bench`` artifact sets, of two staged chains and of two large
+``bench`` sets, run from the root of a checkout.
 
     PYTHONPATH=src python3 tools/pinned_hashes.py
 
@@ -8,8 +8,11 @@ xor/0, each with cosine:0.5, cosine:1, cosine:1 at 2,500 events, cosine:3,
 msi:4 and tsq:8:3, into a temporary directory.  Then runs the staged chain
 gen -> gram -> train -> boundary on moons/1 with cosine:1, exact and at
 2,500 events, so the files only the staged commands write (``gram.json``
-and ``train``'s ``model.json``) are hashed too.  For each set it prints one
-line: the dataset, the kernel (a staged chain's line starts ``staged``),
+and ``train``'s ``model.json``) are hashed too.  Last, runs ``bench`` on
+moons/1 with cosine:1 at ``--train-size 1000``, exact and at 2,500 events,
+where nearly every Gram value is distinct (exact) or few are (sampled).
+For each set it prints one line: the dataset, the kernel (a staged chain's
+line starts ``staged``, a large set's carries ``--train-size 1000``),
 and the set's hash (sha256 over each file's name, a NUL byte and the
 file's bytes, in name order; first 16 hex digits).  An indented line per
 file follows with the sha256 of its bytes (first 16 hex digits).  Two
@@ -31,6 +34,7 @@ DATASETS = (("concentric", 7), ("moons", 1), ("xor", 0))
 KERNELS = (("cosine:0.5",), ("cosine:1",), ("cosine:1", "--events", "2500"), ("cosine:3",),
            ("msi:4",), ("tsq:8:3",))
 STAGED = (("cosine:1",), ("cosine:1", "--events", "2500"))
+LARGE = (("cosine:1", "--train-size", "1000"), ("cosine:1", "--train-size", "1000", "--events", "2500"))
 
 
 def digest(data: bytes) -> str:
@@ -89,6 +93,12 @@ def run() -> int:
             if not all(ran(argv) for argv in staged_chain(out, kernel, extra)):
                 return 1
             report(f"staged moons/1 {' '.join([kernel, *extra])}", out)
+        for kernel, *extra in LARGE:
+            out = Path(tmp, f"large-{kernel}-{len(extra)}")
+            if not ran(["bench", "--dataset", "moons", "--seed", "1", "--kernel", kernel, *extra,
+                        "--out", str(out)]):
+                return 1
+            report(f"moons/1 {' '.join([kernel, *extra])}", out)
     return 0
 
 
