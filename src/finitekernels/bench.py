@@ -22,7 +22,7 @@ import numpy as np
 from .datasets import DATASET_NAMES, LabeledSet, generate_dataset
 from .kernels import KernelSpec
 from .optics import ShotNoiseConfig, sample_kernels
-from .states import DOMAINS, _as_int, _as_positive, _check_choice, _frozen_array
+from .states import DOMAINS, _as_int, _as_positive, _check_choice, _check_type, _frozen_array
 from .svm import (
     CONDITION_POLICIES,
     GramMatrix,
@@ -218,6 +218,8 @@ class BenchmarkConfig:
 
     def __post_init__(self) -> None:
         _check_choice(self.dataset, DATASET_NAMES, "dataset")
+        _check_type(self.kernel, (KernelSpec,), "kernel")
+        _check_type(self.noise, (ShotNoiseConfig, type(None)), "noise")
         for name, minimum in (("seed", 0), ("train_size", 2), ("test_size", 2), ("grid_side", 2)):
             object.__setattr__(self, name, _as_int(getattr(self, name), name, minimum))
         object.__setattr__(self, "gamma", _as_positive(self.gamma, "gamma"))

@@ -163,7 +163,12 @@ def _lay_out(text, chars, kept, power: int, sign: int) -> np.ndarray:
 
 def _format17(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``"%.17g" % v`` of each float64, left aligned in the rows of an (n, _ROW) uint8 array,
-    with their lengths; ``_FORMAT_BLOCK`` values per pass."""
+    with their lengths; ``_FORMAT_BLOCK`` values per pass.
+
+    ``values`` must come sorted by bit pattern, as ``_tables`` passes ``np.unique``'s
+    output: any order gives the same text, but the layout takes one pass per run of one
+    (decimal exponent, sign), so unsorted values run a pass for nearly every value.
+    """
     text = np.empty((len(values), _ROW), dtype=np.uint8)
     length = np.empty(len(values), dtype=np.uint8)
     for a in range(0, len(values), _FORMAT_BLOCK):
@@ -228,11 +233,6 @@ def _tables(tables: list[tuple[list[str], np.ndarray]]) -> list[bytes]:
             cells.T[upper] = part
         texts.append(_table_bytes(header, text, length, cells))
     return texts
-
-
-def _table(header: list[str], rows: np.ndarray) -> str:
-    """CSV text of one float table; see ``_tables``."""
-    return _tables([(header, rows)])[0].decode("ascii")
 
 
 def _read_table(path) -> tuple[list[str], np.ndarray]:

@@ -69,6 +69,13 @@ def _check_choice(value, choices, what: str) -> None:
         raise ValueError(f"unknown {what} {value!r}; choose from {tuple(choices)}")
 
 
+def _check_type(value, types: tuple, what: str) -> None:
+    """Refuse ``value`` unless it is an instance of one of ``types``; ``what`` names the field."""
+    if not isinstance(value, types):
+        names = " or ".join("None" if t is type(None) else t.__name__ for t in types)
+        raise ValueError(f"{what} must be of type {names}, got {type(value).__name__}")
+
+
 def _frozen_array(values, dtype, what: str | None = None, ndim: int | None = None) -> np.ndarray:
     """A read-only copy of ``values``, refused unless finite when ``what`` names it, and
     with ``ndim`` unless it has that many dimensions and at least one row (or entry)."""

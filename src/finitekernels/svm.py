@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -175,14 +174,6 @@ def kkt_residual(gram, labels, gamma: float, coefficients, dual) -> float:
     return max(stationarity, dual_box, _slackness(1.0 - y * (g @ a), alpha, gamma))
 
 
-class _Solution(NamedTuple):
-    alpha: np.ndarray
-    coefficients: np.ndarray
-    grad: np.ndarray
-    residual: float
-    iterations: int
-
-
 def _face_step(q_ff, grad_f, alpha_f, gamma: float):
     """Step on the face ``q_ff``: new duals (floats), mask of those pinned at a bound, face solved.
 
@@ -233,16 +224,18 @@ def _face_step(q_ff, grad_f, alpha_f, gamma: float):
 
 
 def _solve(z, gamma: float, alpha: np.ndarray, budget: int,
-           solved_start: bool = False) -> _Solution:
+           solved_start: bool = False) -> tuple[np.ndarray, TrainDiagnostics]:
     """Active-set iterations from a start ``alpha`` in the box [0, gamma].
 
     ``z`` is Z = diag(y / 2) G of the Gram G and labels y, the dual's
     quadratic form being Q = Z Z'.  Coordinates strictly inside the box
     start free, the rest pinned at their bound; from alpha = 0 nothing is
-    free, which is the cold start.  ``solved_start`` says the start is already optimal on its face, as a
-    previous fit's dual is when clipping it into this box moved nothing.
-    ``alpha`` is updated in place.  Stops on the KKT tolerance, on a solved
-    face with no violating bound coordinate, or after ``budget`` iterations.
+    free, which is the cold start.  ``solved_start`` says the start is
+    already optimal on its face, as a previous fit's dual is when clipping it
+    into this box moved nothing.  ``alpha`` is updated in place and returned
+    as the dual of the fit's ``TrainDiagnostics``, after the coefficients
+    a = Z' alpha.  Stops on the KKT tolerance, on a solved face with no
+    violating bound coordinate, or after ``budget`` iterations.
     The residual is formed only where it can end the fit: at the budget, and
     on a solved face (a solved start at the optimum stops at iteration 0)
     unless the worst bound violator's own term |gamma v| / max(1, gamma),
@@ -281,20 +274,9 @@ def _solve(z, gamma: float, alpha: np.ndarray, budget: int,
             for i in idx[hit].tolist():
                 bound[i] = -1.0 if alpha[i] > 0.0 else 1.0
             face_solved = hit.all()
-    return _Solution(alpha, a, grad, residual, iterations)
-
-
-def _model(gamma: float, train_id: str, solution: _Solution) -> TrainedModel:
-    alpha, a, grad, residual, iterations = solution
     slack = np.maximum(0.0, grad)
-    diagnostics = TrainDiagnostics(
-        dual=alpha.copy(),
-        slack=slack,
-        kkt_residual=residual,
-        objective=float(a @ a + gamma * slack.sum()),
-        sweeps=iterations,
-    )
-    return TrainedModel(coefficients=a, gamma=gamma, train_id=train_id, diagnostics=diagnostics)
+    objective = float(a @ a + gamma * slack.sum())
+    return a, TrainDiagnostics(alpha, slack, residual, objective, iterations)
 
 
 def train(gram, labels, gamma: float, train_id: str = "") -> TrainedModel:
@@ -360,21 +342,18 @@ def train_path(gram, labels, gammas, train_id: str = "") -> list[TrainedModel]:
     gammas = [_as_positive(gamma, "gamma") for gamma in gammas]
     z = (0.5 * y)[:, None] * g  # Z = diag(y / 2) G, Q = Z Z', shared by every solve
     models: list[TrainedModel | None] = [None] * len(gammas)
-    solution = None
+    fit = None
     for k in sorted(range(len(gammas)), key=lambda k: -gammas[k]):
         gamma = gammas[k]
-        if solution is not None:
-            start = np.clip(solution.alpha, 0.0, gamma)
-            solved = np.array_equal(start, solution.alpha)
-            solution = _solve(z, gamma, start, y.size, solved)
-        if solution is None or solution.residual >= KKT_TOL:
-            solution = _solve(z, gamma, np.zeros(y.size), _MAX_ITERATIONS)
-            if solution.residual > 1e-6:
-                raise RuntimeError(
-                    f"QP solver stalled at KKT residual {solution.residual:.3e} after "
-                    f"{solution.iterations} iterations"
-                )
-        models[k] = _model(gamma, train_id, solution)
+        if fit is not None:
+            start = np.clip(fit.dual, 0.0, gamma)
+            a, fit = _solve(z, gamma, start, y.size, np.array_equal(start, fit.dual))
+        if fit is None or fit.kkt_residual >= KKT_TOL:
+            a, fit = _solve(z, gamma, np.zeros(y.size), _MAX_ITERATIONS)
+            if fit.kkt_residual > 1e-6:
+                raise RuntimeError(f"QP solver stalled at KKT residual {fit.kkt_residual:.3e} "
+                                   f"after {fit.sweeps} iterations")
+        models[k] = TrainedModel(a, gamma, train_id, fit)
     return models
 
 

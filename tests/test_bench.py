@@ -424,6 +424,18 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match=field):
             BenchmarkConfig(**{"dataset": "moons", "seed": 0, "kernel": KERNEL_N1, field: value})
 
+    @pytest.mark.parametrize("field, value, text", [
+        ("kernel", "cosine:1", "kernel must be of type KernelSpec, got str"),
+        ("kernel", None, "kernel must be of type KernelSpec, got NoneType"),
+        ("noise", {"events_per_point": 100},
+         "noise must be of type ShotNoiseConfig or None, got dict"),
+        ("noise", 2500, "noise must be of type ShotNoiseConfig or None, got int"),
+    ])
+    def test_kernel_and_noise_of_another_type_rejected(self, field, value, text):
+        # run_benchmark would otherwise fail mid-run on a missing attribute
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            BenchmarkConfig(**{"dataset": "moons", "seed": 0, "kernel": KERNEL_N1, field: value})
+
     def test_numbers_stored_as_python_scalars(self):
         config = BenchmarkConfig("moons", np.int64(1), KERNEL_N1, gamma=np.int32(2),
                                  train_size=np.int32(8), test_size=np.uint8(4),

@@ -2,10 +2,10 @@
 computes, and no module imports scipy, so numpy is the only runtime dependency.
 Each argument rule (an integer of at least N, a finite read-only array, +1/-1
 labels, a name from a fixed set, a nonempty array of N dimensions, a finite
-non-negative real) is written once, in ``states``, and so is each input rule of
-the paper's layers: the kernels' point dimensions, finite kernel coordinates,
-phase-encoded points, the circuit's powers and kernel values in [0, 1].  Every
-public entry that applies a rule reaches its one site.
+non-negative real, an instance of a given type) is written once, in ``states``,
+and so is each input rule of the paper's layers: the kernels' point dimensions,
+finite kernel coordinates, phase-encoded points, the circuit's powers and kernel
+values in [0, 1].  Every public entry that applies a rule reaches its one site.
 """
 
 import ast
@@ -213,6 +213,7 @@ RULES = {
     "choice": ("; choose from", "states.py:_check_choice"),
     "shape": ("must form a nonempty", "states.py:_frozen_array"),
     "nonnegative": ("must be a finite non-negative real", "states.py:_as_nonnegative"),
+    "type": ("must be of type", "states.py:_check_type"),
 }
 
 
@@ -306,6 +307,9 @@ ENTRIES = [
     ("choice", "BenchmarkConfig-dataset", lambda: BenchmarkConfig("moon", 1, _COSINE_2D)),
     ("choice", "BenchmarkConfig-condition_policy",
      lambda: BenchmarkConfig("moons", 1, _COSINE_2D, condition_policy="Clip")),
+    ("type", "BenchmarkConfig-kernel", lambda: BenchmarkConfig("moons", 1, "cosine:1")),
+    ("type", "BenchmarkConfig-noise",
+     lambda: BenchmarkConfig("moons", 1, _COSINE_2D, noise={"events_per_point": 100})),
     ("choice", "generate_dataset", lambda: generate_dataset("moon", 1)),
     ("choice", "generate_dataset-convention",
      lambda: generate_dataset("moons", 0, convention="phase")),

@@ -28,7 +28,6 @@ from finitekernels.resolution import SWEEP_FAMILIES
 from finitekernels.reports import (
     SVG_SIZE,
     _format17,
-    _table,
     _tables,
     _zero_contour_segments,
     emit_report,
@@ -649,7 +648,7 @@ class TestByteOracle:
     @example((["x1", "x2", "label"], np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, 1.0]])))
     def test_table_equals_loop(self, table):
         header, rows = table
-        assert _table(header, rows) == loop_table(header, rows)
+        assert _tables([(header, rows)])[0] == loop_table(header, rows).encode()
 
     @ORACLE_PROPERTY
     @given(st.lists(tables(), min_size=1, max_size=4))
@@ -774,13 +773,14 @@ class TestGoldenBytes:
             [-0.0, 5e-324, 0.0, -1e20],
             [1e-300, 0.1, -1e20, 1.0 / 7.0],
         ])
-        assert sha256(_table(["c1", "c2", "c3", "c4"], symmetric)) == (
+        assert sha256(_tables([(["c1", "c2", "c3", "c4"], symmetric)])[0].decode()) == (
             "0d0911ff9c6b875066a91ede8b4b8609565848619b023ccb0cde1325b9d50575"
         )
         dataset = np.array([[1.0 / 3.0, -0.25, 1.0], [0.1, 2.5e-17, -1.0]])
-        assert sha256(_table(["x1", "x2", "label"], dataset)) == (
+        assert sha256(_tables([(["x1", "x2", "label"], dataset)])[0].decode()) == (
             "f639e38c35d0bc3fca2665178513c2a8fbec4fdf4445eb9ce3b0f096f0f188d1"
         )
-        assert sha256(_table(["c1", "c2"], np.array([[1.0, 0.0], [-0.0, 1.0]]))) == (
+        signed_zeros = np.array([[1.0, 0.0], [-0.0, 1.0]])
+        assert sha256(_tables([(["c1", "c2"], signed_zeros)])[0].decode()) == (
             "e13b772a82fe2be6cd9fe1a141804a6f1bcebbb0d5866fc0305185865d7e7ff5"
         )

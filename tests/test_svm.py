@@ -635,7 +635,9 @@ def reference_solve(z, gamma, alpha, budget, solved_start=False):
         if not solved:
             free[idx[hit]] = False
         face_solved = solved or not free.any()
-    return svm._Solution(alpha, a, grad, residual, iterations)
+    slack = np.maximum(0.0, grad)
+    return a, svm.TrainDiagnostics(alpha, slack, residual, float(a @ a + gamma * slack.sum()),
+                                   iterations)
 
 
 def one_coordinate(q, g, alpha, gamma):
@@ -696,10 +698,14 @@ def dual_factor(g, y):
 
 
 def solutions_equal(new, ref):
-    """Whether two ``_Solution`` tuples agree bit for bit, iteration count included."""
-    return (all(x.tobytes() == r.tobytes() for x, r in zip(new[:3], ref[:3]))
-            and np.float64(new.residual).tobytes() == np.float64(ref.residual).tobytes()
-            and new.iterations == ref.iterations)
+    """Whether two (coefficients, ``TrainDiagnostics``) pairs agree bit for bit: coefficients,
+    dual, slack, KKT residual, objective and iteration count.  The slack is the gradient's
+    positive part, and the whole gradient is 1 - 2 Z a of the compared coefficients."""
+    (a, fit), (ref_a, ref_fit) = new, ref
+    floats = [(a, ref_a), (fit.dual, ref_fit.dual), (fit.slack, ref_fit.slack),
+              (fit.kkt_residual, ref_fit.kkt_residual), (fit.objective, ref_fit.objective)]
+    return (all(np.asarray(x, float).tobytes() == np.asarray(r, float).tobytes() for x, r in floats)
+            and fit.sweeps == ref_fit.sweeps)
 
 
 def check_loops_agree(g, y, gammas):
@@ -712,16 +718,16 @@ def check_loops_agree(g, y, gammas):
         new = svm._solve(z, gamma, start.copy(), budget, solved_start)
         ref = reference_solve(z, gamma, start.copy(), budget, solved_start)
         assert solutions_equal(new, ref), (gamma, budget, solved_start)
-        return new
+        return new[1]
 
     previous = None
     for gamma in sorted(gammas, reverse=True):
         cold = both(gamma, np.zeros(y.size), svm._MAX_ITERATIONS)
-        both(gamma, np.zeros(y.size), cold.iterations // 2)
-        assert both(gamma, cold.alpha, y.size, True).iterations == 0
+        both(gamma, np.zeros(y.size), cold.sweeps // 2)
+        assert both(gamma, cold.dual, y.size, True).sweeps == 0
         if previous is not None:
-            start = np.clip(previous.alpha, 0.0, gamma)
-            both(gamma, start, y.size, np.array_equal(start, previous.alpha))
+            start = np.clip(previous.dual, 0.0, gamma)
+            both(gamma, start, y.size, np.array_equal(start, previous.dual))
         previous = cold
 
 
@@ -766,9 +772,9 @@ class TestAgainstArrayForm:
         # 1 - x2 / x1 (5e-9, 5e-8), whose term gamma v / max(1, gamma) is below KKT_TOL
         g, y = np.outer(x, x), np.ones(2)
         check_loops_agree(g, y, [gamma])
-        solution = svm._solve(dual_factor(g, y), gamma, np.zeros(2), svm._MAX_ITERATIONS)
-        assert solution.iterations == 1 and solution.alpha[1] == 0.0
-        assert solution.grad[1] > 0.0 and solution.residual < svm.KKT_TOL
+        _, fit = svm._solve(dual_factor(g, y), gamma, np.zeros(2), svm._MAX_ITERATIONS)
+        assert fit.sweeps == 1 and fit.dual[1] == 0.0
+        assert fit.slack[1] > 0.0 and fit.kkt_residual < svm.KKT_TOL
 
 
 def test_rank_deficient_face_takes_the_newton_step_when_its_gradient_lies_in_the_range():
@@ -891,6 +897,15 @@ class TestTrainPath:
         assert again.diagnostics.sweeps == 0
         assert np.array_equal(again.coefficients, first.coefficients)
 
+    def test_models_share_no_dual_or_slack_buffer(self):
+        # every warm start is a fresh clip of the previous dual, so no later solve of the
+        # path writes into a dual handed back with a model, the iteration-0 refit included
+        train_set, _, _, gram, _ = path_problem("moons", 1, "cosine:1", 40, False)
+        path = train_path(gram, train_set.labels, [100.0, 10.0, 1.0, 0.1, 0.1])
+        buffers = [x for model in path for x in (model.diagnostics.dual, model.diagnostics.slack)]
+        for x, other in itertools.combinations(buffers, 2):
+            assert not np.shares_memory(x, other)
+
     def test_warm_miss_falls_back_to_cold(self, monkeypatch):
         train_set, _, _, gram, _ = path_problem("moons", 1, "cosine:1", 40, False)
         solve, warm_residuals = svm._solve, []
@@ -898,9 +913,9 @@ class TestTrainPath:
         def starved(z, gamma, alpha, budget, solved_start=False):
             if not alpha.any():
                 return solve(z, gamma, alpha, budget, solved_start)
-            solution = solve(z, gamma, alpha, 0, solved_start)  # a warm start with no iterations
-            warm_residuals.append(solution.residual)
-            return solution
+            a, fit = solve(z, gamma, alpha, 0, solved_start)  # a warm start with no iterations
+            warm_residuals.append(fit.kkt_residual)
+            return a, fit
 
         monkeypatch.setattr(svm, "_solve", starved)
         gammas = [1.0, 100.0, 0.1]
@@ -927,7 +942,7 @@ class TestTrainPath:
         gram = condition_gram(compute_gram(train_set, kernel, noise=ShotNoiseConfig(500)), "clip")
         g, y = gram.values, train_set.labels
         start = train(gram, y, 1e4).diagnostics.dual
-        solution = svm._solve(dual_factor(g, y), 1e3, np.clip(start, 0.0, 1e3), y.size)
-        assert solution.residual < svm.KKT_TOL
+        a, fit = svm._solve(dual_factor(g, y), 1e3, np.clip(start, 0.0, 1e3), y.size)
+        assert fit.kkt_residual < svm.KKT_TOL
         cold = train(gram, y, 1e3).coefficients
-        assert np.abs(solution.coefficients - cold).max() <= 1e-9 * np.abs(cold).max()
+        assert np.abs(a - cold).max() <= 1e-9 * np.abs(cold).max()
